@@ -4,6 +4,8 @@ The package is organized bottom-up:
 
 - ``syntax``: type/term ASTs, parsing, printing, substitution, alpha-equality
 - ``environment``: well-formed typing environments
+- ``trace``: the derivation-tree node shared by step traces and declarative
+  derivations, the judgment forms it concludes, and its JSON writer
 - ``exposure``: computing a non-path supertype by climbing declaration bounds
 - ``bounds_shift``: promotion/demotion (erasing a variable while moving in
   the subtype order)

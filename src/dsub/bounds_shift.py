@@ -35,10 +35,7 @@ from .syntax import (
     subst_var_in_type,
     type_size,
 )
-from .trace import StepTrace
-
-# Assert the structural-size termination measure on every recursive call.
-SIZE_CHECKS = True
+from .trace import DerivationTree, ShiftJ, step_node
 
 
 class ShiftInvariantError(AssertionError):
@@ -48,7 +45,7 @@ class ShiftInvariantError(AssertionError):
 @dataclass(frozen=True)
 class Shifted:
     ty: Type
-    trace: StepTrace
+    trace: DerivationTree
 
     def __bool__(self) -> bool:
         return True
@@ -80,7 +77,9 @@ def demote(g: TypeEnv, t: Type, x: str) -> ShiftResult:
 
 
 def _recurse(g: TypeEnv, t: Type, x: str, up: bool, parent: Type) -> ShiftResult:
-    if SIZE_CHECKS and not type_size(t) < type_size(parent):
+    """Shift a component of ``parent``, asserting the structural-size
+    termination measure."""
+    if not type_size(t) < type_size(parent):
         raise ShiftInvariantError(
             f"size did not decrease: {print_type(t)} inside {print_type(parent)}"
         )
@@ -91,12 +90,12 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool) -> ShiftResult:
     direction = "promote" if up else "demote"
     match t:
         case Bot():
-            return Shifted(t, StepTrace("P-Bot" if up else "D-Bot", g, (t, x, t)))
+            return Shifted(t, step_node("P-Bot" if up else "D-Bot", ShiftJ(g, t, x, t, up)))
         case Top():
-            return Shifted(t, StepTrace("P-Top" if up else "D-Top", g, (t, x, t)))
+            return Shifted(t, step_node("P-Top" if up else "D-Top", ShiftJ(g, t, x, t, up)))
         case Path(var=y):
             if y != x:
-                return Shifted(t, StepTrace("P-Var" if up else "D-Var", g, (t, x, t)))
+                return Shifted(t, step_node("P-Var" if up else "D-Var", ShiftJ(g, t, x, t, up)))
             stored = g.lookup(x)
             if stored is None:
                 raise UnboundVariable(f"unbound variable {x!r} in {print_type(t)}")
@@ -107,11 +106,11 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool) -> ShiftResult:
                 case Bot():
                     out = Bot() if up else Top()
                     rule = "P-Up-Bot" if up else "D-Down-Bot"
-                    return Shifted(out, StepTrace(rule, g, (t, x, out), (head.trace,)))
+                    return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (head.trace,)))
                 case Decl(label=label, lower=lo, upper=hi) if label == t.label:
                     out = hi if up else lo
                     rule = "P-Up" if up else "D-Down"
-                    return Shifted(out, StepTrace(rule, g, (t, x, out), (head.trace,)))
+                    return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (head.trace,)))
                 case other:
                     return ShiftStuck(
                         f"cannot {direction} {print_type(t)}: head exposes to {print_type(other)}"
@@ -125,10 +124,10 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool) -> ShiftResult:
                 return hi_result
             out = Decl(label, lo_result.ty, hi_result.ty)
             rule = "P-Decl" if up else "D-Decl"
-            return Shifted(out, StepTrace(rule, g, (t, x, out), (lo_result.trace, hi_result.trace)))
+            return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (lo_result.trace, hi_result.trace)))
         case All(param=y, param_type=s, result=u):
             if y == x:
-                return Shifted(t, StepTrace("P-Cap" if up else "D-Cap", g, (t, x, t)))
+                return Shifted(t, step_node("P-Cap" if up else "D-Cap", ShiftJ(g, t, x, t, up)))
             s_result = _recurse(g, s, x, not up, t)
             if isinstance(s_result, ShiftStuck):
                 return s_result
@@ -144,5 +143,5 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool) -> ShiftResult:
                 return u_result
             out = All(y, s_result.ty, u_result.ty)
             rule = "P-Lam" if up else "D-Lam"
-            return Shifted(out, StepTrace(rule, g, (t, x, out), (s_result.trace, u_result.trace)))
+            return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (s_result.trace, u_result.trace)))
     raise TypeError(f"not a type: {t!r}")

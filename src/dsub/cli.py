@@ -147,7 +147,7 @@ def _cmd_check(args) -> int:
         _diag(f"untypable: {outcome.describe()}")
         return 1
     if args.emit_trace:
-        FsPath(args.emit_trace).write_text(json.dumps(outcome.trace.to_json(), indent=2) + "\n")
+        FsPath(args.emit_trace).write_text(json.dumps(derivation_to_json(outcome.trace), indent=2) + "\n")
     print(print_type(outcome.ty))
     return 0
 

@@ -23,7 +23,7 @@ the bound variable escaping check), and subsumption (Sub).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .environment import TypeEnv, env_from_bindings
@@ -44,85 +44,23 @@ from .syntax import (
     Var,
     alpha_eq_term,
     alpha_eq_type,
-    canon_term,
     canon_type,
     fresh_name,
     fv_term,
     fv_type,
     parse_term,
     parse_type,
-    print_term,
-    print_type,
     subst_var_in_term,
     subst_var_in_type,
     type_size,
 )
-from .trace import StepTrace
-
-SUB_RULES = frozenset(("Top", "Bot", "Refl", "Trans", "<:-Sel", "Sel-<:", "All-<:-All", "Typ-<:-Typ"))
-TYP_RULES = frozenset(("Var", "All-I", "All-E", "Typ-I", "Let", "Sub"))
-
-
-class ElaborationGap(DsubError):
-    """A trace node had no declarative mapping (an implementation bug)."""
-
-
-# ---------------------------------------------------------------------------
-# Judgments and derivation trees
-
-
-@dataclass(frozen=True)
-class SubJ:
-    env: TypeEnv
-    lhs: Type
-    rhs: Type
-
-    def __post_init__(self) -> None:
-        scope = self.env.dom()
-        loose = (fv_type(self.lhs) | fv_type(self.rhs)) - scope
-        if loose:
-            raise ValueError(f"judgment mentions unbound variable(s): {', '.join(sorted(loose))}")
-
-    def render(self) -> str:
-        prefix = ", ".join(f"{x}: {print_type(t)}" for x, t in self.env)
-        body = f"{print_type(self.lhs)} <: {print_type(self.rhs)}"
-        return f"{prefix} |- {body}" if prefix else f"|- {body}"
-
-    def key(self) -> str:
-        envk = ";".join(f"{x}:{canon_type(t)}" for x, t in self.env)
-        return f"sub[{envk}]{canon_type(self.lhs)}<:{canon_type(self.rhs)}"
-
-
-@dataclass(frozen=True)
-class TypJ:
-    env: TypeEnv
-    term: Term
-    ty: Type
-
-    def __post_init__(self) -> None:
-        scope = self.env.dom()
-        loose = (fv_term(self.term) | fv_type(self.ty)) - scope
-        if loose:
-            raise ValueError(f"judgment mentions unbound variable(s): {', '.join(sorted(loose))}")
-
-    def render(self) -> str:
-        prefix = ", ".join(f"{x}: {print_type(t)}" for x, t in self.env)
-        body = f"{print_term(self.term)} : {print_type(self.ty)}"
-        return f"{prefix} |- {body}" if prefix else f"|- {body}"
-
-    def key(self) -> str:
-        envk = ";".join(f"{x}:{canon_type(t)}" for x, t in self.env)
-        return f"typ[{envk}]{canon_term(self.term)}:{canon_type(self.ty)}"
-
+from .trace import DerivationTree, SubJ, TypJ, derivation_to_json
 
 Judgment = Union[SubJ, TypJ]
 
 
-@dataclass(frozen=True)
-class DerivationTree:
-    rule: str
-    conclusion: Judgment
-    premises: tuple = field(default=())
+class ElaborationGap(DsubError):
+    """A trace node had no declarative mapping (an implementation bug)."""
 
 
 @dataclass(frozen=True)
@@ -166,12 +104,11 @@ def _extends_by_one(inner: TypeEnv, outer: TypeEnv):
 
 
 def _verify(node: DerivationTree, path: str) -> VerifyResult:
-    checkers = {**_SUB_CHECKERS, **_TYP_CHECKERS}
-    check = checkers.get(node.rule)
-    if check is None:
+    entry = _CHECKERS.get(node.rule)
+    if entry is None:
         return _fail(path, f"unknown rule {node.rule!r}")
-    expected_kind = SubJ if node.rule in SUB_RULES else TypJ
-    if not isinstance(node.conclusion, expected_kind):
+    form, check = entry
+    if not isinstance(node.conclusion, form):
         return _fail(path, f"rule {node.rule} concludes the wrong judgment form")
     message = check(node)
     if message is not None:
@@ -443,25 +380,25 @@ def _check_sub(node: DerivationTree) -> Optional[str]:
     return None
 
 
-_SUB_CHECKERS = {
-    "Top": _check_top,
-    "Bot": _check_bot,
-    "Refl": _check_refl,
-    "Trans": _check_trans,
-    "<:-Sel": _check_sel_right,
-    "Sel-<:": _check_sel_left,
-    "All-<:-All": _check_all_sub,
-    "Typ-<:-Typ": _check_typ_sub,
+# rule -> (judgment form it concludes, schema checker)
+_CHECKERS = {
+    "Top": (SubJ, _check_top),
+    "Bot": (SubJ, _check_bot),
+    "Refl": (SubJ, _check_refl),
+    "Trans": (SubJ, _check_trans),
+    "<:-Sel": (SubJ, _check_sel_right),
+    "Sel-<:": (SubJ, _check_sel_left),
+    "All-<:-All": (SubJ, _check_all_sub),
+    "Typ-<:-Typ": (SubJ, _check_typ_sub),
+    "Var": (TypJ, _check_var),
+    "Typ-I": (TypJ, _check_typ_i),
+    "All-I": (TypJ, _check_all_i),
+    "All-E": (TypJ, _check_all_e),
+    "Let": (TypJ, _check_let),
+    "Sub": (TypJ, _check_sub),
 }
-
-_TYP_CHECKERS = {
-    "Var": _check_var,
-    "Typ-I": _check_typ_i,
-    "All-I": _check_all_i,
-    "All-E": _check_all_e,
-    "Let": _check_let,
-    "Sub": _check_sub,
-}
+SUB_RULES = frozenset(rule for rule, (form, _) in _CHECKERS.items() if form is SubJ)
+TYP_RULES = frozenset(rule for rule, (form, _) in _CHECKERS.items() if form is TypJ)
 
 
 # ---------------------------------------------------------------------------
@@ -703,43 +640,17 @@ def decl_search(goal: Judgment, fuel: int, searcher: Optional[DeclSearcher] = No
 # Elaboration of algorithmic traces
 
 
-def elaborate_step(trace: StepTrace) -> DerivationTree:
-    """Turn a step trace into a declarative derivation of the corresponding
-    judgment.  Raises :class:`ElaborationGap` on a node this function cannot
-    map; that never happens for traces produced by this package."""
-    handler = _ELABORATORS.get(trace.rule)
+def elaborate_step(node: DerivationTree) -> DerivationTree:
+    """Turn a step trace into a declarative derivation.  A step-subtyping or
+    step-typing node elaborates to a derivation of its own judgment; an
+    exposure of ``src`` to ``out`` to one of ``src <: out``; a promotion to
+    one of ``src <: out`` and a demotion to one of ``out <: src``.  Raises
+    :class:`ElaborationGap` on a node this function cannot map; that never
+    happens for traces produced by this package."""
+    handler = _ELABORATORS.get(node.rule)
     if handler is None:
-        raise ElaborationGap(f"no declarative mapping for trace rule {trace.rule!r}")
-    return handler(trace)
-
-
-def elaborate_exposure(g: TypeEnv, t: Type, result) -> DerivationTree:
-    """Derivation of ``t <: result`` for a completed exposure.
-
-    ``result`` may be the :class:`Exposed` outcome or the bare exposed type.
-    """
-    expected = result.ty if isinstance(result, Exposed) else result
-    redone = expose(g, t)
-    if not isinstance(redone, Exposed) or not alpha_eq_type(redone.ty, expected):
-        raise ElaborationGap("exposure result does not match a fresh computation")
-    return elaborate_step(redone.trace)
-
-
-def elaborate_shift(g: TypeEnv, t: Type, x: str, result, direction: str) -> DerivationTree:
-    """Derivation for a completed promotion (``t <: result``) or demotion
-    (``result <: t``); ``direction`` is "promote" or "demote"."""
-    from .bounds_shift import demote as _demote, promote as _promote
-
-    if direction == "promote":
-        redone = _promote(g, t, x)
-    elif direction == "demote":
-        redone = _demote(g, t, x)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    expected = result.ty if hasattr(result, "ty") else result
-    if not hasattr(redone, "ty") or not alpha_eq_type(redone.ty, expected):
-        raise ElaborationGap(f"{direction} result does not match a fresh computation")
-    return elaborate_step(redone.trace)
+        raise ElaborationGap(f"no declarative mapping for trace rule {node.rule!r}")
+    return handler(node)
 
 
 def _sub_tree(rule: str, g: TypeEnv, lhs: Type, rhs: Type, premises: tuple = ()) -> DerivationTree:
@@ -770,271 +681,196 @@ def _bot_bridge(g: TypeEnv, x: str, head_deriv: DerivationTree, decl: Decl) -> D
     return _var_at_decl(g, x, decl, _trans(g, head_deriv, bot_to_decl))
 
 
-def _elab_x_other(trace: StepTrace) -> DerivationTree:
-    src, out = trace.parts
-    return _sub_tree("Refl", trace.env, src, out)
+def _elab_same(rule: str):
+    """A step rule that concludes the same judgment as ``rule`` and whose
+    premises elaborate, in order, to ``rule``'s premises."""
 
-
-def _elab_x_bot(trace: StepTrace) -> DerivationTree:
-    path, _ = trace.parts
-    g = trace.env
-    head = elaborate_step(trace.children[0])  # stored <: Bot
-    decl = Decl(path.label, Top(), Bot())
-    typing = _bot_bridge(g, path.var, head, decl)
-    return _sub_tree("Sel-<:", g, path, Bot(), (typing,))
-
-
-def _elab_x_path(trace: StepTrace) -> DerivationTree:
-    path, out = trace.parts
-    g = trace.env
-    head_trace, tail_trace = trace.children
-    decl = head_trace.parts[1]
-    head = elaborate_step(head_trace)  # stored <: {A: S..U}
-    typing = _var_at_decl(g, path.var, decl, head)
-    to_upper = _sub_tree("Sel-<:", g, path, decl.upper, (typing,))
-    if alpha_eq_type(decl.upper, out):
-        return to_upper
-    tail = elaborate_step(tail_trace)  # upper <: out
-    return _trans(g, to_upper, tail)
-
-
-def _elab_shift_identity(trace: StepTrace) -> DerivationTree:
-    src, _, out = trace.parts
-    return _sub_tree("Refl", trace.env, src, out)
-
-
-def _elab_p_up(trace: StepTrace) -> DerivationTree:
-    path, _, out = trace.parts
-    g = trace.env
-    head_trace = trace.children[0]
-    decl = head_trace.parts[1]
-    typing = _var_at_decl(g, path.var, decl, elaborate_step(head_trace))
-    return _sub_tree("Sel-<:", g, path, out, (typing,))
-
-
-def _elab_p_up_bot(trace: StepTrace) -> DerivationTree:
-    path, _, _ = trace.parts
-    g = trace.env
-    head = elaborate_step(trace.children[0])
-    decl = Decl(path.label, Top(), Bot())
-    typing = _bot_bridge(g, path.var, head, decl)
-    return _sub_tree("Sel-<:", g, path, Bot(), (typing,))
-
-
-def _elab_d_down(trace: StepTrace) -> DerivationTree:
-    path, _, out = trace.parts
-    g = trace.env
-    head_trace = trace.children[0]
-    decl = head_trace.parts[1]
-    typing = _var_at_decl(g, path.var, decl, elaborate_step(head_trace))
-    return _sub_tree("<:-Sel", g, out, path, (typing,))
-
-
-def _elab_d_down_bot(trace: StepTrace) -> DerivationTree:
-    path, _, _ = trace.parts
-    g = trace.env
-    head = elaborate_step(trace.children[0])
-    decl = Decl(path.label, Top(), Bot())
-    typing = _bot_bridge(g, path.var, head, decl)
-    return _sub_tree("<:-Sel", g, Top(), path, (typing,))
-
-
-def _elab_p_decl(trace: StepTrace) -> DerivationTree:
-    src, _, out = trace.parts
-    g = trace.env
-    lowers = elaborate_step(trace.children[0])  # demote: out.lower <: src.lower
-    uppers = elaborate_step(trace.children[1])  # promote: src.upper <: out.upper
-    return _sub_tree("Typ-<:-Typ", g, src, out, (lowers, uppers))
-
-
-def _elab_d_decl(trace: StepTrace) -> DerivationTree:
-    src, _, out = trace.parts
-    g = trace.env
-    lowers = elaborate_step(trace.children[0])  # promote: src.lower <: out.lower
-    uppers = elaborate_step(trace.children[1])  # demote: out.upper <: src.upper
-    return _sub_tree("Typ-<:-Typ", g, out, src, (lowers, uppers))
-
-
-def _elab_p_lam(trace: StepTrace) -> DerivationTree:
-    src, _, out = trace.parts
-    g = trace.env
-    params = elaborate_step(trace.children[0])  # demote: out.param <: src.param
-    bodies = elaborate_step(trace.children[1])  # promote under (y: out.param)
-    return _sub_tree("All-<:-All", g, src, out, (params, bodies))
-
-
-def _elab_d_lam(trace: StepTrace) -> DerivationTree:
-    src, _, out = trace.parts
-    g = trace.env
-    params = elaborate_step(trace.children[0])  # promote: src.param <: out.param
-    bodies = elaborate_step(trace.children[1])  # demote under (y: src.param)
-    return _sub_tree("All-<:-All", g, out, src, (params, bodies))
-
-
-def _elab_s_axiom(rule: str):
-    def handler(trace: StepTrace) -> DerivationTree:
-        lhs, rhs = trace.parts
-        return _sub_tree(rule, trace.env, lhs, rhs)
+    def handler(node: DerivationTree) -> DerivationTree:
+        return DerivationTree(rule, node.conclusion, tuple(map(elaborate_step, node.premises)))
 
     return handler
 
 
-def _elab_s_typ(trace: StepTrace) -> DerivationTree:
-    lhs, rhs = trace.parts
-    lowers = elaborate_step(trace.children[0])
-    uppers = elaborate_step(trace.children[1])
-    return _sub_tree("Typ-<:-Typ", trace.env, lhs, rhs, (lowers, uppers))
+def _elab_identity(node: DerivationTree) -> DerivationTree:
+    # X-Other and the shifts that leave the type unchanged
+    c = node.conclusion
+    return _sub_tree("Refl", c.env, c.src, c.out)
 
 
-def _elab_s_all(trace: StepTrace) -> DerivationTree:
-    lhs, rhs = trace.parts
-    g = trace.env
-    inner = elaborate_step(trace.children[0])
-    # parameter types agree up to alpha in a step trace
-    params = _sub_tree("Refl", g, rhs.param_type, lhs.param_type)
-    return _sub_tree("All-<:-All", g, lhs, rhs, (params, inner))
+def _elab_x_bot(node: DerivationTree) -> DerivationTree:
+    c = node.conclusion
+    path = c.src
+    head = elaborate_step(node.premises[0])  # stored <: Bot
+    typing = _bot_bridge(c.env, path.var, head, Decl(path.label, Top(), Bot()))
+    return _sub_tree("Sel-<:", c.env, path, Bot(), (typing,))
 
 
-def _elab_s_sel_left(trace: StepTrace) -> DerivationTree:
-    # S-<:-Sel: x.A <: U through the exposed declaration's upper bound
-    lhs, rhs = trace.parts
-    g = trace.env
-    head_trace, inner_trace = trace.children
-    decl = head_trace.parts[1]
-    typing = _var_at_decl(g, lhs.var, decl, elaborate_step(head_trace))
-    to_upper = _sub_tree("Sel-<:", g, lhs, decl.upper, (typing,))
-    inner = elaborate_step(inner_trace)  # upper <: rhs
-    if alpha_eq_type(decl.upper, rhs):
+def _elab_x_path(node: DerivationTree) -> DerivationTree:
+    c = node.conclusion
+    g, path = c.env, c.src
+    head_node, tail_node = node.premises
+    decl = head_node.conclusion.out
+    typing = _var_at_decl(g, path.var, decl, elaborate_step(head_node))  # stored <: {A: S..U}
+    to_upper = _sub_tree("Sel-<:", g, path, decl.upper, (typing,))
+    if alpha_eq_type(decl.upper, c.out):
         return to_upper
-    return _trans(g, to_upper, inner)
+    return _trans(g, to_upper, elaborate_step(tail_node))  # upper <: out
 
 
-def _elab_s_sel_right(trace: StepTrace) -> DerivationTree:
+def _shift_sub(node: DerivationTree, rule: str, premises: tuple) -> DerivationTree:
+    """``src <: out`` for a promotion, ``out <: src`` for a demotion."""
+    c = node.conclusion
+    lhs, rhs = (c.src, c.out) if c.up else (c.out, c.src)
+    return _sub_tree(rule, c.env, lhs, rhs, premises)
+
+
+def _elab_shift_path(node: DerivationTree) -> DerivationTree:
+    # P-Up / D-Down: x.A to the exposed declaration's upper / lower bound
+    c = node.conclusion
+    head = node.premises[0]
+    typing = _var_at_decl(c.env, c.src.var, head.conclusion.out, elaborate_step(head))
+    return _shift_sub(node, "Sel-<:" if c.up else "<:-Sel", (typing,))
+
+
+def _elab_shift_bot(node: DerivationTree) -> DerivationTree:
+    # P-Up-Bot / D-Down-Bot: the head exposes to Bot
+    c = node.conclusion
+    head = elaborate_step(node.premises[0])
+    typing = _bot_bridge(c.env, c.src.var, head, Decl(c.src.label, Top(), Bot()))
+    return _shift_sub(node, "Sel-<:" if c.up else "<:-Sel", (typing,))
+
+
+def _elab_shift_congruence(node: DerivationTree) -> DerivationTree:
+    # P-Decl / D-Decl and P-Lam / D-Lam: the first premise shifts the lower
+    # bound (parameter type) the other way, the second the upper bound
+    # (result) this way; they elaborate, in order, to the premises of
+    # Typ-<:-Typ / All-<:-All
+    rule = "Typ-<:-Typ" if isinstance(node.conclusion.src, Decl) else "All-<:-All"
+    return _shift_sub(node, rule, tuple(map(elaborate_step, node.premises)))
+
+
+def _elab_s_all(node: DerivationTree) -> DerivationTree:
+    c = node.conclusion
+    inner = elaborate_step(node.premises[0])
+    # parameter types agree up to alpha in a step trace
+    params = _sub_tree("Refl", c.env, c.rhs.param_type, c.lhs.param_type)
+    return DerivationTree("All-<:-All", c, (params, inner))
+
+
+def _elab_s_sel_left(node: DerivationTree) -> DerivationTree:
+    # S-<:-Sel: x.A <: U through the exposed declaration's upper bound
+    c = node.conclusion
+    head, inner = node.premises
+    decl = head.conclusion.out
+    typing = _var_at_decl(c.env, c.lhs.var, decl, elaborate_step(head))
+    if alpha_eq_type(decl.upper, c.rhs):
+        return DerivationTree("Sel-<:", c, (typing,))
+    to_upper = _sub_tree("Sel-<:", c.env, c.lhs, decl.upper, (typing,))
+    return DerivationTree("Trans", c, (to_upper, elaborate_step(inner)))  # upper <: U
+
+
+def _elab_s_sel_right(node: DerivationTree) -> DerivationTree:
     # S-Sel-<:: U <: x.A through the exposed declaration's lower bound
-    lhs, rhs = trace.parts
-    g = trace.env
-    head_trace, inner_trace = trace.children
-    decl = head_trace.parts[1]
-    typing = _var_at_decl(g, rhs.var, decl, elaborate_step(head_trace))
-    from_lower = _sub_tree("<:-Sel", g, decl.lower, rhs, (typing,))
-    inner = elaborate_step(inner_trace)  # lhs <: lower
-    if alpha_eq_type(decl.lower, lhs):
-        return from_lower
-    return _trans(g, inner, from_lower)
+    c = node.conclusion
+    head, inner = node.premises
+    decl = head.conclusion.out
+    typing = _var_at_decl(c.env, c.rhs.var, decl, elaborate_step(head))
+    if alpha_eq_type(decl.lower, c.lhs):
+        return DerivationTree("<:-Sel", c, (typing,))
+    from_lower = _sub_tree("<:-Sel", c.env, decl.lower, c.rhs, (typing,))
+    return DerivationTree("Trans", c, (elaborate_step(inner), from_lower))  # U <: lower
 
 
-def _elab_s_bot_left(trace: StepTrace) -> DerivationTree:
+def _elab_s_bot_left(node: DerivationTree) -> DerivationTree:
     # S-<:-Bot: x.A <: U because the head exposes to Bot
-    lhs, rhs = trace.parts
-    g = trace.env
-    head = elaborate_step(trace.children[0])
-    decl = Decl(lhs.label, Top(), rhs)
-    typing = _bot_bridge(g, lhs.var, head, decl)
-    return _sub_tree("Sel-<:", g, lhs, rhs, (typing,))
+    c = node.conclusion
+    head = elaborate_step(node.premises[0])
+    typing = _bot_bridge(c.env, c.lhs.var, head, Decl(c.lhs.label, Top(), c.rhs))
+    return DerivationTree("Sel-<:", c, (typing,))
 
 
-def _elab_s_bot_right(trace: StepTrace) -> DerivationTree:
+def _elab_s_bot_right(node: DerivationTree) -> DerivationTree:
     # S-Bot-<:: U <: x.A because the head exposes to Bot
-    lhs, rhs = trace.parts
-    g = trace.env
-    head = elaborate_step(trace.children[0])
-    decl = Decl(rhs.label, lhs, Top())
-    typing = _bot_bridge(g, rhs.var, head, decl)
-    return _sub_tree("<:-Sel", g, lhs, rhs, (typing,))
+    c = node.conclusion
+    head = elaborate_step(node.premises[0])
+    typing = _bot_bridge(c.env, c.rhs.var, head, Decl(c.rhs.label, c.lhs, Top()))
+    return DerivationTree("<:-Sel", c, (typing,))
 
 
-def _elab_t_var(trace: StepTrace) -> DerivationTree:
-    term, ty = trace.parts
-    return _typ_tree("Var", trace.env, term, ty)
-
-
-def _elab_t_typ_i(trace: StepTrace) -> DerivationTree:
-    term, ty = trace.parts
-    return _typ_tree("Typ-I", trace.env, term, ty)
-
-
-def _elab_t_all_i(trace: StepTrace) -> DerivationTree:
-    term, ty = trace.parts
-    body = elaborate_step(trace.children[0])
-    return _typ_tree("All-I", trace.env, term, ty, (body,))
-
-
-def _elab_t_all_e(trace: StepTrace) -> DerivationTree:
-    term, ty = trace.parts
-    g = trace.env
-    fun_trace, head_trace, arg_trace, sub_trace = trace.children
-    fun_ty = head_trace.parts[1]
-    fun_deriv = elaborate_step(fun_trace)
+def _elab_t_all_e(node: DerivationTree) -> DerivationTree:
+    c = node.conclusion
+    g, term = c.env, c.term
+    fun_node, head_node, arg_node, sub_node = node.premises
+    fun_ty = head_node.conclusion.out
+    fun_deriv = elaborate_step(fun_node)
     if not alpha_eq_type(fun_deriv.conclusion.ty, fun_ty):
-        fun_deriv = _typ_tree("Sub", g, Var(term.fun), fun_ty, (fun_deriv, elaborate_step(head_trace)))
-    arg_deriv = elaborate_step(arg_trace)
+        fun_deriv = _typ_tree("Sub", g, Var(term.fun), fun_ty, (fun_deriv, elaborate_step(head_node)))
+    arg_deriv = elaborate_step(arg_node)
     param_ty = fun_ty.param_type
     if not alpha_eq_type(arg_deriv.conclusion.ty, param_ty):
-        arg_deriv = _typ_tree("Sub", g, Var(term.arg), param_ty, (arg_deriv, elaborate_step(sub_trace)))
-    return _typ_tree("All-E", g, term, ty, (fun_deriv, arg_deriv))
+        arg_deriv = _typ_tree("Sub", g, Var(term.arg), param_ty, (arg_deriv, elaborate_step(sub_node)))
+    return DerivationTree("All-E", c, (fun_deriv, arg_deriv))
 
 
-def _elab_t_app_bot(trace: StepTrace) -> DerivationTree:
-    term, _ = trace.parts
-    g = trace.env
-    fun_trace, head_trace, arg_trace = trace.children
-    arg_deriv = elaborate_step(arg_trace)
+def _elab_t_app_bot(node: DerivationTree) -> DerivationTree:
+    c = node.conclusion
+    g = c.env
+    fun_node, head_node, arg_node = node.premises
+    arg_deriv = elaborate_step(arg_node)
     arg_ty = arg_deriv.conclusion.ty
     z = fresh_name("z", g.dom())
     fun_ty = All(z, arg_ty, Bot())
-    fun_deriv = elaborate_step(fun_trace)
-    to_bot = elaborate_step(head_trace)  # stored <: Bot
+    fun_deriv = elaborate_step(fun_node)
+    to_bot = elaborate_step(head_node)  # stored <: Bot
     bot_to_fun = _sub_tree("Bot", g, Bot(), fun_ty)
-    fun_at = _typ_tree("Sub", g, Var(term.fun), fun_ty, (fun_deriv, _trans(g, to_bot, bot_to_fun)))
-    return _typ_tree("All-E", g, term, Bot(), (fun_at, arg_deriv))
+    fun_at = _typ_tree("Sub", g, Var(c.term.fun), fun_ty, (fun_deriv, _trans(g, to_bot, bot_to_fun)))
+    return DerivationTree("All-E", c, (fun_at, arg_deriv))
 
 
-def _elab_t_let(trace: StepTrace) -> DerivationTree:
-    term, ty = trace.parts
-    g = trace.env
-    rhs_trace, body_trace, promote_trace = trace.children
-    rhs_deriv = elaborate_step(rhs_trace)
-    body_deriv = elaborate_step(body_trace)
-    inner_env = body_trace.env
-    body_term = body_trace.parts[0]
-    if not alpha_eq_type(body_deriv.conclusion.ty, ty):
-        widening = elaborate_step(promote_trace)  # body type <: promoted type
-        body_deriv = _typ_tree("Sub", inner_env, body_term, ty, (body_deriv, widening))
-    return _typ_tree("Let", g, term, ty, (rhs_deriv, body_deriv))
+def _elab_t_let(node: DerivationTree) -> DerivationTree:
+    c = node.conclusion
+    rhs_node, body_node, promote_node = node.premises
+    rhs_deriv = elaborate_step(rhs_node)
+    body_deriv = elaborate_step(body_node)
+    if not alpha_eq_type(body_deriv.conclusion.ty, c.ty):
+        widening = elaborate_step(promote_node)  # body type <: promoted type
+        body = body_node.conclusion
+        body_deriv = _typ_tree("Sub", body.env, body.term, c.ty, (body_deriv, widening))
+    return DerivationTree("Let", c, (rhs_deriv, body_deriv))
 
 
 _ELABORATORS = {
-    "X-Other": _elab_x_other,
+    "X-Other": _elab_identity,
     "X-Bot": _elab_x_bot,
     "X-Path": _elab_x_path,
-    "P-Var": _elab_shift_identity,
-    "P-Bot": _elab_shift_identity,
-    "P-Top": _elab_shift_identity,
-    "P-Cap": _elab_shift_identity,
-    "D-Var": _elab_shift_identity,
-    "D-Bot": _elab_shift_identity,
-    "D-Top": _elab_shift_identity,
-    "D-Cap": _elab_shift_identity,
-    "P-Up": _elab_p_up,
-    "P-Up-Bot": _elab_p_up_bot,
-    "D-Down": _elab_d_down,
-    "D-Down-Bot": _elab_d_down_bot,
-    "P-Decl": _elab_p_decl,
-    "D-Decl": _elab_d_decl,
-    "P-Lam": _elab_p_lam,
-    "D-Lam": _elab_d_lam,
-    "S-Bot": _elab_s_axiom("Bot"),
-    "S-Top": _elab_s_axiom("Top"),
-    "S-Refl": _elab_s_axiom("Refl"),
-    "S-Typ-<:-Typ": _elab_s_typ,
+    "P-Var": _elab_identity,
+    "P-Bot": _elab_identity,
+    "P-Top": _elab_identity,
+    "P-Cap": _elab_identity,
+    "D-Var": _elab_identity,
+    "D-Bot": _elab_identity,
+    "D-Top": _elab_identity,
+    "D-Cap": _elab_identity,
+    "P-Up": _elab_shift_path,
+    "P-Up-Bot": _elab_shift_bot,
+    "D-Down": _elab_shift_path,
+    "D-Down-Bot": _elab_shift_bot,
+    "P-Decl": _elab_shift_congruence,
+    "D-Decl": _elab_shift_congruence,
+    "P-Lam": _elab_shift_congruence,
+    "D-Lam": _elab_shift_congruence,
+    "S-Bot": _elab_same("Bot"),
+    "S-Top": _elab_same("Top"),
+    "S-Refl": _elab_same("Refl"),
+    "S-Typ-<:-Typ": _elab_same("Typ-<:-Typ"),
     "S-All-<:-All": _elab_s_all,
     "S-<:-Sel": _elab_s_sel_left,
     "S-Sel-<:": _elab_s_sel_right,
     "S-<:-Bot": _elab_s_bot_left,
     "S-Bot-<:": _elab_s_bot_right,
-    "T-Var": _elab_t_var,
-    "T-Typ-I": _elab_t_typ_i,
-    "T-All-I": _elab_t_all_i,
+    "T-Var": _elab_same("Var"),
+    "T-Typ-I": _elab_same("Typ-I"),
+    "T-All-I": _elab_same("All-I"),
     "T-All-E": _elab_t_all_e,
     "T-App-Bot": _elab_t_app_bot,
     "T-Let": _elab_t_let,
@@ -1042,22 +878,7 @@ _ELABORATORS = {
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def judgment_to_json(j: Judgment) -> dict:
-    env = [[x, print_type(t)] for x, t in j.env]
-    if isinstance(j, SubJ):
-        return {"kind": "sub", "env": env, "lhs": print_type(j.lhs), "rhs": print_type(j.rhs)}
-    return {"kind": "typ", "env": env, "term": print_term(j.term), "type": print_type(j.ty)}
-
-
-def derivation_to_json(tree: DerivationTree) -> dict:
-    return {
-        "rule": tree.rule,
-        "judgment": judgment_to_json(tree.conclusion),
-        "premises": [derivation_to_json(p) for p in tree.premises],
-    }
+# JSON deserialization
 
 
 def judgment_from_json(data: dict) -> Judgment:

@@ -208,86 +208,3 @@ def bench_pn(min_n: int, max_n: int, metric: str = "calls") -> Iterator[tuple]:
         stats = scala_sub(universe, t1, t2)
         elapsed = time.perf_counter_ns() - start
         yield n, stats.calls if metric == "calls" else elapsed
-
-
-# ---------------------------------------------------------------------------
-# Universe file format: `member NAME [lower TYPE] [upper TYPE]` per line,
-# with TYPE ::= NAME | TYPE "->" TYPE | "#"NAME (# marks member references;
-# "->" is right-associative)
-
-
-def parse_universe(text: str) -> BoundsUniverse:
-    entries: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//")[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] != "member" or len(tokens) < 2:
-            raise ValueError(f"line {line_no}: expected 'member NAME [lower TYPE] [upper TYPE]'")
-        name = tokens[1]
-        rest = tokens[2:]
-        lower = upper = None
-        while rest:
-            kind = rest[0]
-            if kind not in ("lower", "upper") or len(rest) < 2:
-                raise ValueError(f"line {line_no}: expected 'lower TYPE' or 'upper TYPE'")
-            # a type extends to the next 'lower'/'upper' keyword
-            end = len(rest)
-            for k in range(1, len(rest)):
-                if rest[k] in ("lower", "upper"):
-                    end = k
-                    break
-            ty = _parse_stype(" ".join(rest[1:end]), line_no)
-            if kind == "lower":
-                lower = ty
-            else:
-                upper = ty
-            rest = rest[end:]
-        entries[name] = Bounds(lower=lower, upper=upper)
-    return BoundsUniverse.of(entries)
-
-
-def _parse_stype(text: str, line_no: int) -> SType:
-    parts = [p.strip() for p in text.split("->")]
-    if any(not p for p in parts):
-        raise ValueError(f"line {line_no}: malformed type {text!r}")
-    atoms = [_parse_satom(p, line_no) for p in parts]
-    ty = atoms[-1]
-    for atom in reversed(atoms[:-1]):
-        ty = Fun(atom, ty)
-    return ty
-
-
-def _parse_satom(text: str, line_no: int) -> SType:
-    if text.startswith("#"):
-        return Member(text[1:])
-    if not text.isidentifier():
-        raise ValueError(f"line {line_no}: malformed type atom {text!r}")
-    return Base(text)
-
-
-def print_stype(t: SType) -> str:
-    match t:
-        case Base(name=n):
-            return n
-        case Member(name=n):
-            return f"#{n}"
-        case Fun(param=p, result=r):
-            left = print_stype(p)
-            if isinstance(p, Fun):
-                left = f"({left})"  # not re-parsable; parenthesize for display only
-            return f"{left} -> {print_stype(r)}"
-    raise TypeError(f"not a model type: {t!r}")
-
-
-def print_universe(u: BoundsUniverse) -> str:
-    lines = []
-    for name, bounds in u.members:
-        parts = [f"member {name}"]
-        if bounds.lower is not None:
-            parts.append(f"lower {print_stype(bounds.lower)}")
-        if bounds.upper is not None:
-            parts.append(f"upper {print_stype(bounds.upper)}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"

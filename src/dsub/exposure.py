@@ -19,13 +19,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .environment import TypeEnv, UnboundVariable
-from .syntax import Bot, Decl, Path, Type, alpha_eq_type, print_type
-from .trace import StepTrace
-
-# When enabled, re-run every head exposure in the materialized strict prefix
-# of the environment and assert the result is unchanged (well-formedness
-# makes the two equivalent).  Costly; enabled by the test suite.
-PREFIX_CHECK = False
+from .syntax import Bot, Decl, Path, Type, print_type
+from .trace import DerivationTree, ExposeJ, step_node
 
 
 @dataclass(frozen=True)
@@ -33,7 +28,7 @@ class Exposed:
     """Successful exposure; ``ty`` is never a path."""
 
     ty: Type
-    trace: StepTrace
+    trace: DerivationTree
 
     def __bool__(self) -> bool:
         return True
@@ -60,37 +55,24 @@ ExposureResult = Union[Exposed, Stuck]
 
 def expose(g: TypeEnv, t: Type) -> ExposureResult:
     if not isinstance(t, Path):
-        return Exposed(t, StepTrace("X-Other", g, (t, t)))
+        return Exposed(t, step_node("X-Other", ExposeJ(g, t, t)))
 
     stored = g.lookup(t.var)
     if stored is None:
         raise UnboundVariable(f"unbound variable {t.var!r} in {print_type(t)}")
 
     head = expose(g, stored)
-    if PREFIX_CHECK:
-        _assert_prefix_equivalent(g, t.var, stored, head)
     if isinstance(head, Stuck):
         return head
 
     match head.ty:
         case Bot():
-            return Exposed(Bot(), StepTrace("X-Bot", g, (t, Bot()), (head.trace,)))
+            return Exposed(Bot(), step_node("X-Bot", ExposeJ(g, t, Bot()), (head.trace,)))
         case Decl(label=label, upper=upper) if label == t.label:
             tail = expose(g, upper)
             if isinstance(tail, Stuck):
                 return tail
-            return Exposed(tail.ty, StepTrace("X-Path", g, (t, tail.ty), (head.trace, tail.trace)))
+            return Exposed(tail.ty, step_node("X-Path", ExposeJ(g, t, tail.ty), (head.trace, tail.trace)))
         case _:
             return Stuck(t, head.ty)
 
-
-def _assert_prefix_equivalent(g: TypeEnv, var: str, stored: Type, full_result: ExposureResult) -> None:
-    prefix, _, _ = g.split_at(var)
-    prefix_result = expose(prefix, stored)
-    if isinstance(full_result, Exposed) != isinstance(prefix_result, Exposed):
-        raise AssertionError(f"exposure of {var}'s type differs between full env and prefix")
-    if isinstance(full_result, Exposed) and not alpha_eq_type(full_result.ty, prefix_result.ty):
-        raise AssertionError(
-            f"exposure of {var}'s type differs: {print_type(full_result.ty)} (full) "
-            f"vs {print_type(prefix_result.ty)} (prefix)"
-        )

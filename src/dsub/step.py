@@ -11,9 +11,9 @@ parameter type; lets promote the body's type to erase the bound variable.
 Both procedures compute at most one type per input.
 
 ``weight`` is the termination measure for subtyping; every recursive
-subtyping call re-measures itself in its own environment and (by default)
-asserts it is strictly lighter than its parent.  A generous depth valve
-turns any runaway recursion into a distinct :class:`InternalLimit` error.
+subtyping call re-measures itself in its own environment and asserts it
+is strictly lighter than its parent.  A generous depth valve turns any
+runaway recursion into a distinct :class:`InternalLimit` error.
 """
 
 from __future__ import annotations
@@ -45,12 +45,9 @@ from .syntax import (
     subst_var_in_term,
     subst_var_in_type,
 )
-from .trace import StepTrace
+from .trace import DerivationTree, SubJ, TypJ, step_node
 
 DEPTH_LIMIT = 10_000
-
-# Assert the strict weight-sum decrease on every recursive subtyping call.
-WEIGHT_CHECKS = True
 
 
 class StepInvariantError(AssertionError):
@@ -93,7 +90,7 @@ def weight(g: TypeEnv, t: Type) -> int:
 @dataclass(frozen=True)
 class SubtypeResult:
     holds: bool
-    trace: Optional[StepTrace] = None
+    trace: Optional[DerivationTree] = None
     diagnostic: Optional[str] = None
 
     def __bool__(self) -> bool:
@@ -118,9 +115,8 @@ def step_subtype(g: TypeEnv, s: Type, t: Type, *, depth_limit: int = DEPTH_LIMIT
     return SubtypeResult(True, trace)
 
 
-def _measure_entry(g: TypeEnv, s: Type, t: Type, parent: Optional[int]) -> Optional[int]:
-    if not WEIGHT_CHECKS:
-        return None
+def _measure_entry(g: TypeEnv, s: Type, t: Type, parent: Optional[int]) -> int:
+    """Assert the strict weight-sum decrease against the parent call."""
     measure = weight(g, s) + weight(g, t)
     if parent is not None and measure >= parent:
         raise StepInvariantError(
@@ -132,24 +128,24 @@ def _measure_entry(g: TypeEnv, s: Type, t: Type, parent: Optional[int]) -> Optio
 
 def _sub(
     g: TypeEnv, s: Type, t: Type, parent: Optional[int], depth: int, limit: int
-) -> Optional[StepTrace]:
+) -> Optional[DerivationTree]:
     if depth > limit:
         raise InternalLimit(f"subtype recursion exceeded depth {limit}")
     measure = _measure_entry(g, s, t, parent)
 
     if isinstance(s, Bot):
-        return StepTrace("S-Bot", g, (s, t))
+        return step_node("S-Bot", SubJ(g, s, t))
     if isinstance(t, Top):
-        return StepTrace("S-Top", g, (s, t))
+        return step_node("S-Top", SubJ(g, s, t))
     if isinstance(s, Path) and isinstance(t, Path) and s == t:
-        return StepTrace("S-Refl", g, (s, t))
+        return step_node("S-Refl", SubJ(g, s, t))
 
     if isinstance(s, Decl) and isinstance(t, Decl) and s.label == t.label:
         lower = _sub(g, t.lower, s.lower, measure, depth + 1, limit)
         if lower is not None:
             upper = _sub(g, s.upper, t.upper, measure, depth + 1, limit)
             if upper is not None:
-                return StepTrace("S-Typ-<:-Typ", g, (s, t), (lower, upper))
+                return step_node("S-Typ-<:-Typ", SubJ(g, s, t), (lower, upper))
 
     if isinstance(s, All) and isinstance(t, All) and alpha_eq_type(s.param_type, t.param_type):
         avoid = g.dom() | (fv_type(s.result) - {s.param}) | (fv_type(t.result) - {t.param})
@@ -159,7 +155,7 @@ def _sub(
         rhs_body = subst_var_in_type(t.result, t.param, z)
         inner = _sub(inner_env, lhs_body, rhs_body, measure, depth + 1, limit)
         if inner is not None:
-            return StepTrace("S-All-<:-All", g, (s, t), (inner,))
+            return step_node("S-All-<:-All", SubJ(g, s, t), (inner,))
 
     if isinstance(s, Path):
         found = _path_attempt(g, s, t, left=True, parent=measure, depth=depth, limit=limit)
@@ -180,7 +176,7 @@ def _path_attempt(
     parent: Optional[int],
     depth: int,
     limit: int,
-) -> Optional[StepTrace]:
+) -> Optional[DerivationTree]:
     path = s if left else t
     stored = g.lookup(path.var)
     if stored is None:
@@ -191,16 +187,16 @@ def _path_attempt(
     match head.ty:
         case Bot():
             rule = "S-<:-Bot" if left else "S-Bot-<:"
-            return StepTrace(rule, g, (s, t), (head.trace,))
+            return step_node(rule, SubJ(g, s, t), (head.trace,))
         case Decl(label=label, lower=lo, upper=hi) if label == path.label:
             if left:
                 inner = _sub(g, hi, t, parent, depth + 1, limit)
                 if inner is not None:
-                    return StepTrace("S-<:-Sel", g, (s, t), (head.trace, inner))
+                    return step_node("S-<:-Sel", SubJ(g, s, t), (head.trace, inner))
             else:
                 inner = _sub(g, s, lo, parent, depth + 1, limit)
                 if inner is not None:
-                    return StepTrace("S-Sel-<:", g, (s, t), (head.trace, inner))
+                    return step_node("S-Sel-<:", SubJ(g, s, t), (head.trace, inner))
     return None
 
 
@@ -211,7 +207,7 @@ def _path_attempt(
 @dataclass(frozen=True)
 class Typed:
     ty: Type
-    trace: StepTrace
+    trace: DerivationTree
 
     def __bool__(self) -> bool:
         return True
@@ -245,7 +241,7 @@ def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
             stored = g.lookup(x)
             if stored is None:
                 return Untypable(f"unbound variable {x!r}", loc)
-            return Typed(stored, StepTrace("T-Var", g, (term, stored)))
+            return Typed(stored, step_node("T-Var", TypJ(g, term, stored)))
 
         case Tag(label=a, alias=ty):
             out_of_scope = fv_type(ty) - g.dom()
@@ -254,7 +250,7 @@ def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
                     f"tag type mentions unbound variable(s): {', '.join(sorted(out_of_scope))}", loc
                 )
             result = Decl(a, ty, ty)
-            return Typed(result, StepTrace("T-Typ-I", g, (term, result)))
+            return Typed(result, step_node("T-Typ-I", TypJ(g, term, result)))
 
         case Lam(param=x, param_type=ty, body=body):
             out_of_scope = fv_type(ty) - g.dom()
@@ -272,7 +268,7 @@ def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
             if isinstance(inner, Untypable):
                 return inner
             result = All(x, ty, inner.ty)
-            return Typed(result, StepTrace("T-All-I", g, (term, result), (inner.trace,)))
+            return Typed(result, step_node("T-All-I", TypJ(g, term, result), (inner.trace,)))
 
         case App(fun=f, arg=a):
             fun_typed = _typ(g, Var(f), _at(loc, "fun"), limit)
@@ -288,10 +284,9 @@ def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
                 case Bot():
                     return Typed(
                         Bot(),
-                        StepTrace(
+                        step_node(
                             "T-App-Bot",
-                            g,
-                            (term, Bot()),
+                            TypJ(g, term, Bot()),
                             (fun_typed.trace, head.trace, arg_typed.trace),
                         ),
                     )
@@ -306,10 +301,9 @@ def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
                     result = subst_var_in_type(u, z, a)
                     return Typed(
                         result,
-                        StepTrace(
+                        step_node(
                             "T-All-E",
-                            g,
-                            (term, result),
+                            TypJ(g, term, result),
                             (fun_typed.trace, head.trace, arg_typed.trace, check.trace),
                         ),
                     )
@@ -335,10 +329,9 @@ def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
                 return Untypable(f"let body type not promotable ({promoted.reason})", loc)
             return Typed(
                 promoted.ty,
-                StepTrace(
+                step_node(
                     "T-Let",
-                    g,
-                    (term, promoted.ty),
+                    TypJ(g, term, promoted.ty),
                     (rhs_typed.trace, body_typed.trace, promoted.trace),
                 ),
             )
@@ -351,7 +344,6 @@ def _at(loc: str, field_name: str) -> str:
 
 __all__ = [
     "DEPTH_LIMIT",
-    "WEIGHT_CHECKS",
     "StepInvariantError",
     "SubtypeResult",
     "Typed",

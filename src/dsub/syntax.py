@@ -144,10 +144,6 @@ class Let:
 Term = Union[Var, Tag, Lam, App, Let]
 
 
-def is_value(t: Term) -> bool:
-    return isinstance(t, (Tag, Lam))
-
-
 # ---------------------------------------------------------------------------
 # Free variables and sizes
 
@@ -496,9 +492,6 @@ class _Parser:
     @property
     def cur(self) -> _Token:
         return self.tokens[self.pos]
-
-    def peek(self, offset: int = 1) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def advance(self) -> _Token:
         tok = self.cur

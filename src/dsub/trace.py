@@ -1,20 +1,29 @@
-"""Rule-application traces for the algorithmic relations.
+"""Derivation trees and the judgments they conclude.
 
-Every successful exposure, promotion/demotion, step-subtyping, and
-step-typing computation produces a :class:`StepTrace`: a tree whose nodes
-name the applied rule and record the judgment it established.  Traces are
-the input to the declarative elaborator, which replays them as checkable
-declarative derivations.
+A :class:`DerivationTree` node names the applied rule, records the judgment
+it establishes and holds the derivations of its premises.  The same node
+type carries both kinds of tree:
+
+- step traces: every successful exposure, promotion/demotion,
+  step-subtyping and step-typing computation produces one, with rules from
+  :data:`TRACE_RULES`; the declarative elaborator replays them as checkable
+  declarative derivations;
+- declarative derivations, checked by ``decl_verify`` and found by
+  ``decl_search``.
+
+Each judgment form writes its own JSON payload (``kind``, ``env``, then its
+fields in surface syntax); :func:`derivation_to_json` is the one tree writer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Union
 
 from .environment import TypeEnv
-from .syntax import print_term, print_type
+from .syntax import Term, Type, canon_term, canon_type, fv_term, fv_type, print_term, print_type
 
-# Rule names that may appear in traces, grouped by judgment kind.
+# Rule names that may appear in step traces, grouped by judgment kind.
 SUB_STEP_RULES = frozenset(
     (
         "S-Bot",
@@ -35,87 +44,128 @@ DEMOTE_RULES = frozenset(("D-Down", "D-Down-Bot", "D-Lam", "D-Var", "D-Bot", "D-
 
 TRACE_RULES = SUB_STEP_RULES | TYP_STEP_RULES | EXPOSE_RULES | PROMOTE_RULES | DEMOTE_RULES
 
-_KIND_OF_RULE = {}
-for _r in SUB_STEP_RULES:
-    _KIND_OF_RULE[_r] = "sub"
-for _r in TYP_STEP_RULES:
-    _KIND_OF_RULE[_r] = "typ"
-for _r in EXPOSE_RULES:
-    _KIND_OF_RULE[_r] = "expose"
-for _r in PROMOTE_RULES:
-    _KIND_OF_RULE[_r] = "promote"
-for _r in DEMOTE_RULES:
-    _KIND_OF_RULE[_r] = "demote"
+
+# ---------------------------------------------------------------------------
+# Judgments
+
+
+def _env_json(env: TypeEnv) -> list:
+    return [[x, print_type(t)] for x, t in env]
 
 
 @dataclass(frozen=True)
-class StepTrace:
-    """One rule application.
+class SubJ:
+    """``env |- lhs <: rhs``"""
 
-    ``parts`` depends on the judgment kind:
-
-    - ``sub``:     (lhs type, rhs type)
-    - ``typ``:     (term, type)
-    - ``expose``:  (source type, exposed type)
-    - ``promote``: (source type, variable, result type)
-    - ``demote``:  (source type, variable, result type)
-    """
-
-    rule: str
     env: TypeEnv
-    parts: tuple
-    children: tuple = field(default=())
+    lhs: Type
+    rhs: Type
 
     def __post_init__(self) -> None:
-        if self.rule not in TRACE_RULES:
-            raise ValueError(f"unknown trace rule: {self.rule!r}")
+        scope = self.env.dom()
+        loose = (fv_type(self.lhs) | fv_type(self.rhs)) - scope
+        if loose:
+            raise ValueError(f"judgment mentions unbound variable(s): {', '.join(sorted(loose))}")
 
-    @property
-    def kind(self) -> str:
-        return _KIND_OF_RULE[self.rule]
-
-    @property
-    def judgment(self) -> str:
-        """The established judgment, rendered in surface syntax."""
-        prefix = ", ".join(f"{x}: {print_type(t)}" for x, t in self.env)
-        body = ""
-        match self.kind:
-            case "sub":
-                lhs, rhs = self.parts
-                body = f"{print_type(lhs)} <: {print_type(rhs)}"
-            case "typ":
-                term, ty = self.parts
-                body = f"{print_term(term)} : {print_type(ty)}"
-            case "expose":
-                src, out = self.parts
-                body = f"{print_type(src)} => {print_type(out)}"
-            case "promote":
-                src, var, out = self.parts
-                body = f"{print_type(src)} =>+{var} {print_type(out)}"
-            case "demote":
-                src, var, out = self.parts
-                body = f"{print_type(src)} =>-{var} {print_type(out)}"
-        return f"{prefix} |- {body}" if prefix else f"|- {body}"
+    def key(self) -> str:
+        envk = ";".join(f"{x}:{canon_type(t)}" for x, t in self.env)
+        return f"sub[{envk}]{canon_type(self.lhs)}<:{canon_type(self.rhs)}"
 
     def to_json(self) -> dict:
-        """Serialize with the same shape as declarative derivation JSON."""
-        payload = {"kind": self.kind, "env": [[x, print_type(t)] for x, t in self.env]}
-        match self.kind:
-            case "sub":
-                payload["lhs"] = print_type(self.parts[0])
-                payload["rhs"] = print_type(self.parts[1])
-            case "typ":
-                payload["term"] = print_term(self.parts[0])
-                payload["type"] = print_type(self.parts[1])
-            case "expose":
-                payload["from"] = print_type(self.parts[0])
-                payload["to"] = print_type(self.parts[1])
-            case "promote" | "demote":
-                payload["from"] = print_type(self.parts[0])
-                payload["var"] = self.parts[1]
-                payload["to"] = print_type(self.parts[2])
         return {
-            "rule": self.rule,
-            "judgment": payload,
-            "premises": [c.to_json() for c in self.children],
+            "kind": "sub",
+            "env": _env_json(self.env),
+            "lhs": print_type(self.lhs),
+            "rhs": print_type(self.rhs),
         }
+
+
+@dataclass(frozen=True)
+class TypJ:
+    """``env |- term : ty``"""
+
+    env: TypeEnv
+    term: Term
+    ty: Type
+
+    def __post_init__(self) -> None:
+        scope = self.env.dom()
+        loose = (fv_term(self.term) | fv_type(self.ty)) - scope
+        if loose:
+            raise ValueError(f"judgment mentions unbound variable(s): {', '.join(sorted(loose))}")
+
+    def key(self) -> str:
+        envk = ";".join(f"{x}:{canon_type(t)}" for x, t in self.env)
+        return f"typ[{envk}]{canon_term(self.term)}:{canon_type(self.ty)}"
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "typ",
+            "env": _env_json(self.env),
+            "term": print_term(self.term),
+            "type": print_type(self.ty),
+        }
+
+
+@dataclass(frozen=True)
+class ExposeJ:
+    """``env |- src`` exposes to ``out``; written as ``from``/``to``."""
+
+    env: TypeEnv
+    src: Type
+    out: Type
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "expose",
+            "env": _env_json(self.env),
+            "from": print_type(self.src),
+            "to": print_type(self.out),
+        }
+
+
+@dataclass(frozen=True)
+class ShiftJ:
+    """``env |- src`` promotes (``up``) or demotes away from ``var`` to
+    ``out``; written as ``from``/``var``/``to``."""
+
+    env: TypeEnv
+    src: Type
+    var: str
+    out: Type
+    up: bool
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "promote" if self.up else "demote",
+            "env": _env_json(self.env),
+            "from": print_type(self.src),
+            "var": self.var,
+            "to": print_type(self.out),
+        }
+
+
+# ---------------------------------------------------------------------------
+# Derivation trees
+
+
+@dataclass(frozen=True)
+class DerivationTree:
+    rule: str
+    conclusion: Union[SubJ, TypJ, ExposeJ, ShiftJ]
+    premises: tuple = field(default=())
+
+
+def step_node(rule: str, conclusion, premises: tuple = ()) -> DerivationTree:
+    """A step-trace node; ``rule`` must be one of :data:`TRACE_RULES`."""
+    if rule not in TRACE_RULES:
+        raise ValueError(f"unknown trace rule: {rule!r}")
+    return DerivationTree(rule, conclusion, premises)
+
+
+def derivation_to_json(tree: DerivationTree) -> dict:
+    return {
+        "rule": tree.rule,
+        "judgment": tree.conclusion.to_json(),
+        "premises": [derivation_to_json(p) for p in tree.premises],
+    }

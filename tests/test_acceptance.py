@@ -26,12 +26,15 @@ them:
 import itertools
 import math
 
-from dsub.bounds_shift import SIZE_CHECKS, Shifted, demote, promote
+import pytest
+
+import dsub.bounds_shift
+import dsub.step
+from dsub.bounds_shift import ShiftInvariantError, Shifted, demote, promote
 from dsub.cli import main
 from dsub.declarative import (
     ElaborationGap,
     decl_verify,
-    elaborate_shift,
     elaborate_step,
 )
 from dsub.dotty import INT, STRING, Fun, Member, bad_bounds_universe, make_pn, scala_sub
@@ -46,7 +49,6 @@ from dsub.lab import (
     run_minimality_counterexample,
 )
 from dsub.step import (
-    WEIGHT_CHECKS,
     StepInvariantError,
     Typed,
     step_subtype,
@@ -161,8 +163,18 @@ def test_criterion_2_reflexivity():
     assert ok, failures[:5]
 
 
-def test_criterion_3_termination_instrumentation():
-    assert WEIGHT_CHECKS and SIZE_CHECKS, "instrumentation must be enabled"
+def test_criterion_3_termination_instrumentation(monkeypatch):
+    # the measure checks are live: a measure that never decreases trips them
+    decl = Decl("A", Bot(), Top())
+    with monkeypatch.context() as m:
+        m.setattr(dsub.step, "weight", lambda g, t: 1)
+        with pytest.raises(StepInvariantError):
+            step_subtype(TypeEnv.empty(), decl, decl)
+    with monkeypatch.context() as m:
+        m.setattr(dsub.bounds_shift, "type_size", lambda t: 1)
+        with pytest.raises(ShiftInvariantError):
+            promote(_env(("x", Top())), decl, "x")
+
     enum = Enumerator()
     limit_errors = weight_violations = size_violations = 0
     queries = 0
@@ -237,8 +249,12 @@ def test_criterion_5_shift_erasure_and_direction():
                     if x in fv_type(result.ty):
                         failures.append(f"{direction} kept {x} in {print_type(result.ty)}")
                         continue
-                    tree = elaborate_shift(g, t, x, result, direction)
-                    if not decl_verify(tree).ok:
+                    tree = elaborate_step(result.trace)
+                    lhs, rhs = (t, result.ty) if direction == "promote" else (result.ty, t)
+                    c = tree.conclusion
+                    if not (alpha_eq_type(c.lhs, lhs) and alpha_eq_type(c.rhs, rhs)):
+                        failures.append(f"{direction} derivation concludes the wrong judgment")
+                    elif not decl_verify(tree).ok:
                         failures.append(f"{direction} derivation rejected for {print_type(t)}")
     ok = checked > 500 and not failures
     _report(5, ok, f"{checked} shifts erased and elaborated, {len(failures)} failures")

@@ -1,7 +1,7 @@
 import pytest
 
 from dsub.bounds_shift import ShiftStuck, Shifted, demote, promote
-from dsub.declarative import decl_verify, elaborate_shift
+from dsub.declarative import decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.lab import Enumerator, bad_bounds_env
 from dsub.syntax import All, Bot, Decl, Path, Top, alpha_eq_type, fv_type
@@ -118,7 +118,7 @@ def test_shift_directions_elaborate_and_verify():
     for g, t, x in _cases(max_size=3):
         promoted = promote(g, t, x)
         if isinstance(promoted, Shifted):
-            tree = elaborate_shift(g, t, x, promoted, "promote")
+            tree = elaborate_step(promoted.trace)
             assert alpha_eq_type(tree.conclusion.lhs, t)
             assert alpha_eq_type(tree.conclusion.rhs, promoted.ty)
             verdict = decl_verify(tree)
@@ -126,7 +126,7 @@ def test_shift_directions_elaborate_and_verify():
             checked += 1
         demoted = demote(g, t, x)
         if isinstance(demoted, Shifted):
-            tree = elaborate_shift(g, t, x, demoted, "demote")
+            tree = elaborate_step(demoted.trace)
             assert alpha_eq_type(tree.conclusion.lhs, demoted.ty)
             assert alpha_eq_type(tree.conclusion.rhs, t)
             verdict = decl_verify(tree)

@@ -2,10 +2,13 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from dsub.cli import main
 from dsub.trace import TRACE_RULES
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 ENV = str(CORPUS / "bad_bounds.env")
 
 
@@ -66,6 +69,20 @@ def test_check_output_byte_stable(capsys):
     first = run(capsys, "check", str(CORPUS / "minimality_term.dsub"))
     second = run(capsys, "check", str(CORPUS / "minimality_term.dsub"))
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "case, env",
+    [("minimality_body", ENV), ("app_of_bot", None), ("minimality_term", None)],
+)
+def test_emit_trace_matches_golden(tmp_path, capsys, case, env):
+    trace_file = tmp_path / "trace.json"
+    argv = ["check", str(CORPUS / f"{case}.dsub"), "--emit-trace", str(trace_file)]
+    if env is not None:
+        argv += ["--env", env]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert trace_file.read_bytes() == (GOLDEN / f"{case}.trace.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +159,8 @@ def test_decl_verify_malformed_json(capsys, tmp_path):
 
 
 def test_decl_search_found(capsys):
-    code, out, _ = run(
+    # the README example; the output bytes are pinned in tests/golden
+    code, out, err = run(
         capsys,
         "decl",
         "search",
@@ -154,9 +172,10 @@ def test_decl_search_found(capsys):
         "all(b: {V: Top .. Top}) {V: Top .. Top}",
         "all(b: {V: Top .. Top}) {Z: Top .. Top}",
     )
-    assert code == 0
+    assert (code, err) == (0, "")
     data = json.loads(out)
     assert data["rule"] == "Trans"
+    assert out == (GOLDEN / "decl_search_readme.json").read_text()
 
 
 def test_decl_search_unknown(capsys):

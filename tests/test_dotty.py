@@ -14,8 +14,6 @@ from dsub.dotty import (
     bad_bounds_universe,
     bench_pn,
     make_pn,
-    parse_universe,
-    print_universe,
     scala_sub,
 )
 from dsub.errors import InternalLimit
@@ -173,32 +171,3 @@ def test_bench_rejects_bad_ranges():
     with pytest.raises(ValueError):
         list(bench_pn(1, 2, metric="seconds"))
 
-
-# ---------------------------------------------------------------------------
-# Universe files
-
-
-def test_universe_file_roundtrip():
-    u = make_pn(3)[0]
-    assert parse_universe(print_universe(u)) == u
-
-
-def test_universe_file_function_types():
-    u = bad_bounds_universe()
-    text = print_universe(u)
-    assert "lower Int -> Int" in text and "upper Int -> String" in text
-    assert parse_universe(text) == u
-
-
-def test_universe_file_arrow_right_associative():
-    u = parse_universe("member M lower Int -> Int -> String\n")
-    assert u.bounds("M").lower == Fun(INT, Fun(INT, STRING))
-
-
-def test_universe_file_comments_and_errors():
-    u = parse_universe("// nothing\nmember M\n")
-    assert u.bounds("M") == Bounds()
-    with pytest.raises(ValueError):
-        parse_universe("member\n")
-    with pytest.raises(ValueError):
-        parse_universe("member M sideways Int\n")

@@ -1,7 +1,6 @@
 import pytest
 
-import dsub.exposure
-from dsub.declarative import SubJ, decl_verify, elaborate_exposure
+from dsub.declarative import SubJ, decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.exposure import Exposed, Stuck, expose
 from dsub.lab import Enumerator, bad_bounds_env
@@ -67,16 +66,18 @@ def test_expose_unbound_head():
         expose(TypeEnv.empty(), Path("x", "A"))
 
 
-def _enumerated_cases(max_size=4):
-    enum = Enumerator()
-    envs = [
+def _envs():
+    return [
         TypeEnv.empty(),
         _env(("x", Decl("A", Bot(), Top()))),
         _env(("x", Bot())),
         _env(("x", Decl("A", Bot(), Top())), ("y", Decl("B", Path("x", "A"), Path("x", "A")))),
         bad_bounds_env(),
     ]
-    for g in envs:
+
+
+def _enumerated_cases(max_size=4):
+    for g in _envs():
         scope = tuple(x for x, _ in g.bindings)
         labels = ("A", "B", "E", "V") if "e" in scope else ("A", "B", "C")
         enum_g = Enumerator(labels=labels)
@@ -106,7 +107,7 @@ def test_exposure_elaborates_to_valid_subtyping():
     for g, t in _enumerated_cases(max_size=3):
         result = expose(g, t)
         if isinstance(result, Exposed):
-            tree = elaborate_exposure(g, t, result)
+            tree = elaborate_step(result.trace)
             assert isinstance(tree.conclusion, SubJ)
             assert alpha_eq_type(tree.conclusion.lhs, t)
             assert alpha_eq_type(tree.conclusion.rhs, result.ty)
@@ -117,12 +118,17 @@ def test_exposure_elaborates_to_valid_subtyping():
 
 
 def test_full_env_matches_prefix_env():
-    # the debug cross-check: exposing a stored type in the full environment
-    # equals exposing it in the strict prefix before its binder
-    old = dsub.exposure.PREFIX_CHECK
-    dsub.exposure.PREFIX_CHECK = True
-    try:
-        for g, t in _enumerated_cases(max_size=3):
-            expose(g, t)
-    finally:
-        dsub.exposure.PREFIX_CHECK = old
+    # well-formedness makes exposing a stored type in the full environment
+    # equal to exposing it in the strict prefix before its binder; checked
+    # for every binding of every enumeration environment and of each prefix
+    envs = {TypeEnv(g.bindings[:n]) for g in _envs() for n in range(len(g) + 1)}
+    checked = 0
+    for g in envs:
+        for x, stored in g:
+            prefix, _, _ = g.split_at(x)
+            full, strict = expose(g, stored), expose(prefix, stored)
+            assert isinstance(full, Exposed) == isinstance(strict, Exposed), x
+            if isinstance(full, Exposed):
+                assert alpha_eq_type(full.ty, strict.ty), x
+            checked += 1
+    assert checked > 0

@@ -246,7 +246,7 @@ def test_trace_rule_names_are_canonical():
 
     def walk(node):
         assert node.rule in TRACE_RULES
-        for child in node.children:
+        for child in node.premises:
             walk(child)
 
     walk(out.trace)

@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 from .environment import TypeEnv, env_from_bindings
 from .errors import DsubError
-from .exposure import Exposed, expose
+from .exposure import exposed_type
 from .syntax import (
     All,
     App,
@@ -460,14 +460,14 @@ class DeclSearcher:
             add_subterms(goal.ty)
         for x, stored in goal.env:
             add_subterms(stored)
-            head = expose(goal.env, stored)
-            if isinstance(head, Exposed) and isinstance(head.ty, Decl):
-                add(Path(x, head.ty.label))
+            head = exposed_type(goal.env, stored)
+            if isinstance(head, Decl):
+                add(Path(x, head.label))
         for t in list(seen.values()):
             if isinstance(t, Path):
-                result = expose(goal.env, t)
-                if isinstance(result, Exposed):
-                    add(result.ty)
+                exposed = exposed_type(goal.env, t)
+                if exposed is not None:
+                    add(exposed)
         ordered = sorted(seen.values(), key=lambda t: (type_size(t), canon_type(t)))
         return tuple(ordered)
 

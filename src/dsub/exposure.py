@@ -11,12 +11,15 @@ When the head's stored type exposes to Top, a function type, or a
 declaration with a different label, no rewrite applies; the explicit
 :class:`Stuck` outcome reports that, and callers treat it as failure of
 their own rule's premise.
+
+``exposed_type(g, t)`` computes the same exposed type without building the
+derivation, for callers (the declarative search) that keep only the type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .environment import TypeEnv, UnboundVariable
 from .syntax import Bot, Decl, Path, Type, print_type
@@ -76,3 +79,18 @@ def expose(g: TypeEnv, t: Type) -> ExposureResult:
         case _:
             return Stuck(t, head.ty)
 
+
+def exposed_type(g: TypeEnv, t: Type) -> Optional[Type]:
+    """``expose(g, t).ty`` without the trace, or None where ``expose`` is
+    stuck; for callers that keep only the exposed type."""
+    if not isinstance(t, Path):
+        return t
+    stored = g.lookup(t.var)
+    if stored is None:
+        raise UnboundVariable(f"unbound variable {t.var!r} in {print_type(t)}")
+    match exposed_type(g, stored):
+        case Bot():
+            return Bot()
+        case Decl(label=label, upper=upper) if label == t.label:
+            return exposed_type(g, upper)
+    return None

@@ -2,7 +2,7 @@ import pytest
 
 from dsub.declarative import SubJ, decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
-from dsub.exposure import Exposed, Stuck, expose
+from dsub.exposure import Exposed, Stuck, expose, exposed_type
 from dsub.lab import Enumerator, bad_bounds_env
 from dsub.step import weight
 from dsub.syntax import All, Bot, Decl, Path, Top, alpha_eq_type
@@ -64,6 +64,8 @@ def test_expose_stuck_on_label_mismatch():
 def test_expose_unbound_head():
     with pytest.raises(UnboundVariable):
         expose(TypeEnv.empty(), Path("x", "A"))
+    with pytest.raises(UnboundVariable):
+        exposed_type(TypeEnv.empty(), Path("x", "A"))
 
 
 def _envs():
@@ -90,6 +92,18 @@ def test_exposed_is_never_a_path():
         result = expose(g, t)
         if isinstance(result, Exposed):
             assert not isinstance(result.ty, Path)
+
+
+def test_exposed_type_matches_expose():
+    stuck = 0
+    for g, t in _enumerated_cases():
+        result = expose(g, t)
+        if isinstance(result, Exposed):
+            assert exposed_type(g, t) == result.ty
+        else:
+            assert exposed_type(g, t) is None
+            stuck += 1
+    assert stuck > 0
 
 
 def test_exposure_weight_monotonic():

@@ -3,8 +3,9 @@
 Exit codes: 0 for a positive result (typed, subtype holds, exposed,
 derivation valid/found, harness clean), 1 for a negative result (untypable,
 not a subtype, stuck, invalid derivation, search unknown, violations found,
-corpus mismatch), 2 for usage, parse, or I/O errors.  Machine output (types,
-JSON, CSV) goes to stdout; diagnostics go to stderr.
+corpus mismatch), 2 for usage, parse, or I/O errors, malformed derivation
+JSON and input nested too deeply to check.  Machine output (types, JSON, CSV)
+goes to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -122,6 +123,9 @@ def main(argv=None) -> int:
     except (DsubError, OSError, ValueError, json.JSONDecodeError) as exc:
         _diag(f"dsub: error: {exc}")
         return 2
+    except RecursionError:
+        _diag("dsub: error: input is nested too deeply")
+        return 2
 
 
 def _dispatch(args) -> int:
@@ -188,9 +192,7 @@ def _cmd_shift(args) -> int:
 
 def _cmd_decl(args) -> int:
     if args.decl_verb == "verify":
-        data = json.loads(FsPath(args.file).read_text())
-        data.pop("expect", None)
-        tree = derivation_from_json(data)
+        tree = derivation_from_json(json.loads(FsPath(args.file).read_text()))
         result = decl_verify(tree)
         if result.ok:
             print("valid")
@@ -292,8 +294,8 @@ def _run_sub_case(path: FsPath) -> tuple:
 
 def _run_json_case(path: FsPath) -> tuple:
     data = json.loads(path.read_text())
-    expect = data.pop("expect", "")
     result = decl_verify(derivation_from_json(data))
+    expect = data.get("expect", "")
     if expect == "valid":
         return (True, "") if result.ok else (False, f"expected valid: {result.path}: {result.message}")
     if expect == "invalid":

@@ -54,7 +54,7 @@ from .syntax import (
     subst_var_in_type,
     type_size,
 )
-from .trace import DerivationTree, SubJ, TypJ, derivation_to_json
+from .trace import DerivationTree, ShiftJ, SubJ, TypJ, derivation_to_json
 
 Judgment = Union[SubJ, TypJ]
 
@@ -88,11 +88,7 @@ def _fail(path: str, message: str) -> VerifyResult:
 
 
 def _same_env(a: TypeEnv, b: TypeEnv) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(
-        x == y and alpha_eq_type(s, t) for (x, s), (y, t) in zip(a.bindings, b.bindings)
-    )
+    return a.key == b.key
 
 
 def _extends_by_one(inner: TypeEnv, outer: TypeEnv):
@@ -397,8 +393,6 @@ _CHECKERS = {
     "Let": (TypJ, _check_let),
     "Sub": (TypJ, _check_sub),
 }
-SUB_RULES = frozenset(rule for rule, (form, _) in _CHECKERS.items() if form is SubJ)
-TYP_RULES = frozenset(rule for rule, (form, _) in _CHECKERS.items() if form is TypJ)
 
 
 # ---------------------------------------------------------------------------
@@ -697,47 +691,45 @@ def _elab_identity(node: DerivationTree) -> DerivationTree:
     return _sub_tree("Refl", c.env, c.src, c.out)
 
 
-def _elab_x_bot(node: DerivationTree) -> DerivationTree:
+def _select(goal: SubJ, left: bool, head: DerivationTree, rest: Optional[DerivationTree] = None) -> DerivationTree:
+    """Derive ``goal``, ``x.A <: other`` by Sel-<: when ``left`` and ``other
+    <: x.A`` by <:-Sel otherwise, from ``head``, the exposure of ``x``'s
+    stored type.  A head exposing to Bot types ``x``, through Bot, at a
+    declaration whose bound is ``other``; any other head at its exposed
+    declaration, whose bound ``rest`` relates to ``other`` by Trans when the
+    two differ."""
+    g = goal.env
+    path, other = (goal.lhs, goal.rhs) if left else (goal.rhs, goal.lhs)
+    decl = head.conclusion.out
+    if isinstance(decl, Bot):
+        decl = Decl(path.label, Top(), other) if left else Decl(path.label, other, Top())
+        typing = _bot_bridge(g, path.var, elaborate_step(head), decl)
+    else:
+        typing = _var_at_decl(g, path.var, decl, elaborate_step(head))
+    rule, bound = ("Sel-<:", decl.upper) if left else ("<:-Sel", decl.lower)
+    if alpha_eq_type(bound, other):
+        return DerivationTree(rule, goal, (typing,))
+    if left:
+        to_bound = _sub_tree(rule, g, path, bound, (typing,))
+        return DerivationTree("Trans", goal, (to_bound, elaborate_step(rest)))  # bound <: other
+    from_bound = _sub_tree(rule, g, bound, path, (typing,))
+    return DerivationTree("Trans", goal, (elaborate_step(rest), from_bound))  # other <: bound
+
+
+def _elab_expose_path(node: DerivationTree) -> DerivationTree:
+    # X-Bot / X-Path: x.A <: out
     c = node.conclusion
-    path = c.src
-    head = elaborate_step(node.premises[0])  # stored <: Bot
-    typing = _bot_bridge(c.env, path.var, head, Decl(path.label, Top(), Bot()))
-    return _sub_tree("Sel-<:", c.env, path, Bot(), (typing,))
+    return _select(SubJ(c.env, c.src, c.out), True, *node.premises)
 
 
-def _elab_x_path(node: DerivationTree) -> DerivationTree:
-    c = node.conclusion
-    g, path = c.env, c.src
-    head_node, tail_node = node.premises
-    decl = head_node.conclusion.out
-    typing = _var_at_decl(g, path.var, decl, elaborate_step(head_node))  # stored <: {A: S..U}
-    to_upper = _sub_tree("Sel-<:", g, path, decl.upper, (typing,))
-    if alpha_eq_type(decl.upper, c.out):
-        return to_upper
-    return _trans(g, to_upper, elaborate_step(tail_node))  # upper <: out
-
-
-def _shift_sub(node: DerivationTree, rule: str, premises: tuple) -> DerivationTree:
+def _shift_goal(c: ShiftJ) -> SubJ:
     """``src <: out`` for a promotion, ``out <: src`` for a demotion."""
-    c = node.conclusion
-    lhs, rhs = (c.src, c.out) if c.up else (c.out, c.src)
-    return _sub_tree(rule, c.env, lhs, rhs, premises)
+    return SubJ(c.env, c.src, c.out) if c.up else SubJ(c.env, c.out, c.src)
 
 
 def _elab_shift_path(node: DerivationTree) -> DerivationTree:
-    # P-Up / D-Down: x.A to the exposed declaration's upper / lower bound
-    c = node.conclusion
-    head = node.premises[0]
-    typing = _var_at_decl(c.env, c.src.var, head.conclusion.out, elaborate_step(head))
-    return _shift_sub(node, "Sel-<:" if c.up else "<:-Sel", (typing,))
-
-
-def _elab_shift_bot(node: DerivationTree) -> DerivationTree:
-    # P-Up-Bot / D-Down-Bot: the head exposes to Bot
-    c = node.conclusion
-    head = elaborate_step(node.premises[0])
-    typing = _bot_bridge(c.env, c.src.var, head, Decl(c.src.label, Top(), Bot()))
-    return _shift_sub(node, "Sel-<:" if c.up else "<:-Sel", (typing,))
+    # P-Up / P-Up-Bot and D-Down / D-Down-Bot: x.A to its bound
+    return _select(_shift_goal(node.conclusion), node.conclusion.up, *node.premises)
 
 
 def _elab_shift_congruence(node: DerivationTree) -> DerivationTree:
@@ -746,7 +738,7 @@ def _elab_shift_congruence(node: DerivationTree) -> DerivationTree:
     # (result) this way; they elaborate, in order, to the premises of
     # Typ-<:-Typ / All-<:-All
     rule = "Typ-<:-Typ" if isinstance(node.conclusion.src, Decl) else "All-<:-All"
-    return _shift_sub(node, rule, tuple(map(elaborate_step, node.premises)))
+    return DerivationTree(rule, _shift_goal(node.conclusion), tuple(map(elaborate_step, node.premises)))
 
 
 def _elab_s_all(node: DerivationTree) -> DerivationTree:
@@ -757,44 +749,9 @@ def _elab_s_all(node: DerivationTree) -> DerivationTree:
     return DerivationTree("All-<:-All", c, (params, inner))
 
 
-def _elab_s_sel_left(node: DerivationTree) -> DerivationTree:
-    # S-<:-Sel: x.A <: U through the exposed declaration's upper bound
-    c = node.conclusion
-    head, inner = node.premises
-    decl = head.conclusion.out
-    typing = _var_at_decl(c.env, c.lhs.var, decl, elaborate_step(head))
-    if alpha_eq_type(decl.upper, c.rhs):
-        return DerivationTree("Sel-<:", c, (typing,))
-    to_upper = _sub_tree("Sel-<:", c.env, c.lhs, decl.upper, (typing,))
-    return DerivationTree("Trans", c, (to_upper, elaborate_step(inner)))  # upper <: U
-
-
-def _elab_s_sel_right(node: DerivationTree) -> DerivationTree:
-    # S-Sel-<:: U <: x.A through the exposed declaration's lower bound
-    c = node.conclusion
-    head, inner = node.premises
-    decl = head.conclusion.out
-    typing = _var_at_decl(c.env, c.rhs.var, decl, elaborate_step(head))
-    if alpha_eq_type(decl.lower, c.lhs):
-        return DerivationTree("<:-Sel", c, (typing,))
-    from_lower = _sub_tree("<:-Sel", c.env, decl.lower, c.rhs, (typing,))
-    return DerivationTree("Trans", c, (elaborate_step(inner), from_lower))  # U <: lower
-
-
-def _elab_s_bot_left(node: DerivationTree) -> DerivationTree:
-    # S-<:-Bot: x.A <: U because the head exposes to Bot
-    c = node.conclusion
-    head = elaborate_step(node.premises[0])
-    typing = _bot_bridge(c.env, c.lhs.var, head, Decl(c.lhs.label, Top(), c.rhs))
-    return DerivationTree("Sel-<:", c, (typing,))
-
-
-def _elab_s_bot_right(node: DerivationTree) -> DerivationTree:
-    # S-Bot-<:: U <: x.A because the head exposes to Bot
-    c = node.conclusion
-    head = elaborate_step(node.premises[0])
-    typing = _bot_bridge(c.env, c.rhs.var, head, Decl(c.rhs.label, c.lhs, Top()))
-    return DerivationTree("<:-Sel", c, (typing,))
+def _elab_s_select(node: DerivationTree) -> DerivationTree:
+    # S-<:-Sel / S-<:-Bot: x.A <: U; S-Sel-<: / S-Bot-<:: U <: x.A
+    return _select(node.conclusion, node.rule in ("S-<:-Sel", "S-<:-Bot"), *node.premises)
 
 
 def _elab_t_all_e(node: DerivationTree) -> DerivationTree:
@@ -841,8 +798,8 @@ def _elab_t_let(node: DerivationTree) -> DerivationTree:
 
 _ELABORATORS = {
     "X-Other": _elab_identity,
-    "X-Bot": _elab_x_bot,
-    "X-Path": _elab_x_path,
+    "X-Bot": _elab_expose_path,
+    "X-Path": _elab_expose_path,
     "P-Var": _elab_identity,
     "P-Bot": _elab_identity,
     "P-Top": _elab_identity,
@@ -852,9 +809,9 @@ _ELABORATORS = {
     "D-Top": _elab_identity,
     "D-Cap": _elab_identity,
     "P-Up": _elab_shift_path,
-    "P-Up-Bot": _elab_shift_bot,
+    "P-Up-Bot": _elab_shift_path,
     "D-Down": _elab_shift_path,
-    "D-Down-Bot": _elab_shift_bot,
+    "D-Down-Bot": _elab_shift_path,
     "P-Decl": _elab_shift_congruence,
     "D-Decl": _elab_shift_congruence,
     "P-Lam": _elab_shift_congruence,
@@ -864,10 +821,10 @@ _ELABORATORS = {
     "S-Refl": _elab_same("Refl"),
     "S-Typ-<:-Typ": _elab_same("Typ-<:-Typ"),
     "S-All-<:-All": _elab_s_all,
-    "S-<:-Sel": _elab_s_sel_left,
-    "S-Sel-<:": _elab_s_sel_right,
-    "S-<:-Bot": _elab_s_bot_left,
-    "S-Bot-<:": _elab_s_bot_right,
+    "S-<:-Sel": _elab_s_select,
+    "S-Sel-<:": _elab_s_select,
+    "S-<:-Bot": _elab_s_select,
+    "S-Bot-<:": _elab_s_select,
     "T-Var": _elab_same("Var"),
     "T-Typ-I": _elab_same("Typ-I"),
     "T-All-I": _elab_same("All-I"),
@@ -881,21 +838,45 @@ _ELABORATORS = {
 # JSON deserialization
 
 
-def judgment_from_json(data: dict) -> Judgment:
-    env = env_from_bindings((x, parse_type(t)) for x, t in data["env"])
-    if data["kind"] == "sub":
-        return SubJ(env, parse_type(data["lhs"]), parse_type(data["rhs"]))
-    if data["kind"] == "typ":
-        return TypJ(env, parse_term(data["term"]), parse_type(data["type"]))
-    raise ValueError(f"unknown judgment kind {data['kind']!r}")
+def _field(data, key: str, kind: type, where: str):
+    """``data[key]``, or a ValueError naming the missing or mistyped part."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    if key not in data:
+        raise ValueError(f"{where}: missing {key!r}")
+    if not isinstance(data[key], kind):
+        raise ValueError(f"{where}.{key}: expected a {kind.__name__}")
+    return data[key]
 
 
-def derivation_from_json(data: dict) -> DerivationTree:
-    rule = data["rule"]
-    if rule not in SUB_RULES | TYP_RULES:
+def judgment_from_json(data: dict, where: str = "judgment") -> Judgment:
+    def text(key: str) -> str:
+        return _field(data, key, str, where)
+
+    pairs = []
+    for i, binding in enumerate(_field(data, "env", list, where)):
+        if not (isinstance(binding, list) and len(binding) == 2 and all(isinstance(p, str) for p in binding)):
+            raise ValueError(f"{where}.env[{i}]: expected a [variable, type] pair of strings")
+        pairs.append((binding[0], parse_type(binding[1])))
+    env = env_from_bindings(pairs)
+    kind = text("kind")
+    if kind == "sub":
+        return SubJ(env, parse_type(text("lhs")), parse_type(text("rhs")))
+    if kind == "typ":
+        return TypJ(env, parse_term(text("term")), parse_type(text("type")))
+    raise ValueError(f"unknown judgment kind {kind!r}")
+
+
+def derivation_from_json(data: dict, where: str = "root") -> DerivationTree:
+    """Read a tree written by ``derivation_to_json``; a ValueError names the
+    first missing or mistyped part (paths index into ``premises``)."""
+    rule = _field(data, "rule", str, where)
+    if rule not in _CHECKERS:
         raise ValueError(f"unknown rule {rule!r}")
+    judgment = judgment_from_json(_field(data, "judgment", dict, where), f"{where}.judgment")
+    premises = _field(data, "premises", list, where) if "premises" in data else ()
     return DerivationTree(
         rule,
-        judgment_from_json(data["judgment"]),
-        tuple(derivation_from_json(p) for p in data.get("premises", ())),
+        judgment,
+        tuple(derivation_from_json(p, f"{where}.premises[{i}]") for i, p in enumerate(premises)),
     )

@@ -89,13 +89,11 @@ class SubStats:
     max_depth: int
 
 
-def scala_sub(
-    u: BoundsUniverse, t1: SType, t2: SType, *, depth_limit: int = DEPTH_LIMIT
-) -> SubStats:
+def scala_sub(u: BoundsUniverse, t1: SType, t2: SType) -> SubStats:
     """Run the bounds-aware check and count every recursive entry.
 
     Raises :class:`InternalLimit` if the uncached recursion would nest beyond
-    ``depth_limit`` (a cyclic bound chain).
+    :data:`DEPTH_LIMIT` (a cyclic bound chain).
     """
     cache: dict = {}
     in_progress: set = set()
@@ -106,7 +104,7 @@ def scala_sub(
             return cache[key]
         if key in in_progress:
             # the plain recursion would re-enter the same query forever
-            raise InternalLimit(f"subtype recursion exceeded depth {depth_limit}")
+            raise InternalLimit(f"subtype recursion exceeded depth {DEPTH_LIMIT}")
         in_progress.add(key)
         try:
             calls = 1
@@ -135,8 +133,8 @@ def scala_sub(
                 depth = max(depth, 1 + s_depth) if s_calls else depth
                 result = structural
 
-            if depth > depth_limit:
-                raise InternalLimit(f"subtype recursion exceeded depth {depth_limit}")
+            if depth > DEPTH_LIMIT:
+                raise InternalLimit(f"subtype recursion exceeded depth {DEPTH_LIMIT}")
             outcome = (result, calls, depth)
             cache[key] = outcome
             return outcome

@@ -15,9 +15,10 @@ Environments are immutable values; extension returns a new environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DsubError
-from .syntax import Type, fv_type, print_type, _Parser
+from .syntax import Type, _Parser, canon_type, fv_type, print_type
 
 
 class DuplicateBinding(DsubError):
@@ -66,6 +67,13 @@ class TypeEnv:
             if y == x:
                 return TypeEnv(self.bindings[:i]), t, TypeEnv(self.bindings[i + 1 :])
         return None
+
+    @cached_property
+    def key(self) -> str:
+        """Identical exactly for environments that bind the same variables,
+        in the same order, at alpha-equivalent types; built once per
+        environment."""
+        return ";".join(f"{x}:{canon_type(t)}" for x, t in self.bindings)
 
     def dom(self) -> frozenset:
         return frozenset(y for y, _ in self.bindings)

@@ -97,7 +97,7 @@ class SubtypeResult:
         return self.holds
 
 
-def step_subtype(g: TypeEnv, s: Type, t: Type, *, depth_limit: int = DEPTH_LIMIT) -> SubtypeResult:
+def step_subtype(g: TypeEnv, s: Type, t: Type) -> SubtypeResult:
     """Decide the step subtype relation; on success the result carries the
     full rule trace.  Unbound variables yield a negative result with a
     diagnostic rather than an exception."""
@@ -107,7 +107,7 @@ def step_subtype(g: TypeEnv, s: Type, t: Type, *, depth_limit: int = DEPTH_LIMIT
             False, None, f"unbound variable(s) in query: {', '.join(sorted(loose))}"
         )
     try:
-        trace = _sub(g, s, t, None, 0, depth_limit)
+        trace = _sub(g, s, t, None, 0)
     except UnboundVariable as exc:
         return SubtypeResult(False, None, str(exc))
     if trace is None:
@@ -127,10 +127,10 @@ def _measure_entry(g: TypeEnv, s: Type, t: Type, parent: Optional[int]) -> int:
 
 
 def _sub(
-    g: TypeEnv, s: Type, t: Type, parent: Optional[int], depth: int, limit: int
+    g: TypeEnv, s: Type, t: Type, parent: Optional[int], depth: int
 ) -> Optional[DerivationTree]:
-    if depth > limit:
-        raise InternalLimit(f"subtype recursion exceeded depth {limit}")
+    if depth > DEPTH_LIMIT:
+        raise InternalLimit(f"subtype recursion exceeded depth {DEPTH_LIMIT}")
     measure = _measure_entry(g, s, t, parent)
 
     if isinstance(s, Bot):
@@ -141,9 +141,9 @@ def _sub(
         return step_node("S-Refl", SubJ(g, s, t))
 
     if isinstance(s, Decl) and isinstance(t, Decl) and s.label == t.label:
-        lower = _sub(g, t.lower, s.lower, measure, depth + 1, limit)
+        lower = _sub(g, t.lower, s.lower, measure, depth + 1)
         if lower is not None:
-            upper = _sub(g, s.upper, t.upper, measure, depth + 1, limit)
+            upper = _sub(g, s.upper, t.upper, measure, depth + 1)
             if upper is not None:
                 return step_node("S-Typ-<:-Typ", SubJ(g, s, t), (lower, upper))
 
@@ -153,16 +153,16 @@ def _sub(
         inner_env = g.extend(z, s.param_type)
         lhs_body = subst_var_in_type(s.result, s.param, z)
         rhs_body = subst_var_in_type(t.result, t.param, z)
-        inner = _sub(inner_env, lhs_body, rhs_body, measure, depth + 1, limit)
+        inner = _sub(inner_env, lhs_body, rhs_body, measure, depth + 1)
         if inner is not None:
             return step_node("S-All-<:-All", SubJ(g, s, t), (inner,))
 
     if isinstance(s, Path):
-        found = _path_attempt(g, s, t, left=True, parent=measure, depth=depth, limit=limit)
+        found = _path_attempt(g, s, t, left=True, parent=measure, depth=depth)
         if found is not None:
             return found
     if isinstance(t, Path):
-        found = _path_attempt(g, s, t, left=False, parent=measure, depth=depth, limit=limit)
+        found = _path_attempt(g, s, t, left=False, parent=measure, depth=depth)
         if found is not None:
             return found
     return None
@@ -175,7 +175,6 @@ def _path_attempt(
     left: bool,
     parent: Optional[int],
     depth: int,
-    limit: int,
 ) -> Optional[DerivationTree]:
     path = s if left else t
     stored = g.lookup(path.var)
@@ -190,11 +189,11 @@ def _path_attempt(
             return step_node(rule, SubJ(g, s, t), (head.trace,))
         case Decl(label=label, lower=lo, upper=hi) if label == path.label:
             if left:
-                inner = _sub(g, hi, t, parent, depth + 1, limit)
+                inner = _sub(g, hi, t, parent, depth + 1)
                 if inner is not None:
                     return step_node("S-<:-Sel", SubJ(g, s, t), (head.trace, inner))
             else:
-                inner = _sub(g, s, lo, parent, depth + 1, limit)
+                inner = _sub(g, s, lo, parent, depth + 1)
                 if inner is not None:
                     return step_node("S-Sel-<:", SubJ(g, s, t), (head.trace, inner))
     return None
@@ -229,13 +228,13 @@ class Untypable:
 StepTypingOutcome = Union[Typed, Untypable]
 
 
-def step_type(g: TypeEnv, term: Term, *, depth_limit: int = DEPTH_LIMIT) -> StepTypingOutcome:
+def step_type(g: TypeEnv, term: Term) -> StepTypingOutcome:
     """Compute the unique step type of ``term`` under ``g``, or explain why
     there is none."""
-    return _typ(g, term, "", depth_limit)
+    return _typ(g, term, "")
 
 
-def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
+def _typ(g: TypeEnv, term: Term, loc: str) -> StepTypingOutcome:
     match term:
         case Var(name=x):
             stored = g.lookup(x)
@@ -264,20 +263,20 @@ def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
                 x2 = fresh_name(x, g.dom() | fv_type(ty))
                 body = subst_var_in_term(body, x, x2)
                 x = x2
-            inner = _typ(g.extend(x, ty), body, _at(loc, "body"), limit)
+            inner = _typ(g.extend(x, ty), body, _at(loc, "body"))
             if isinstance(inner, Untypable):
                 return inner
             result = All(x, ty, inner.ty)
             return Typed(result, step_node("T-All-I", TypJ(g, term, result), (inner.trace,)))
 
         case App(fun=f, arg=a):
-            fun_typed = _typ(g, Var(f), _at(loc, "fun"), limit)
+            fun_typed = _typ(g, Var(f), _at(loc, "fun"))
             if isinstance(fun_typed, Untypable):
                 return fun_typed
             head = expose(g, fun_typed.ty)
             if isinstance(head, Stuck):
                 return Untypable(f"function position not exposable ({head.describe()})", loc)
-            arg_typed = _typ(g, Var(a), _at(loc, "arg"), limit)
+            arg_typed = _typ(g, Var(a), _at(loc, "arg"))
             if isinstance(arg_typed, Untypable):
                 return arg_typed
             match head.ty:
@@ -291,7 +290,7 @@ def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
                         ),
                     )
                 case All(param=z, param_type=s, result=u):
-                    check = step_subtype(g, arg_typed.ty, s, depth_limit=limit)
+                    check = step_subtype(g, arg_typed.ty, s)
                     if not check.holds:
                         return Untypable(
                             f"argument type {print_type(arg_typed.ty)} is not a step subtype "
@@ -313,7 +312,7 @@ def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
                     )
 
         case Let(bound=x, rhs=rhs, body=body):
-            rhs_typed = _typ(g, rhs, _at(loc, "rhs"), limit)
+            rhs_typed = _typ(g, rhs, _at(loc, "rhs"))
             if isinstance(rhs_typed, Untypable):
                 return rhs_typed
             if x in g:
@@ -321,7 +320,7 @@ def _typ(g: TypeEnv, term: Term, loc: str, limit: int) -> StepTypingOutcome:
                 body = subst_var_in_term(body, x, x2)
                 x = x2
             inner_env = g.extend(x, rhs_typed.ty)
-            body_typed = _typ(inner_env, body, _at(loc, "body"), limit)
+            body_typed = _typ(inner_env, body, _at(loc, "body"))
             if isinstance(body_typed, Untypable):
                 return body_typed
             promoted = promote(inner_env, body_typed.ty, x)

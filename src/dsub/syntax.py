@@ -277,59 +277,9 @@ def subst_var_in_term(t: Term, frm: str, to: str) -> Term:
 # Alpha-equivalence
 
 
-def _var_matches(x: str, y: str, bound_l: tuple, bound_r: tuple) -> bool:
-    # Compare by binder position (innermost wins); free names by equality.
-    il = ir = None
-    for i in range(len(bound_l) - 1, -1, -1):
-        if bound_l[i] == x:
-            il = len(bound_l) - 1 - i
-            break
-    for i in range(len(bound_r) - 1, -1, -1):
-        if bound_r[i] == y:
-            ir = len(bound_r) - 1 - i
-            break
-    if il is None and ir is None:
-        return x == y
-    return il == ir
-
-
-def _aeq_type(a: Type, b: Type, bl: tuple, br: tuple) -> bool:
-    match a, b:
-        case (Top(), Top()) | (Bot(), Bot()):
-            return True
-        case Path(var=x, label=la), Path(var=y, label=lb):
-            return la == lb and _var_matches(x, y, bl, br)
-        case Decl(label=la, lower=lo1, upper=hi1), Decl(label=lb, lower=lo2, upper=hi2):
-            return la == lb and _aeq_type(lo1, lo2, bl, br) and _aeq_type(hi1, hi2, bl, br)
-        case All(param=x, param_type=s1, result=u1), All(param=y, param_type=s2, result=u2):
-            return _aeq_type(s1, s2, bl, br) and _aeq_type(u1, u2, bl + (x,), br + (y,))
-        case _:
-            return False
-
-
-def alpha_eq_type(a: Type, b: Type) -> bool:
-    """Equality up to consistent renaming of bound variables."""
-    return _aeq_type(a, b, (), ())
-
-
-def _aeq_term(a: Term, b: Term, bl: tuple, br: tuple) -> bool:
-    match a, b:
-        case Var(name=x), Var(name=y):
-            return _var_matches(x, y, bl, br)
-        case Tag(label=la, alias=t1), Tag(label=lb, alias=t2):
-            return la == lb and _aeq_type(t1, t2, bl, br)
-        case App(fun=f1, arg=a1), App(fun=f2, arg=a2):
-            return _var_matches(f1, f2, bl, br) and _var_matches(a1, a2, bl, br)
-        case Lam(param=x, param_type=t1, body=b1), Lam(param=y, param_type=t2, body=b2):
-            return _aeq_type(t1, t2, bl, br) and _aeq_term(b1, b2, bl + (x,), br + (y,))
-        case Let(bound=x, rhs=r1, body=b1), Let(bound=y, rhs=r2, body=b2):
-            return _aeq_term(r1, r2, bl, br) and _aeq_term(b1, b2, bl + (x,), br + (y,))
-        case _:
-            return False
-
-
-def alpha_eq_term(a: Term, b: Term) -> bool:
-    return _aeq_term(a, b, (), ())
+def _canon_var(x: str, bound: tuple) -> str:
+    # a bound variable is its distance to its binder, innermost first
+    return f"@{bound[::-1].index(x)}" if x in bound else x
 
 
 def _canon_type(t: Type, bound: tuple) -> str:
@@ -339,10 +289,7 @@ def _canon_type(t: Type, bound: tuple) -> str:
         case Bot():
             return "B"
         case Path(var=x, label=a):
-            for i in range(len(bound) - 1, -1, -1):
-                if bound[i] == x:
-                    return f"@{len(bound) - 1 - i}.{a}"
-            return f"{x}.{a}"
+            return f"{_canon_var(x, bound)}.{a}"
         case Decl(label=a, lower=lo, upper=hi):
             return f"{{{a}:{_canon_type(lo, bound)}..{_canon_type(hi, bound)}}}"
         case All(param=x, param_type=s, result=u):
@@ -352,27 +299,22 @@ def _canon_type(t: Type, bound: tuple) -> str:
 
 @lru_cache(maxsize=None)
 def canon_type(t: Type) -> str:
-    """A string that is identical for alpha-equivalent types (bound variables
-    are rendered positionally).  Used as a hashable alpha-canonical key."""
+    """A nameless key: bound variables are rendered by binder position (de
+    Bruijn indices), free ones by name, so two types have the same key
+    exactly when they are alpha-equivalent."""
     return _canon_type(t, ())
 
 
 def _canon_term(t: Term, bound: tuple) -> str:
-    def v(x: str) -> str:
-        for i in range(len(bound) - 1, -1, -1):
-            if bound[i] == x:
-                return f"@{len(bound) - 1 - i}"
-        return x
-
     match t:
         case Var(name=x):
-            return v(x)
+            return _canon_var(x, bound)
         case Tag(label=a, alias=ty):
             return f"{{{a}={_canon_type(ty, bound)}}}"
         case Lam(param=x, param_type=ty, body=b):
             return f"L({_canon_type(ty, bound)}){_canon_term(b, bound + (x,))}"
         case App(fun=f, arg=a):
-            return f"({v(f)} {v(a)})"
+            return f"({_canon_var(f, bound)} {_canon_var(a, bound)})"
         case Let(bound=x, rhs=r, body=b):
             return f"let({_canon_term(r, bound)}){_canon_term(b, bound + (x,))}"
     raise TypeError(f"not a term: {t!r}")
@@ -381,6 +323,15 @@ def _canon_term(t: Term, bound: tuple) -> str:
 @lru_cache(maxsize=None)
 def canon_term(t: Term) -> str:
     return _canon_term(t, ())
+
+
+def alpha_eq_type(a: Type, b: Type) -> bool:
+    """Equality up to consistent renaming of bound variables."""
+    return canon_type(a) == canon_type(b)
+
+
+def alpha_eq_term(a: Term, b: Term) -> bool:
+    return canon_term(a) == canon_term(b)
 
 
 # ---------------------------------------------------------------------------

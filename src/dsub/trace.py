@@ -68,8 +68,7 @@ class SubJ:
             raise ValueError(f"judgment mentions unbound variable(s): {', '.join(sorted(loose))}")
 
     def key(self) -> str:
-        envk = ";".join(f"{x}:{canon_type(t)}" for x, t in self.env)
-        return f"sub[{envk}]{canon_type(self.lhs)}<:{canon_type(self.rhs)}"
+        return f"sub[{self.env.key}]{canon_type(self.lhs)}<:{canon_type(self.rhs)}"
 
     def to_json(self) -> dict:
         return {
@@ -95,8 +94,7 @@ class TypJ:
             raise ValueError(f"judgment mentions unbound variable(s): {', '.join(sorted(loose))}")
 
     def key(self) -> str:
-        envk = ";".join(f"{x}:{canon_type(t)}" for x, t in self.env)
-        return f"typ[{envk}]{canon_term(self.term)}:{canon_type(self.ty)}"
+        return f"typ[{self.env.key}]{canon_term(self.term)}:{canon_type(self.ty)}"
 
     def to_json(self) -> dict:
         return {

@@ -106,6 +106,18 @@ def test_sub_parse_error(capsys):
     assert code == 2 and "error" in err
 
 
+def _nested_decl(depth: int) -> str:
+    return "{A: Bot .. " * depth + "Top" + "}" * depth
+
+
+def test_sub_deep_input_is_an_error_not_a_negative_answer(capsys):
+    code, out, err = run(capsys, "sub", _nested_decl(300), _nested_decl(300))
+    assert (code, out, err) == (0, "subtype\n", "")
+    code, out, err = run(capsys, "sub", _nested_decl(600), _nested_decl(600))
+    assert (code, out) == (2, "")
+    assert err.startswith("dsub: error: ") and "Traceback" not in err
+
+
 def test_expose_positive(capsys):
     code, out, _ = run(capsys, "expose", "--env", ENV, "e.E")
     assert code == 0
@@ -151,11 +163,23 @@ def test_decl_verify_invalid(capsys):
     assert "Top" in err
 
 
-def test_decl_verify_malformed_json(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    (
+        pytest.param("{not json", id="not-json"),
+        pytest.param('{"judgment": {}}', id="no-rule"),
+        pytest.param("[1, 2]", id="not-an-object"),
+        pytest.param(
+            '{"rule": "Bot", "judgment": {"kind": "sub", "env": [], "lhs": "Bot"}}', id="sub-without-rhs"
+        ),
+    ),
+)
+def test_decl_verify_malformed_json(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, "decl", "verify", str(bad))
-    assert code == 2
+    bad.write_text(text)
+    code, out, err = run(capsys, "decl", "verify", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("dsub: error: ") and "Traceback" not in err
 
 
 def test_decl_search_found(capsys):

@@ -141,6 +141,85 @@ def test_verify_full_all_rule_contravariance():
     assert not decl_verify(tree_wrong).ok
 
 
+# Environment agreement: a premise that shares its conclusion's environment
+# must have the same variables, in order, at alpha-equivalent types.
+
+SEL_DECL = Decl("A", Bot(), Top())
+FUN_YA = All("y", Top(), Path("y", "A"))
+AGREE_ENV = _env(("x", SEL_DECL), ("u", FUN_YA))
+PREMISE_ENVS = {
+    "same": AGREE_ENV,
+    "alpha-variant type": _env(("x", SEL_DECL), ("u", All("w", Top(), Path("w", "A")))),
+    "renamed variable": _env(("x", SEL_DECL), ("v", FUN_YA)),
+    "changed type": _env(("x", SEL_DECL), ("u", Top())),
+    "added binding": _env(("x", SEL_DECL), ("u", FUN_YA), ("v", Top())),
+}
+TAG_A = Tag("A", Top())
+DECL_A = Decl("A", Top(), Top())
+
+
+def _trans_with_first_premise_in(env):
+    first = DerivationTree("Top", SubJ(env, Bot(), Top()))
+    second = DerivationTree("Top", SubJ(AGREE_ENV, Top(), Top()))
+    return DerivationTree("Trans", SubJ(AGREE_ENV, Bot(), Top()), (first, second))
+
+
+def _sub_with_typing_premise_in(env):
+    typing = DerivationTree("Typ-I", TypJ(env, TAG_A, DECL_A))
+    widening = DerivationTree("Top", SubJ(AGREE_ENV, DECL_A, Top()))
+    return DerivationTree("Sub", TypJ(AGREE_ENV, TAG_A, Top()), (typing, widening))
+
+
+def _sel_with_premise_in(env):
+    typing = DerivationTree("Var", TypJ(env, Var("x"), SEL_DECL))
+    return DerivationTree("<:-Sel", SubJ(AGREE_ENV, Bot(), Path("x", "A")), (typing,))
+
+
+@pytest.mark.parametrize("variant", PREMISE_ENVS)
+@pytest.mark.parametrize(
+    "build", (_trans_with_first_premise_in, _sub_with_typing_premise_in, _sel_with_premise_in)
+)
+def test_verify_premise_environment_must_agree(build, variant):
+    result = decl_verify(build(PREMISE_ENVS[variant]))
+    if variant in ("same", "alpha-variant type"):
+        assert result.ok, result.message
+    else:
+        assert (result.ok, result.path) == (False, "root")
+        assert "environment" in result.message
+
+
+def _all_i_with_body_in(env):
+    lam = Lam("z", Top(), TAG_A)
+    body = DerivationTree("Typ-I", TypJ(env, TAG_A, DECL_A))
+    return DerivationTree("All-I", TypJ(AGREE_ENV, lam, All("z", Top(), DECL_A)), (body,))
+
+
+def _let_with_body_in(env):
+    term = parse_term("let z = {A = Top} in {A = Top}")
+    rhs = DerivationTree("Typ-I", TypJ(AGREE_ENV, TAG_A, DECL_A))
+    body = DerivationTree("Typ-I", TypJ(env, TAG_A, DECL_A))
+    return DerivationTree("Let", TypJ(AGREE_ENV, term, DECL_A), (rhs, body))
+
+
+@pytest.mark.parametrize(
+    "build, bound", ((_all_i_with_body_in, Top()), (_let_with_body_in, DECL_A)), ids=("All-I", "Let")
+)
+def test_verify_body_environment_extends_by_one(build, bound):
+    alpha_prefix = PREMISE_ENVS["alpha-variant type"]
+    assert decl_verify(build(AGREE_ENV.extend("z", bound))).ok
+    assert decl_verify(build(alpha_prefix.extend("z", bound))).ok
+    rejected = {
+        "zero": AGREE_ENV,
+        "two": AGREE_ENV.extend("z", bound).extend("v", Top()),
+        "renamed prefix": PREMISE_ENVS["renamed variable"].extend("z", bound),
+        "changed prefix": PREMISE_ENVS["changed type"].extend("z", bound),
+    }
+    for name, env in rejected.items():
+        result = decl_verify(build(env))
+        assert (result.ok, result.path) == (False, "root"), name
+        assert "extend" in result.message, name
+
+
 # ---------------------------------------------------------------------------
 # decl_search
 

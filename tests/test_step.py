@@ -1,5 +1,6 @@
 import pytest
 
+import dsub.step
 from dsub.declarative import decl_verify
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.errors import InternalLimit
@@ -146,10 +147,11 @@ def test_reflexivity_on_enumerated_sample():
     assert count > 10000
 
 
-def test_depth_valve_is_distinct():
+def test_depth_valve_is_distinct(monkeypatch):
+    monkeypatch.setattr(dsub.step, "DEPTH_LIMIT", 1)
     g = bad_bounds_env()
     with pytest.raises(InternalLimit):
-        step_subtype(g, FUN_VV, Path("e", "E"), depth_limit=1)
+        step_subtype(g, FUN_VV, Path("e", "E"))
 
 
 # ---------------------------------------------------------------------------

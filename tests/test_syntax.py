@@ -16,6 +16,7 @@ from dsub.syntax import (
     Var,
     alpha_eq_term,
     alpha_eq_type,
+    canon_term,
     canon_type,
     fresh_name,
     fv_term,
@@ -250,9 +251,97 @@ def test_alpha_eq_transitive_through_variants(t):
     assert alpha_eq_type(t, c)
 
 
-@given(_types)
-def test_canon_agrees_with_alpha_variants(t):
-    assert canon_type(t) == canon_type(_rename_binders(t, "0"))
+def _nameless_type(t, depth=0):
+    """Independent normal form: the binder ``depth`` binders deep is named
+    ``v<depth>``, so alpha-variants and only they become equal."""
+    match t:
+        case All(param=x, param_type=s, result=u):
+            v = f"v{depth}"
+            return All(v, _nameless_type(s, depth), _nameless_type(subst_var_in_type(u, x, v), depth + 1))
+        case Decl(label=a, lower=lo, upper=hi):
+            return Decl(a, _nameless_type(lo, depth), _nameless_type(hi, depth))
+        case _:
+            return t
+
+
+def _nameless_term(t, depth=0):
+    match t:
+        case Tag(label=a, alias=ty):
+            return Tag(a, _nameless_type(ty, depth))
+        case Lam(param=x, param_type=ty, body=b):
+            v = f"v{depth}"
+            return Lam(v, _nameless_type(ty, depth), _nameless_term(subst_var_in_term(b, x, v), depth + 1))
+        case Let(bound=x, rhs=r, body=b):
+            v = f"v{depth}"
+            return Let(v, _nameless_term(r, depth), _nameless_term(subst_var_in_term(b, x, v), depth + 1))
+        case _:
+            return t
+
+
+_few_vars = st.sampled_from(("x", "y"))
+_few_labels = st.sampled_from(("A", "B"))
+
+
+def _reshaped_type(t):
+    """Types of ``t``'s shape with every name and label redrawn from two:
+    pairs of them are often alpha-equivalent and otherwise differ in one
+    label or in what one variable refers to."""
+    match t:
+        case Path():
+            return st.builds(Path, _few_vars, _few_labels)
+        case Decl(lower=lo, upper=hi):
+            return st.builds(Decl, _few_labels, _reshaped_type(lo), _reshaped_type(hi))
+        case All(param_type=s, result=u):
+            return st.builds(All, _few_vars, _reshaped_type(s), _reshaped_type(u))
+    return st.just(t)
+
+
+def _reshaped_term(t):
+    match t:
+        case Var():
+            return st.builds(Var, _few_vars)
+        case App():
+            return st.builds(App, _few_vars, _few_vars)
+        case Tag(alias=ty):
+            return st.builds(Tag, _few_labels, _reshaped_type(ty))
+        case Lam(param_type=ty, body=b):
+            return st.builds(Lam, _few_vars, _reshaped_type(ty), _reshaped_term(b))
+        case Let(rhs=r, body=b):
+            return st.builds(Let, _few_vars, _reshaped_term(r), _reshaped_term(b))
+    return st.just(t)
+
+
+# Random shapes seldom nest binders, so binder telescopes are added.
+_type_shapes = st.one_of(_types, st.integers(1, 3).map(lambda n: parse_type("all(x: Top) " * n + "x.A")))
+_term_shapes = st.one_of(_terms, st.integers(1, 3).map(lambda n: parse_term("lam(x: Top) " * n + "x x")))
+_type_pairs = st.one_of(
+    st.tuples(_types, _types),
+    _types.map(lambda t: (t, _rename_binders(t, "0"))),
+    _type_shapes.flatmap(lambda t: st.tuples(_reshaped_type(t), _reshaped_type(t))),
+)
+_term_pairs = st.one_of(
+    st.tuples(_terms, _terms),
+    _terms.map(lambda t: (t, _nameless_term(t))),
+    _term_shapes.flatmap(lambda t: st.tuples(_reshaped_term(t), _reshaped_term(t))),
+)
+
+
+@settings(max_examples=300)
+@given(_type_pairs)
+def test_canon_separates_exactly_alpha_classes_of_types(pair):
+    a, b = pair
+    same = _nameless_type(a) == _nameless_type(b)
+    assert alpha_eq_type(a, b) == same
+    assert (canon_type(a) == canon_type(b)) == same
+
+
+@settings(max_examples=300)
+@given(_term_pairs)
+def test_canon_separates_exactly_alpha_classes_of_terms(pair):
+    a, b = pair
+    same = _nameless_term(a) == _nameless_term(b)
+    assert alpha_eq_term(a, b) == same
+    assert (canon_term(a) == canon_term(b)) == same
 
 
 @settings(max_examples=50)

@@ -174,31 +174,21 @@ def _sel_typing_premise(node: DerivationTree, path_side: Type) -> Optional[str]:
     return None
 
 
-def _check_sel_right(node: DerivationTree) -> Optional[str]:
-    # <:-Sel concludes S <: x.A from x : {A: S..T}
+def _check_sel(node: DerivationTree) -> Optional[str]:
+    # Sel-<: concludes x.A <: T and <:-Sel concludes S <: x.A from x : {A: S..T}
     bad = _arity(node, 1)
     if bad:
         return bad
     c = node.conclusion
-    bad = _sel_typing_premise(node, c.rhs)
+    left = node.rule == "Sel-<:"
+    bad = _sel_typing_premise(node, c.lhs if left else c.rhs)
     if bad:
         return bad
-    if not alpha_eq_type(node.premises[0].conclusion.ty.lower, c.lhs):
-        return "declaration's lower bound differs from the conclusion's left side"
-    return None
-
-
-def _check_sel_left(node: DerivationTree) -> Optional[str]:
-    # Sel-<: concludes x.A <: T from x : {A: S..T}
-    bad = _arity(node, 1)
-    if bad:
-        return bad
-    c = node.conclusion
-    bad = _sel_typing_premise(node, c.lhs)
-    if bad:
-        return bad
-    if not alpha_eq_type(node.premises[0].conclusion.ty.upper, c.rhs):
+    decl = node.premises[0].conclusion.ty
+    if left and not alpha_eq_type(decl.upper, c.rhs):
         return "declaration's upper bound differs from the conclusion's right side"
+    if not left and not alpha_eq_type(decl.lower, c.lhs):
+        return "declaration's lower bound differs from the conclusion's left side"
     return None
 
 
@@ -382,8 +372,8 @@ _CHECKERS = {
     "Bot": (SubJ, _check_bot),
     "Refl": (SubJ, _check_refl),
     "Trans": (SubJ, _check_trans),
-    "<:-Sel": (SubJ, _check_sel_right),
-    "Sel-<:": (SubJ, _check_sel_left),
+    "<:-Sel": (SubJ, _check_sel),
+    "Sel-<:": (SubJ, _check_sel),
     "All-<:-All": (SubJ, _check_all_sub),
     "Typ-<:-Typ": (SubJ, _check_typ_sub),
     "Var": (TypJ, _check_var),
@@ -659,20 +649,20 @@ def _trans(g: TypeEnv, first: DerivationTree, second: DerivationTree) -> Derivat
     return _sub_tree("Trans", g, first.conclusion.lhs, second.conclusion.rhs, (first, second))
 
 
-def _var_at_decl(g: TypeEnv, x: str, decl: Decl, stored_deriv: DerivationTree) -> DerivationTree:
-    """x : decl via Var at the stored type then one subsumption step."""
+def _var_at(g: TypeEnv, x: str, ty: Type, stored_deriv: DerivationTree) -> DerivationTree:
+    """x : ty via Var at the stored type then one subsumption step."""
     stored = g.lookup(x)
     var_node = _typ_tree("Var", g, Var(x), stored)
-    if alpha_eq_type(stored, decl):
+    if alpha_eq_type(stored, ty):
         return var_node
-    return _typ_tree("Sub", g, Var(x), decl, (var_node, stored_deriv))
+    return _typ_tree("Sub", g, Var(x), ty, (var_node, stored_deriv))
 
 
-def _bot_bridge(g: TypeEnv, x: str, head_deriv: DerivationTree, decl: Decl) -> DerivationTree:
-    """From ``stored <: Bot`` (``head_deriv``) build ``x : decl`` for any
-    declaration, by widening through Bot."""
-    bot_to_decl = _sub_tree("Bot", g, Bot(), decl)
-    return _var_at_decl(g, x, decl, _trans(g, head_deriv, bot_to_decl))
+def _bot_bridge(g: TypeEnv, x: str, head_deriv: DerivationTree, ty: Type) -> DerivationTree:
+    """From ``stored <: Bot`` (``head_deriv``) build ``x : ty`` for any
+    type, by widening through Bot."""
+    bot_to_ty = _sub_tree("Bot", g, Bot(), ty)
+    return _var_at(g, x, ty, _trans(g, head_deriv, bot_to_ty))
 
 
 def _elab_same(rule: str):
@@ -705,7 +695,7 @@ def _select(goal: SubJ, left: bool, head: DerivationTree, rest: Optional[Derivat
         decl = Decl(path.label, Top(), other) if left else Decl(path.label, other, Top())
         typing = _bot_bridge(g, path.var, elaborate_step(head), decl)
     else:
-        typing = _var_at_decl(g, path.var, decl, elaborate_step(head))
+        typing = _var_at(g, path.var, decl, elaborate_step(head))
     rule, bound = ("Sel-<:", decl.upper) if left else ("<:-Sel", decl.lower)
     if alpha_eq_type(bound, other):
         return DerivationTree(rule, goal, (typing,))
@@ -772,15 +762,10 @@ def _elab_t_all_e(node: DerivationTree) -> DerivationTree:
 def _elab_t_app_bot(node: DerivationTree) -> DerivationTree:
     c = node.conclusion
     g = c.env
-    fun_node, head_node, arg_node = node.premises
+    _, head_node, arg_node = node.premises  # the first types the function at its stored type
     arg_deriv = elaborate_step(arg_node)
-    arg_ty = arg_deriv.conclusion.ty
-    z = fresh_name("z", g.dom())
-    fun_ty = All(z, arg_ty, Bot())
-    fun_deriv = elaborate_step(fun_node)
-    to_bot = elaborate_step(head_node)  # stored <: Bot
-    bot_to_fun = _sub_tree("Bot", g, Bot(), fun_ty)
-    fun_at = _typ_tree("Sub", g, Var(c.term.fun), fun_ty, (fun_deriv, _trans(g, to_bot, bot_to_fun)))
+    fun_ty = All(fresh_name("z", g.dom()), arg_deriv.conclusion.ty, Bot())
+    fun_at = _bot_bridge(g, c.term.fun, elaborate_step(head_node), fun_ty)
     return DerivationTree("All-E", c, (fun_at, arg_deriv))
 
 

@@ -3,6 +3,7 @@
 An environment built through :meth:`TypeEnv.extend` guarantees, for every
 binding ``x: T`` with prefix ``G1``:
 
+- ``x`` is a variable name as the parser reads it,
 - ``x`` is not already bound (no duplicates),
 - ``x`` does not occur free in ``T``, and
 - every free variable of ``T`` is bound in ``G1`` (closed scoping, a
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DsubError
-from .syntax import Type, _Parser, canon_type, fv_type, print_type
+from .syntax import Type, _Parser, canon_type, fv_type, is_ident, print_type
 
 
 class DuplicateBinding(DsubError):
@@ -44,6 +45,8 @@ class TypeEnv:
         return TypeEnv()
 
     def extend(self, x: str, t: Type) -> "TypeEnv":
+        if not is_ident(x):
+            raise DsubError(f"{x!r} is not a variable name")
         if any(y == x for y, _ in self.bindings):
             raise DuplicateBinding(f"variable {x!r} is already bound")
         free = fv_type(t)
@@ -71,8 +74,8 @@ class TypeEnv:
     @cached_property
     def key(self) -> str:
         """Identical exactly for environments that bind the same variables,
-        in the same order, at alpha-equivalent types; built once per
-        environment."""
+        in the same order, at alpha-equivalent types (:meth:`extend` admits
+        only names without ``:`` and ``;``); built once per environment."""
         return ";".join(f"{x}:{canon_type(t)}" for x, t in self.bindings)
 
     def dom(self) -> frozenset:

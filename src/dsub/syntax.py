@@ -435,6 +435,16 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield _Token("eof", "", line, col)
 
 
+@lru_cache(maxsize=None)
+def is_ident(text: str) -> bool:
+    """True when ``text`` reads as exactly one variable name."""
+    try:
+        first = next(_tokenize(text))
+    except ParseError:
+        return False
+    return first.kind == "ident" and first.text == text
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))

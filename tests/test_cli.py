@@ -172,6 +172,10 @@ def test_decl_verify_invalid(capsys):
         pytest.param(
             '{"rule": "Bot", "judgment": {"kind": "sub", "env": [], "lhs": "Bot"}}', id="sub-without-rhs"
         ),
+        pytest.param(
+            '{"rule": "Top", "judgment": {"kind": "sub", "env": [["x;y", "Top"]], "lhs": "Top", "rhs": "Top"}}',
+            id="binding-name-not-a-variable",
+        ),
     ),
 )
 def test_decl_verify_malformed_json(capsys, tmp_path, text):

@@ -14,6 +14,7 @@ from dsub.declarative import (
     elaborate_step,
 )
 from dsub.environment import TypeEnv, env_from_bindings
+from dsub.errors import DsubError
 from dsub.lab import (
     BAD_BOUNDS_DECL,
     DECL_V,
@@ -186,6 +187,41 @@ def test_verify_premise_environment_must_agree(build, variant):
     else:
         assert (result.ok, result.path) == (False, "root")
         assert "environment" in result.message
+
+
+# ``Top <: Bot`` through ``b.A``: the conclusion binds one variable named
+# "b:{A:T..B};c", the premises bind b and c; both environments once rendered
+# the key "b:{A:T..B};c:T"
+_PREMISE_ENV = [["b", "{A: Top .. Bot}"], ["c", "Top"]]
+_B_AT_DECL = {
+    "rule": "Var",
+    "judgment": {"kind": "typ", "env": _PREMISE_ENV, "term": "b", "type": "{A: Top .. Bot}"},
+}
+KEY_COLLISION = {
+    "rule": "Trans",
+    "judgment": {"kind": "sub", "env": [["b:{A:T..B};c", "Top"]], "lhs": "Top", "rhs": "Bot"},
+    "premises": [
+        {
+            "rule": "<:-Sel",
+            "judgment": {"kind": "sub", "env": _PREMISE_ENV, "lhs": "Top", "rhs": "b.A"},
+            "premises": [_B_AT_DECL],
+        },
+        {
+            "rule": "Sel-<:",
+            "judgment": {"kind": "sub", "env": _PREMISE_ENV, "lhs": "b.A", "rhs": "Bot"},
+            "premises": [_B_AT_DECL],
+        },
+    ],
+}
+
+
+def test_verify_never_accepts_premise_environments_that_only_print_alike():
+    try:
+        result = decl_verify(derivation_from_json(KEY_COLLISION))
+    except DsubError as exc:  # the name is refused when the tree is read
+        assert "not a variable name" in str(exc)
+    else:
+        assert not result.ok
 
 
 def _all_i_with_body_in(env):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dsub.environment import (
     DuplicateBinding,
@@ -9,6 +11,7 @@ from dsub.environment import (
     parse_env,
     print_env,
 )
+from dsub.errors import DsubError
 from dsub.syntax import Bot, Decl, Path, Top
 
 
@@ -44,6 +47,29 @@ def test_extend_rejects_forward_references():
     # closed scoping: a stored type may only mention earlier bindings
     with pytest.raises(UnboundVariable):
         TypeEnv.empty().extend("x", Path("y", "A"))
+
+
+@pytest.mark.parametrize("name", ("b:{A:T..B};c", "x;y", "x:T", "", "A", "all", "1x", "x y", " x", "x.A"))
+def test_extend_rejects_what_is_not_a_variable_name(name):
+    # a name holding ':' or ';' could render the same environment key as
+    # other bindings, so extension admits only names the parser reads
+    with pytest.raises(DsubError, match="not a variable name"):
+        TypeEnv.empty().extend(name, Top())
+
+
+@given(st.text(alphabet="xyAB1_ :;.{}/", max_size=6))
+def test_extend_admits_exactly_the_names_the_parser_reads(name):
+    try:
+        parsed = parse_env(f"{name} : Top ;")
+        reads_as_one_name = [x for x, _ in parsed] == [name]
+    except DsubError:
+        reads_as_one_name = False
+    try:
+        TypeEnv.empty().extend(name, Top())
+        admitted = True
+    except DsubError:
+        admitted = False
+    assert admitted == reads_as_one_name
 
 
 def test_split_at():

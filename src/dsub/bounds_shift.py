@@ -76,17 +76,13 @@ def demote(g: TypeEnv, t: Type, x: str) -> ShiftResult:
     return result
 
 
-def _recurse(g: TypeEnv, t: Type, x: str, up: bool, parent: Type) -> ShiftResult:
-    """Shift a component of ``parent``, asserting the structural-size
-    termination measure."""
-    if not type_size(t) < type_size(parent):
+def _shift(g: TypeEnv, t: Type, x: str, up: bool, parent: Type | None = None) -> ShiftResult:
+    """Shift ``t``; a component of ``parent`` asserts the structural-size
+    termination measure first."""
+    if parent is not None and not type_size(t) < type_size(parent):
         raise ShiftInvariantError(
             f"size did not decrease: {print_type(t)} inside {print_type(parent)}"
         )
-    return _shift(g, t, x, up)
-
-
-def _shift(g: TypeEnv, t: Type, x: str, up: bool) -> ShiftResult:
     direction = "promote" if up else "demote"
     match t:
         case Bot():
@@ -116,10 +112,10 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool) -> ShiftResult:
                         f"cannot {direction} {print_type(t)}: head exposes to {print_type(other)}"
                     )
         case Decl(label=label, lower=lo, upper=hi):
-            lo_result = _recurse(g, lo, x, not up, t)
+            lo_result = _shift(g, lo, x, not up, t)
             if isinstance(lo_result, ShiftStuck):
                 return lo_result
-            hi_result = _recurse(g, hi, x, up, t)
+            hi_result = _shift(g, hi, x, up, t)
             if isinstance(hi_result, ShiftStuck):
                 return hi_result
             out = Decl(label, lo_result.ty, hi_result.ty)
@@ -128,7 +124,7 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool) -> ShiftResult:
         case All(param=y, param_type=s, result=u):
             if y == x:
                 return Shifted(t, step_node("P-Cap" if up else "D-Cap", ShiftJ(g, t, x, t, up)))
-            s_result = _recurse(g, s, x, not up, t)
+            s_result = _shift(g, s, x, not up, t)
             if isinstance(s_result, ShiftStuck):
                 return s_result
             if y in g:
@@ -138,7 +134,7 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool) -> ShiftResult:
             # promotion recurses under the demoted parameter type, demotion
             # under the original one
             inner_env = g.extend(y, s_result.ty if up else s)
-            u_result = _recurse(inner_env, u, x, up, t)
+            u_result = _shift(inner_env, u, x, up, t)
             if isinstance(u_result, ShiftStuck):
                 return u_result
             out = All(y, s_result.ty, u_result.ty)

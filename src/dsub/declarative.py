@@ -88,13 +88,13 @@ def _fail(path: str, message: str) -> VerifyResult:
 
 
 def _same_env(a: TypeEnv, b: TypeEnv) -> bool:
-    return a.key == b.key
+    return a is b or a.key == b.key
 
 
 def _extends_by_one(inner: TypeEnv, outer: TypeEnv):
     """Return the extra (var, type) binding if ``inner`` is ``outer`` plus
     exactly one binding, else None."""
-    if len(inner) != len(outer) + 1 or not _same_env(TypeEnv(inner.bindings[:-1]), outer):
+    if len(inner) != len(outer) + 1 or not _same_env(inner.parent, outer):
         return None
     return inner.bindings[-1]
 

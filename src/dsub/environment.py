@@ -15,9 +15,6 @@ Environments are immutable values; extension returns a new environment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 from .errors import DsubError
 from .syntax import Type, _Parser, canon_type, fv_type, is_ident, print_type
 
@@ -34,11 +31,23 @@ class UnboundVariable(DsubError):
     pass
 
 
-@dataclass(frozen=True)
 class TypeEnv:
-    """Ordered sequence of (variable, type) bindings, oldest first."""
+    """Ordered sequence of (variable, type) bindings, oldest first.
 
-    bindings: tuple = field(default=())
+    An environment built by :meth:`extend` links to the environment it
+    extends (``parent``) and indexes every bound name by its position and by
+    the environment before its binding, so ``lookup``, ``in``, ``dom`` and
+    :meth:`binding` take constant time and prefixes are shared, not copied.
+    """
+
+    __slots__ = ("bindings", "_parent", "_index", "_dom", "_key", "_hash", "_memo")
+
+    def __init__(self, bindings: tuple = ()) -> None:
+        self.bindings = tuple(bindings)
+        self._parent = None
+        # name -> (position, the environment before the binding or None)
+        self._index = {x: (i, None) for i, (x, _) in enumerate(self.bindings)}
+        self._dom = self._key = self._hash = self._memo = None
 
     @staticmethod
     def empty() -> "TypeEnv":
@@ -47,45 +56,105 @@ class TypeEnv:
     def extend(self, x: str, t: Type) -> "TypeEnv":
         if not is_ident(x):
             raise DsubError(f"{x!r} is not a variable name")
-        if any(y == x for y, _ in self.bindings):
+        if x in self._index:
             raise DuplicateBinding(f"variable {x!r} is already bound")
         free = fv_type(t)
         if x in free:
             raise SelfReference(f"variable {x!r} occurs free in its own type")
-        out_of_scope = free - self.dom()
+        out_of_scope = self.unbound(free)
         if out_of_scope:
             names = ", ".join(sorted(out_of_scope))
             raise UnboundVariable(f"type mentions unbound variable(s): {names}")
-        return TypeEnv(self.bindings + ((x, t),))
+        child = TypeEnv.__new__(TypeEnv)
+        child.bindings = self.bindings + ((x, t),)
+        child._parent = self
+        child._index = dict(self._index)
+        child._index[x] = (len(self.bindings), self)
+        child._dom = child._key = child._hash = child._memo = None
+        return child
+
+    @property
+    def parent(self) -> "TypeEnv | None":
+        """This environment without its last binding (None when empty)."""
+        if self._parent is None and self.bindings:
+            self._parent = TypeEnv(self.bindings[:-1])
+        return self._parent
 
     def lookup(self, x: str):
-        for y, t in self.bindings:
-            if y == x:
-                return t
-        return None
+        entry = self._index.get(x)
+        return None if entry is None else self.bindings[entry[0]][1]
+
+    def binding(self, x: str):
+        """``x``'s binding as (the environment before it, its type), or None."""
+        entry = self._index.get(x)
+        if entry is None:
+            return None
+        i, prefix = entry
+        if prefix is None:
+            prefix = TypeEnv(self.bindings[:i])
+        return prefix, self.bindings[i][1]
 
     def split_at(self, x: str):
         """Decompose around ``x``'s binding: (prefix, type, suffix), or None."""
-        for i, (y, t) in enumerate(self.bindings):
-            if y == x:
-                return TypeEnv(self.bindings[:i]), t, TypeEnv(self.bindings[i + 1 :])
-        return None
+        found = self.binding(x)
+        if found is None:
+            return None
+        prefix, t = found
+        return prefix, t, TypeEnv(self.bindings[len(prefix) + 1 :])
 
-    @cached_property
+    @property
     def key(self) -> str:
         """Identical exactly for environments that bind the same variables,
         in the same order, at alpha-equivalent types (:meth:`extend` admits
-        only names without ``:`` and ``;``); built once per environment."""
-        return ";".join(f"{x}:{canon_type(t)}" for x, t in self.bindings)
+        only names without ``:`` and ``;``); built once per environment,
+        from its parent's key."""
+        pending = []
+        g = self
+        while g._key is None and g._parent is not None:
+            pending.append(g)
+            g = g._parent
+        if g._key is None:
+            g._key = ";".join(f"{x}:{canon_type(t)}" for x, t in g.bindings)
+        for g in reversed(pending):
+            x, t = g.bindings[-1]
+            head = g._parent._key
+            g._key = f"{head};{x}:{canon_type(t)}" if head else f"{x}:{canon_type(t)}"
+        return self._key
+
+    @property
+    def memo(self) -> dict:
+        """A cache for measures of types in this environment, keyed by node."""
+        if self._memo is None:
+            self._memo = {}
+        return self._memo
 
     def dom(self) -> frozenset:
-        return frozenset(y for y, _ in self.bindings)
+        if self._dom is None:
+            self._dom = frozenset(self._index)
+        return self._dom
+
+    def unbound(self, names) -> frozenset:
+        """The names in ``names`` this environment does not bind."""
+        return frozenset(x for x in names if x not in self._index)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TypeEnv):
+            return NotImplemented
+        return self is other or self.bindings == other.bindings
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.bindings)
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"TypeEnv(bindings={self.bindings!r})"
 
     def __len__(self) -> int:
         return len(self.bindings)
 
     def __contains__(self, x: str) -> bool:
-        return any(y == x for y, _ in self.bindings)
+        return x in self._index
 
     def __iter__(self):
         return iter(self.bindings)

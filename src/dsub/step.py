@@ -62,25 +62,33 @@ def weight(g: TypeEnv, t: Type) -> int:
     """Termination measure: Top/Bot weigh 1; a declaration weighs one more
     than its heavier bound; a path weighs one more than its head's stored
     type measured in the strict prefix; a function type weighs one more than
-    its result measured under the extended environment."""
+    its result measured under the extended environment.  Each environment
+    measures each node once."""
+    memo = g.memo
+    w = memo.get(t)
+    if w is not None:
+        return w
     match t:
         case Top() | Bot():
-            return 1
+            w = 1
         case Decl(lower=lo, upper=hi):
-            return 1 + max(weight(g, lo), weight(g, hi))
+            w = 1 + max(weight(g, lo), weight(g, hi))
         case Path(var=x):
-            split = g.split_at(x)
-            if split is None:
+            found = g.binding(x)
+            if found is None:
                 raise UnboundVariable(f"unbound variable {x!r} in {print_type(t)}")
-            prefix, stored, _ = split
-            return 1 + weight(prefix, stored)
+            prefix, stored = found
+            w = 1 + weight(prefix, stored)
         case All(param=x, param_type=s, result=u):
             if x in g:
                 x2 = fresh_name(x, g.dom() | fv_type(u))
                 u = subst_var_in_type(u, x, x2)
                 x = x2
-            return 1 + weight(g.extend(x, s), u)
-    raise TypeError(f"not a type: {t!r}")
+            w = 1 + weight(g.extend(x, s), u)
+        case _:
+            raise TypeError(f"not a type: {t!r}")
+    memo[t] = w
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +109,7 @@ def step_subtype(g: TypeEnv, s: Type, t: Type) -> SubtypeResult:
     """Decide the step subtype relation; on success the result carries the
     full rule trace.  Unbound variables yield a negative result with a
     diagnostic rather than an exception."""
-    loose = (fv_type(s) | fv_type(t)) - g.dom()
+    loose = g.unbound(fv_type(s) | fv_type(t))
     if loose:
         return SubtypeResult(
             False, None, f"unbound variable(s) in query: {', '.join(sorted(loose))}"
@@ -243,7 +251,7 @@ def _typ(g: TypeEnv, term: Term, loc: str) -> StepTypingOutcome:
             return Typed(stored, step_node("T-Var", TypJ(g, term, stored)))
 
         case Tag(label=a, alias=ty):
-            out_of_scope = fv_type(ty) - g.dom()
+            out_of_scope = g.unbound(fv_type(ty))
             if out_of_scope:
                 return Untypable(
                     f"tag type mentions unbound variable(s): {', '.join(sorted(out_of_scope))}", loc
@@ -252,7 +260,7 @@ def _typ(g: TypeEnv, term: Term, loc: str) -> StepTypingOutcome:
             return Typed(result, step_node("T-Typ-I", TypJ(g, term, result)))
 
         case Lam(param=x, param_type=ty, body=body):
-            out_of_scope = fv_type(ty) - g.dom()
+            out_of_scope = g.unbound(fv_type(ty))
             if out_of_scope:
                 return Untypable(
                     f"parameter type mentions unbound variable(s): "

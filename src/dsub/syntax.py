@@ -12,14 +12,21 @@ capture-avoiding; outputs are meaningful up to alpha-equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Union
+import threading
+import weakref
+from typing import Iterator, NamedTuple, Union
 
 from .errors import DsubError
 
 # ---------------------------------------------------------------------------
 # ASTs
+#
+# Every node is hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", 2006): constructing a structure that already has a live node
+# returns that node, so equality is identity, the structural hash is computed
+# once from the children's, and per-node facts (free variables, size,
+# canonical key) are cached on the node.  The table holds nodes weakly; a
+# node leaves it when the last reference to it goes.
 
 
 def _check_var(name: str) -> None:
@@ -32,174 +39,234 @@ def _check_label(name: str) -> None:
         raise ValueError(f"invalid type label: {name!r}")
 
 
-@dataclass(frozen=True)
-class Top:
+_TABLE: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+_TABLE_LOCK = threading.Lock()
+
+
+def _build(cls, key: tuple, fields: tuple, names: tuple = (), labels: tuple = ()):
+    """The node for ``key`` once a lookup has missed: under the lock, look
+    again, then validate ``names`` and ``labels`` and build it.  A key holds
+    its child nodes by id: they are live, as the new node holds them."""
+    with _TABLE_LOCK:  # one thread builds a structure's node, the others find it
+        node = _TABLE.get(key)
+        if node is None:
+            for name in names:
+                _check_var(name)
+            for label in labels:
+                _check_label(label)
+            node = object.__new__(cls)
+            size = 1
+            for attr, value in zip(cls.__match_args__, fields):
+                _SET(node, attr, value)
+                if isinstance(value, _Node):
+                    size += value._size
+            _SET(node, "_size", size)
+            _SET(node, "_hash", hash((cls.__name__, *fields)))
+            _TABLE[key] = node
+    return node
+
+
+_SET = object.__setattr__  # nodes refuse plain assignment
+
+
+class _Node:
+    """A hash-consed syntax node; immutable, compared by identity."""
+
+    # _fv and _canon are set when first computed
+    __slots__ = ("_hash", "_size", "_fv", "_canon", "__weakref__")
+    __match_args__: tuple = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Top(_Node):
     """The top type."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Bot:
+    def __new__(cls):
+        return _TABLE.get(cls) or _build(cls, cls, ())
+
+
+class Bot(_Node):
     """The bottom type."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Decl:
+    def __new__(cls):
+        return _TABLE.get(cls) or _build(cls, cls, ())
+
+
+class Decl(_Node):
     """Type declaration ``{label: lower .. upper}``."""
 
-    label: str
-    lower: "Type"
-    upper: "Type"
+    __slots__ = __match_args__ = ("label", "lower", "upper")
 
-    def __post_init__(self) -> None:
-        _check_label(self.label)
+    def __new__(cls, label: str, lower: "Type", upper: "Type"):
+        key = (cls, label, id(lower), id(upper))
+        return _TABLE.get(key) or _build(cls, key, (label, lower, upper), labels=(label,))
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Node):
     """Path-dependent type ``var.label``."""
 
-    var: str
-    label: str
+    __slots__ = __match_args__ = ("var", "label")
 
-    def __post_init__(self) -> None:
-        _check_var(self.var)
-        _check_label(self.label)
+    def __new__(cls, var: str, label: str):
+        key = (cls, var, label)
+        return _TABLE.get(key) or _build(cls, key, key[1:], (var,), (label,))
 
 
-@dataclass(frozen=True)
-class All:
+class All(_Node):
     """Dependent function type ``all(param: param_type) result``.
 
     ``param`` is bound in ``result`` only, not in ``param_type``.
     """
 
-    param: str
-    param_type: "Type"
-    result: "Type"
+    __slots__ = __match_args__ = ("param", "param_type", "result")
 
-    def __post_init__(self) -> None:
-        _check_var(self.param)
+    def __new__(cls, param: str, param_type: "Type", result: "Type"):
+        key = (cls, param, id(param_type), id(result))
+        return _TABLE.get(key) or _build(cls, key, (param, param_type, result), (param,))
 
 
 Type = Union[Top, Bot, Decl, Path, All]
+_TYPE_CLASSES = (Top, Bot, Decl, Path, All)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Node):
     """Term variable."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        _check_var(self.name)
+    def __new__(cls, name: str):
+        key = (cls, name)
+        return _TABLE.get(key) or _build(cls, key, key[1:], key[1:])
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(_Node):
     """Type tag ``{label = alias}``, a value naming a type."""
 
-    label: str
-    alias: Type
+    __slots__ = __match_args__ = ("label", "alias")
 
-    def __post_init__(self) -> None:
-        _check_label(self.label)
+    def __new__(cls, label: str, alias: Type):
+        key = (cls, label, id(alias))
+        return _TABLE.get(key) or _build(cls, key, (label, alias), labels=(label,))
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(_Node):
     """Lambda ``lam(param: param_type) body``; ``param`` bound in ``body``."""
 
-    param: str
-    param_type: Type
-    body: "Term"
+    __slots__ = __match_args__ = ("param", "param_type", "body")
 
-    def __post_init__(self) -> None:
-        _check_var(self.param)
+    def __new__(cls, param: str, param_type: Type, body: "Term"):
+        key = (cls, param, id(param_type), id(body))
+        return _TABLE.get(key) or _build(cls, key, (param, param_type, body), (param,))
 
 
-@dataclass(frozen=True)
-class App:
+class App(_Node):
     """Application of a variable to a variable (ANF)."""
 
-    fun: str
-    arg: str
+    __slots__ = __match_args__ = ("fun", "arg")
 
-    def __post_init__(self) -> None:
-        _check_var(self.fun)
-        _check_var(self.arg)
+    def __new__(cls, fun: str, arg: str):
+        key = (cls, fun, arg)
+        return _TABLE.get(key) or _build(cls, key, key[1:], key[1:])
 
 
-@dataclass(frozen=True)
-class Let:
+class Let(_Node):
     """``let bound = rhs in body``; ``bound`` is bound in ``body`` only."""
 
-    bound: str
-    rhs: "Term"
-    body: "Term"
+    __slots__ = __match_args__ = ("bound", "rhs", "body")
 
-    def __post_init__(self) -> None:
-        _check_var(self.bound)
+    def __new__(cls, bound: str, rhs: "Term", body: "Term"):
+        key = (cls, bound, id(rhs), id(body))
+        return _TABLE.get(key) or _build(cls, key, (bound, rhs, body), (bound,))
 
 
 Term = Union[Var, Tag, Lam, App, Let]
+_TERM_CLASSES = (Var, Tag, Lam, App, Let)
 
 
 # ---------------------------------------------------------------------------
 # Free variables and sizes
 
 
-@lru_cache(maxsize=None)
+def _cache(node: _Node, attr: str, value):
+    _SET(node, attr, value)
+    return value
+
+
 def fv_type(t: Type) -> frozenset:
+    if not isinstance(t, _TYPE_CLASSES):
+        raise TypeError(f"not a type: {t!r}")
+    try:
+        return t._fv
+    except AttributeError:
+        pass
     match t:
         case Top() | Bot():
-            return frozenset()
+            free = frozenset()
         case Path(var=x):
-            return frozenset((x,))
+            free = frozenset((x,))
         case Decl(lower=lo, upper=hi):
-            return fv_type(lo) | fv_type(hi)
+            free = fv_type(lo) | fv_type(hi)
         case All(param=x, param_type=s, result=u):
-            return fv_type(s) | (fv_type(u) - {x})
-    raise TypeError(f"not a type: {t!r}")
+            free = fv_type(s) | (fv_type(u) - {x})
+    return _cache(t, "_fv", free)
 
 
-@lru_cache(maxsize=None)
 def fv_term(t: Term) -> frozenset:
+    if not isinstance(t, _TERM_CLASSES):
+        raise TypeError(f"not a term: {t!r}")
+    try:
+        return t._fv
+    except AttributeError:
+        pass
     match t:
         case Var(name=x):
-            return frozenset((x,))
+            free = frozenset((x,))
         case Tag(alias=ty):
-            return fv_type(ty)
+            free = fv_type(ty)
         case Lam(param=x, param_type=ty, body=b):
-            return fv_type(ty) | (fv_term(b) - {x})
+            free = fv_type(ty) | (fv_term(b) - {x})
         case App(fun=f, arg=a):
-            return frozenset((f, a))
+            free = frozenset((f, a))
         case Let(bound=x, rhs=r, body=b):
-            return fv_term(r) | (fv_term(b) - {x})
-    raise TypeError(f"not a term: {t!r}")
+            free = fv_term(r) | (fv_term(b) - {x})
+    return _cache(t, "_fv", free)
 
 
 def type_size(t: Type) -> int:
-    match t:
-        case Top() | Bot() | Path():
-            return 1
-        case Decl(lower=lo, upper=hi):
-            return 1 + type_size(lo) + type_size(hi)
-        case All(param_type=s, result=u):
-            return 1 + type_size(s) + type_size(u)
-    raise TypeError(f"not a type: {t!r}")
+    if not isinstance(t, _TYPE_CLASSES):
+        raise TypeError(f"not a type: {t!r}")
+    return t._size
 
 
 def term_size(t: Term) -> int:
-    match t:
-        case Var() | App():
-            return 1
-        case Tag(alias=ty):
-            return 1 + type_size(ty)
-        case Lam(param_type=ty, body=b):
-            return 1 + type_size(ty) + term_size(b)
-        case Let(rhs=r, body=b):
-            return 1 + term_size(r) + term_size(b)
-    raise TypeError(f"not a term: {t!r}")
+    if not isinstance(t, _TERM_CLASSES):
+        raise TypeError(f"not a term: {t!r}")
+    return t._size
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +288,11 @@ def subst_var_in_type(t: Type, frm: str, to: str) -> Type:
     """Replace free occurrences of variable ``frm`` with ``to``.
 
     Binders equal to ``to`` are renamed first so the substituted variable is
-    never captured.
+    never captured.  A type in which ``frm`` is not free is returned as is.
     """
+    if frm == to or frm not in fv_type(t):
+        return t
     match t:
-        case Top() | Bot():
-            return t
         case Path(var=x, label=a):
             return Path(to, a) if x == frm else t
         case Decl(label=a, lower=lo, upper=hi):
@@ -245,6 +312,8 @@ def subst_var_in_type(t: Type, frm: str, to: str) -> Type:
 def subst_var_in_term(t: Term, frm: str, to: str) -> Term:
     """Variable-for-variable substitution through a term, including the types
     embedded in it; capture-avoiding like :func:`subst_var_in_type`."""
+    if frm == to or frm not in fv_term(t):
+        return t
     match t:
         case Var(name=x):
             return Var(to) if x == frm else t
@@ -283,55 +352,76 @@ def _canon_var(x: str, bound: tuple) -> str:
 
 
 def _canon_type(t: Type, bound: tuple) -> str:
+    """``t``'s key under the enclosing binders ``bound``, innermost last.  A
+    type that mentions none of them has its own key, cached on the node."""
+    closed = not bound or fv_type(t).isdisjoint(bound)
+    if closed:
+        try:
+            return t._canon
+        except AttributeError:
+            bound = ()
     match t:
         case Top():
-            return "T"
+            key = "T"
         case Bot():
-            return "B"
+            key = "B"
         case Path(var=x, label=a):
-            return f"{_canon_var(x, bound)}.{a}"
+            key = f"{_canon_var(x, bound)}.{a}"
         case Decl(label=a, lower=lo, upper=hi):
-            return f"{{{a}:{_canon_type(lo, bound)}..{_canon_type(hi, bound)}}}"
+            key = f"{{{a}:{_canon_type(lo, bound)}..{_canon_type(hi, bound)}}}"
         case All(param=x, param_type=s, result=u):
-            return f"A({_canon_type(s, bound)}){_canon_type(u, bound + (x,))}"
-    raise TypeError(f"not a type: {t!r}")
+            key = f"A({_canon_type(s, bound)}){_canon_type(u, bound + (x,))}"
+        case _:
+            raise TypeError(f"not a type: {t!r}")
+    return _cache(t, "_canon", key) if closed else key
 
 
-@lru_cache(maxsize=None)
 def canon_type(t: Type) -> str:
     """A nameless key: bound variables are rendered by binder position (de
     Bruijn indices), free ones by name, so two types have the same key
-    exactly when they are alpha-equivalent."""
+    exactly when they are alpha-equivalent.  Built once per node."""
+    if not isinstance(t, _TYPE_CLASSES):
+        raise TypeError(f"not a type: {t!r}")
     return _canon_type(t, ())
 
 
 def _canon_term(t: Term, bound: tuple) -> str:
+    closed = not bound or fv_term(t).isdisjoint(bound)
+    if closed:
+        try:
+            return t._canon
+        except AttributeError:
+            bound = ()
     match t:
         case Var(name=x):
-            return _canon_var(x, bound)
+            key = _canon_var(x, bound)
         case Tag(label=a, alias=ty):
-            return f"{{{a}={_canon_type(ty, bound)}}}"
+            key = f"{{{a}={_canon_type(ty, bound)}}}"
         case Lam(param=x, param_type=ty, body=b):
-            return f"L({_canon_type(ty, bound)}){_canon_term(b, bound + (x,))}"
+            key = f"L({_canon_type(ty, bound)}){_canon_term(b, bound + (x,))}"
         case App(fun=f, arg=a):
-            return f"({_canon_var(f, bound)} {_canon_var(a, bound)})"
+            key = f"({_canon_var(f, bound)} {_canon_var(a, bound)})"
         case Let(bound=x, rhs=r, body=b):
-            return f"let({_canon_term(r, bound)}){_canon_term(b, bound + (x,))}"
-    raise TypeError(f"not a term: {t!r}")
+            key = f"let({_canon_term(r, bound)}){_canon_term(b, bound + (x,))}"
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    return _cache(t, "_canon", key) if closed else key
 
 
-@lru_cache(maxsize=None)
 def canon_term(t: Term) -> str:
+    if not isinstance(t, _TERM_CLASSES):
+        raise TypeError(f"not a term: {t!r}")
     return _canon_term(t, ())
 
 
 def alpha_eq_type(a: Type, b: Type) -> bool:
-    """Equality up to consistent renaming of bound variables."""
-    return canon_type(a) == canon_type(b)
+    """Equality up to consistent renaming of bound variables; identical
+    nodes are equal without computing a key."""
+    return (a is b and isinstance(a, _TYPE_CLASSES)) or canon_type(a) == canon_type(b)
 
 
 def alpha_eq_term(a: Term, b: Term) -> bool:
-    return canon_term(a) == canon_term(b)
+    return (a is b and isinstance(a, _TERM_CLASSES)) or canon_term(a) == canon_term(b)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +469,19 @@ class ParseError(DsubError):
         self.col = col
 
 
+# Deepest nesting the parser accepts: a component of a compound form (a
+# declaration's bounds, a function type's parameter and result, a tag's
+# alias, a lambda's annotation and body, a let's right side and body) is one
+# level deeper than the form.  Every decision procedure and writer recurses
+# once or twice per level, so this keeps them within Python's recursion
+# limit; ``{A: Bot .. Top}`` nested 400 times is accepted, 401 times refused.
+MAX_NESTING = 400
+
 _KEYWORDS = frozenset(("Top", "Bot", "all", "lam", "let", "in"))
-_PUNCT = ("..", "{", "}", "(", ")", ":", "=", ".", ";")
+_PUNCT = frozenset("{}():=.;")  # and "..", read where "." starts it
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "label", "punct", "keyword", "eof"
     text: str
     line: int
@@ -400,55 +497,61 @@ def _tokenize(text: str) -> Iterator[_Token]:
             i += 1
             line += 1
             col = 1
-            continue
-        if c.isspace():
+        elif c.isspace():
             i += 1
             col += 1
-            continue
-        if text.startswith("//", i):
+        elif c == "/" and text.startswith("//", i):
             while i < n and text[i] != "\n":
                 i += 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                yield _Token("punct", p, line, col)
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                if word in _KEYWORDS:
-                    kind = "keyword"
-                elif word[0].isupper():
-                    kind = "label"
-                else:
-                    kind = "ident"
-                yield _Token(kind, word, line, col)
-                col += j - i
-                i = j
+        elif c in _PUNCT:
+            p = ".." if text.startswith("..", i) else c
+            yield _Token("punct", p, line, col)
+            i += len(p)
+            col += len(p)
+        elif c.isalpha() or c == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word in _KEYWORDS:
+                kind = "keyword"
+            elif word[0].isupper():
+                kind = "label"
             else:
-                raise ParseError(f"unexpected character {c!r}", line, col)
+                kind = "ident"
+            yield _Token(kind, word, line, col)
+            col += j - i
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
     yield _Token("eof", "", line, col)
 
 
-@lru_cache(maxsize=None)
 def is_ident(text: str) -> bool:
-    """True when ``text`` reads as exactly one variable name."""
-    try:
-        first = next(_tokenize(text))
-    except ParseError:
-        return False
-    return first.kind == "ident" and first.text == text
+    """True when ``text`` reads as exactly one variable name: one word as
+    the tokenizer reads words, not a keyword, not starting upper-case."""
+    return (
+        bool(text)
+        and (text[0].isalpha() or text[0] == "_")
+        and not text[0].isupper()
+        and all(c.isalnum() or c == "_" for c in text)
+        and text not in _KEYWORDS
+    )
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.depth = 0  # compound forms enclosing the component being parsed
+
+    def descend(self) -> None:
+        """Enter the components of a compound form, one level deeper than
+        the form; refuse to go past :data:`MAX_NESTING` levels.  The caller
+        leaves with ``self.depth -= 1``."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"input is nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
 
     @property
     def cur(self) -> _Token:
@@ -486,9 +589,11 @@ class _Parser:
             self.advance()
             label = self.expect("label").text
             self.expect("punct", ":")
+            self.descend()
             lo = self.type_()
             self.expect("punct", "..")
             hi = self.type_()
+            self.depth -= 1
             self.expect("punct", "}")
             return Decl(label, lo, hi)
         if self.at("keyword", "all"):
@@ -496,9 +601,11 @@ class _Parser:
             self.expect("punct", "(")
             param = self.expect("ident").text
             self.expect("punct", ":")
+            self.descend()
             s = self.type_()
             self.expect("punct", ")")
             u = self.type_()
+            self.depth -= 1
             return All(param, s, u)
         if self.at("ident"):
             var = self.advance().text
@@ -514,7 +621,9 @@ class _Parser:
             self.advance()
             label = self.expect("label").text
             self.expect("punct", "=")
+            self.descend()
             ty = self.type_()
+            self.depth -= 1
             self.expect("punct", "}")
             return Tag(label, ty)
         if self.at("keyword", "lam"):
@@ -522,16 +631,22 @@ class _Parser:
             self.expect("punct", "(")
             param = self.expect("ident").text
             self.expect("punct", ":")
+            self.descend()
             ty = self.type_()
             self.expect("punct", ")")
-            return Lam(param, ty, self.term())
+            body = self.term()
+            self.depth -= 1
+            return Lam(param, ty, body)
         if self.at("keyword", "let"):
             self.advance()
             bound = self.expect("ident").text
             self.expect("punct", "=")
+            self.descend()
             rhs = self.term()
             self.expect("keyword", "in")
-            return Let(bound, rhs, self.term())
+            body = self.term()
+            self.depth -= 1
+            return Let(bound, rhs, body)
         if self.at("ident"):
             name = self.advance().text
             if self.at("ident"):  # application binds tighter than binder bodies

@@ -62,8 +62,7 @@ class SubJ:
     rhs: Type
 
     def __post_init__(self) -> None:
-        scope = self.env.dom()
-        loose = (fv_type(self.lhs) | fv_type(self.rhs)) - scope
+        loose = self.env.unbound(fv_type(self.lhs) | fv_type(self.rhs))
         if loose:
             raise ValueError(f"judgment mentions unbound variable(s): {', '.join(sorted(loose))}")
 
@@ -88,8 +87,7 @@ class TypJ:
     ty: Type
 
     def __post_init__(self) -> None:
-        scope = self.env.dom()
-        loose = (fv_term(self.term) | fv_type(self.ty)) - scope
+        loose = self.env.unbound(fv_term(self.term) | fv_type(self.ty))
         if loose:
             raise ValueError(f"judgment mentions unbound variable(s): {', '.join(sorted(loose))}")
 
@@ -165,5 +163,5 @@ def derivation_to_json(tree: DerivationTree) -> dict:
     return {
         "rule": tree.rule,
         "judgment": tree.conclusion.to_json(),
-        "premises": [derivation_to_json(p) for p in tree.premises],
+        "premises": list(map(derivation_to_json, tree.premises)),
     }

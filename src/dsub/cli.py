@@ -108,6 +108,9 @@ def _load_env(path) -> TypeEnv:
     return parse_env(FsPath(path).read_text())
 
 
+_TOO_DEEP = "input is nested too deeply"
+
+
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -123,8 +126,8 @@ def main(argv=None) -> int:
     except (DsubError, OSError, ValueError, json.JSONDecodeError) as exc:
         _diag(f"dsub: error: {exc}")
         return 2
-    except RecursionError:
-        _diag("dsub: error: input is nested too deeply")
+    except RecursionError:  # a backstop: the parser bounds nesting first
+        _diag(f"dsub: error: {_TOO_DEEP}")
         return 2
 
 
@@ -319,6 +322,8 @@ def corpus_run(directory) -> int:
             ok, detail = runners[path.suffix](path)
         except (DsubError, ValueError, KeyError, json.JSONDecodeError) as exc:
             ok, detail = False, f"error: {exc}"
+        except RecursionError:
+            ok, detail = False, f"error: {_TOO_DEEP}"
         if ok:
             print(f"ok    {path.name}")
         else:

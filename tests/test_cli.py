@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from dsub.cli import main
+from dsub.syntax import MAX_NESTING
 from dsub.trace import TRACE_RULES
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -106,8 +107,8 @@ def test_sub_parse_error(capsys):
     assert code == 2 and "error" in err
 
 
-def _nested_decl(depth: int) -> str:
-    return "{A: Bot .. " * depth + "Top" + "}" * depth
+def _nested_decl(depth: int, innermost: str = "Top") -> str:
+    return "{A: Bot .. " * depth + innermost + "}" * depth
 
 
 def test_sub_deep_input_is_an_error_not_a_negative_answer(capsys):
@@ -116,6 +117,75 @@ def test_sub_deep_input_is_an_error_not_a_negative_answer(capsys):
     code, out, err = run(capsys, "sub", _nested_decl(600), _nested_decl(600))
     assert (code, out) == (2, "")
     assert err.startswith("dsub: error: ") and "Traceback" not in err
+
+
+_DEEP_VERBS = (
+    "check-lets",
+    "check-env",
+    "check-trace",
+    "sub",
+    "sub-env",
+    "expose",
+    "promote",
+    "demote",
+    "decl-verify",
+    "decl-search-sub",
+    "decl-search-typ",
+)
+
+
+def _deep_argv(tmp_path, depth: int) -> dict:
+    """For every verb that reads syntax, an invocation whose input is nested
+    ``depth`` levels deep, and its (exit status, stdout) when decided."""
+    nest = _nested_decl(depth)
+    inner = _nested_decl(depth - 1)
+    env = tmp_path / "deep.env"
+    env.write_text(f"y : {nest} ;\n")
+    var_env = tmp_path / "var.env"
+    var_env.write_text("x : {A: Bot .. Top} ;\n")
+    lets = tmp_path / "lets.dsub"  # depth - 1 lets; the last tag's alias is deepest
+    lets.write_text(
+        "".join(f"let v{i} = {{A = {f'v{i - 1}.A' if i else 'Top'}}} in " for i in range(depth - 1))
+        + f"v{depth - 2}"
+    )
+    tag = tmp_path / "tag.dsub"
+    tag.write_text(f"{{B = {inner}}}")
+    refl = tmp_path / "refl.json"
+    judgment = {"kind": "sub", "env": [], "lhs": nest, "rhs": nest}
+    refl.write_text(json.dumps({"rule": "Refl", "judgment": judgment, "premises": []}))
+    on_x = "{A: Bot .. " * depth + "x.A" + "}" * depth
+    tag_type = f"{{B: {inner} .. {inner}}}"
+    return {
+        "check-lets": (["check", str(lets)], (0, "{A: Top .. Top}\n")),
+        "check-env": (["check", str(tag), "--env", str(env)], (0, tag_type + "\n")),
+        "check-trace": (["check", str(tag), "--emit-trace", str(tmp_path / "t.json")], (0, tag_type + "\n")),
+        "sub": (["sub", nest, nest], (0, "subtype\n")),
+        "sub-env": (["sub", "--env", str(env), "y.A", "y.A"], (0, "subtype\n")),
+        "expose": (["expose", nest], (0, nest + "\n")),
+        "promote": (["promote", "--env", str(var_env), "--var", "x", on_x], (0, nest + "\n")),
+        "demote": (["demote", "--env", str(var_env), "--var", "x", on_x], (0, _nested_decl(depth, "Bot") + "\n")),
+        "decl-verify": (["decl", "verify", str(refl)], (0, "valid\n")),
+        "decl-search-sub": (["decl", "search", "--fuel", "1", "--sub", nest, nest], (0, None)),
+        "decl-search-typ": (["decl", "search", "--fuel", "1", "--typ", str(tag), tag_type], (0, None)),
+    }
+
+
+@pytest.mark.parametrize("verb", _DEEP_VERBS)
+def test_every_verb_decides_at_the_nesting_bound(capsys, tmp_path, verb):
+    argv, (want_code, want_out) = _deep_argv(tmp_path, MAX_NESTING)[verb]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (want_code, "")
+    if want_out is not None:
+        assert out == want_out
+
+
+@pytest.mark.parametrize("verb", _DEEP_VERBS)
+def test_every_verb_refuses_input_past_the_nesting_bound(capsys, tmp_path, verb):
+    argv, _ = _deep_argv(tmp_path, MAX_NESTING + 1)[verb]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("dsub: error: ") and err.endswith(f"input is nested more than {MAX_NESTING} levels deep\n")
+    assert "Traceback" not in err
 
 
 def test_expose_positive(capsys):
@@ -295,6 +365,33 @@ def test_corpus_run_detects_tampering(capsys, tmp_path):
     code, out, _ = run(capsys, "corpus", "run", "--dir", str(copy))
     assert code == 1
     assert "FAIL  label_mismatch.sub" in out
+
+
+def test_corpus_run_reports_a_too_deep_case_and_runs_the_rest(capsys, tmp_path):
+    (tmp_path / "deep.sub").write_text(
+        f"//! expect: subtype\n{_nested_decl(700)}\n{_nested_decl(700)}\n"
+    )
+    (tmp_path / "trivial.sub").write_text("//! expect: subtype\nBot\nTop\n")
+    code, out, err = run(capsys, "corpus", "run", "--dir", str(tmp_path))
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (1, "", 3)
+    assert lines[0].startswith("FAIL  deep.sub: error: ")
+    assert lines[0].endswith(f"input is nested more than {MAX_NESTING} levels deep")
+    assert lines[1:] == ["ok    trivial.sub", "1/2 corpus cases passed"]
+
+
+def test_corpus_run_survives_a_recursion_error(capsys, tmp_path):
+    # derivation JSON nests premises without bound, past what json can read
+    node = '{"rule": "Top", "judgment": {"kind": "sub", "env": [], "lhs": "Top", "rhs": "Top"}, "premises": ['
+    (tmp_path / "deep.json").write_text(node * 5000 + "]}" * 5000)
+    (tmp_path / "trivial.sub").write_text("//! expect: subtype\nBot\nTop\n")
+    code, out, err = run(capsys, "corpus", "run", "--dir", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "FAIL  deep.json: error: input is nested too deeply",
+        "ok    trivial.sub",
+        "1/2 corpus cases passed",
+    ]
 
 
 def test_corpus_run_empty_dir(capsys, tmp_path):

@@ -1,7 +1,12 @@
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsub.step
-from dsub.declarative import decl_verify
+import dsub.syntax
+from dsub.declarative import decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.errors import InternalLimit
 from dsub.lab import (
@@ -23,8 +28,11 @@ from dsub.syntax import (
     Path,
     Top,
     alpha_eq_type,
+    fresh_name,
+    fv_type,
     parse_term,
     print_type,
+    subst_var_in_type,
 )
 
 
@@ -63,6 +71,138 @@ def test_weight_positive_on_enumerated():
     g = _env(("x", Decl("A", Bot(), Top())), ("y", Decl("B", Path("x", "A"), Top())))
     for t in enum.types(5, ("x", "y")):
         assert weight(g, t) >= 1
+
+
+def _reference_weight(bindings: tuple, t) -> int:
+    """The weight measure as defined, with no memo: a path is measured in
+    the bindings before its head's, and a function type's result under the
+    bindings extended by its (renamed if bound) parameter."""
+    match t:
+        case Top() | Bot():
+            return 1
+        case Decl(lower=lo, upper=hi):
+            return 1 + max(_reference_weight(bindings, lo), _reference_weight(bindings, hi))
+        case Path(var=x):
+            i = [y for y, _ in bindings].index(x)
+            return 1 + _reference_weight(bindings[:i], bindings[i][1])
+        case All(param=x, param_type=s, result=u):
+            names = {y for y, _ in bindings}
+            if x in names:
+                x2 = fresh_name(x, names | fv_type(u))
+                u, x = subst_var_in_type(u, x, x2), x2
+            return 1 + _reference_weight(bindings + ((x, s),), u)
+
+
+_labels = st.sampled_from(("A", "B"))
+
+
+def _types_in(scope: tuple, depth: int = 3):
+    """Types whose free variables lie in ``scope``; binders may shadow."""
+    leaves = [st.just(Top()), st.just(Bot())]
+    if scope:
+        leaves.append(st.builds(Path, st.sampled_from(scope), _labels))
+    if depth == 0:
+        return st.one_of(leaves)
+    inner = _types_in(scope, depth - 1)
+    functions = st.sampled_from(("a", "b", "z")).flatmap(
+        lambda x: st.builds(All, st.just(x), inner, _types_in(scope + (x,), depth - 1))
+    )
+    return st.one_of(*leaves, st.builds(Decl, _labels, inner, inner), functions)
+
+
+@st.composite
+def _env_and_type(draw):
+    g = TypeEnv.empty()
+    for x in draw(st.lists(st.sampled_from(("a", "b", "c", "d")), unique=True, max_size=4)):
+        g = g.extend(x, draw(_types_in(tuple(g.dom()), 2)))
+    return g, draw(_types_in(tuple(sorted(g.dom()))))
+
+
+@settings(max_examples=300)
+@given(_env_and_type())
+def test_memoised_weight_is_the_measure(env_and_type):
+    g, t = env_and_type
+    expected = _reference_weight(g.bindings, t)
+    assert weight(g, t) == expected
+    assert weight(g, t) == expected  # from the memo
+    for x, stored in g:  # paths share their prefix's memo
+        assert weight(g, Path(x, "A")) == _reference_weight(g.bindings, Path(x, "A"))
+
+
+# ---------------------------------------------------------------------------
+# Work grows linearly: counted evaluations of the weight body, canonical
+# keys and substitutions, each function wrapped where its callers (and its
+# own recursion) look it up
+
+
+def _count_calls(monkeypatch, run) -> int:
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for module, name in (
+            (dsub.step, "weight"),
+            (dsub.syntax, "_canon_type"),
+            (dsub.syntax, "_canon_term"),
+            (dsub.syntax, "subst_var_in_type"),
+            (dsub.syntax, "subst_var_in_term"),
+        ):
+            m.setattr(module, name, counting(getattr(module, name)))
+        run()
+    gc.collect()  # nodes of this run, and what is cached on them, go
+    return calls[0]
+
+
+def _chain_query(n: int):
+    """``x0: {A: Bot..Top}``, ``xi: {A: x(i-1).A .. x(i-1).A}``, and
+    ``x(n-1).A <: x0.A``."""
+    pairs = [("x0", Decl("A", Bot(), Top()))]
+    for i in range(1, n):
+        sel = Path(f"x{i - 1}", "A")
+        pairs.append((f"x{i}", Decl("A", sel, sel)))
+    return _env(*pairs), Path(f"x{n - 1}", "A"), Path("x0", "A")
+
+
+def _nest(depth: int):
+    t = Top()
+    for _ in range(depth):
+        t = Decl("A", Bot(), t)
+    return t
+
+
+def _checked_subtype(g, s, t) -> None:
+    result = step_subtype(g, s, t)
+    assert result.holds and decl_verify(elaborate_step(result.trace)).ok
+
+
+def _checked_let_chain(n: int) -> None:
+    text = "".join(f"let v{i} = {{A = {f'v{i - 1}.A' if i else 'Top'}}} in " for i in range(n))
+    typed = step_type(TypeEnv.empty(), parse_term(text + f"v{n - 1}"))
+    assert decl_verify(elaborate_step(typed.trace)).ok
+
+
+def test_chain_subtyping_work_is_linear(monkeypatch):
+    small = _count_calls(monkeypatch, lambda: step_subtype(*_chain_query(50)))
+    large = _count_calls(monkeypatch, lambda: step_subtype(*_chain_query(100)))
+    assert 0 < large <= 2.5 * small
+
+
+def test_let_chain_verification_work_is_linear(monkeypatch):
+    small = _count_calls(monkeypatch, lambda: _checked_let_chain(100))
+    large = _count_calls(monkeypatch, lambda: _checked_let_chain(300))
+    assert 0 < large <= 3.75 * small
+
+
+def test_nest_subtyping_and_verification_work_is_linear(monkeypatch):
+    small = _count_calls(monkeypatch, lambda: _checked_subtype(TypeEnv.empty(), _nest(100), _nest(100)))
+    large = _count_calls(monkeypatch, lambda: _checked_subtype(TypeEnv.empty(), _nest(200), _nest(200)))
+    assert 0 < large <= 2.5 * small
 
 
 # ---------------------------------------------------------------------------

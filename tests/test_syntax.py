@@ -1,8 +1,21 @@
+import copy
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import threading
+import uuid
+from pathlib import Path as FsPath
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsub import syntax
+from dsub.environment import parse_env
 from dsub.syntax import (
+    MAX_NESTING,
     All,
     App,
     Bot,
@@ -348,3 +361,166 @@ def test_canon_separates_exactly_alpha_classes_of_terms(pair):
 @given(_types)
 def test_print_is_deterministic(t):
     assert print_type(t) == print_type(t)
+
+
+# ---------------------------------------------------------------------------
+# Nesting bound
+
+
+def _nest(depth: int) -> str:
+    return "{A: Bot .. " * depth + "Top" + "}" * depth
+
+
+def test_parse_accepts_nesting_up_to_the_bound():
+    assert type_size(parse_type(_nest(MAX_NESTING))) == 2 * MAX_NESTING + 1
+    lams = parse_term("lam(x: Top) " * MAX_NESTING + "x")
+    assert term_size(lams) == 2 * MAX_NESTING + 1
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    (
+        (parse_type, _nest(MAX_NESTING + 1)),
+        (parse_type, "all(x: Top) " * (MAX_NESTING + 1) + "Top"),
+        (parse_term, "lam(x: Top) " * (MAX_NESTING + 1) + "x"),
+        (parse_term, "let x = y in " * (MAX_NESTING + 1) + "x"),
+        (parse_term, "{B = " + _nest(MAX_NESTING) + "}"),
+        (parse_env, f"x : {_nest(MAX_NESTING + 1)} ;"),
+    ),
+)
+def test_parse_refuses_nesting_past_the_bound(parse, text):
+    with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} levels deep"):
+        parse(text)
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+
+
+def _rebuild(t):
+    """A structure built again, node by node, from its fields."""
+    fields = [f if isinstance(f, str) else _rebuild(f) for f in (getattr(t, a) for a in t.__match_args__)]
+    return type(t)(*fields)
+
+
+@given(_types)
+def test_types_are_built_once(t):
+    assert _rebuild(t) is t
+    assert parse_type(print_type(t)) is t
+    assert subst_var_in_type(t, "z", "y") is subst_var_in_type(_rebuild(t), "z", "y")
+
+
+@given(_terms)
+def test_terms_are_built_once(t):
+    assert _rebuild(t) is t
+    assert parse_term(print_term(t)) is t
+    assert subst_var_in_term(t, "z", "y") is subst_var_in_term(_rebuild(t), "z", "y")
+
+
+@given(_types)
+def test_copies_and_pickles_are_the_node(t):
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_nodes_are_immutable():
+    t = Decl("A", Top(), Bot())
+    with pytest.raises(AttributeError):
+        t.label = "B"
+    assert t.label == "A"
+
+
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda: Decl("a", Top(), Top()),
+        lambda: Path("X", "A"),
+        lambda: Path("x", "a"),
+        lambda: All("1", Top(), Top()),
+        lambda: Var(""),
+        lambda: App("f", "X"),
+        lambda: Let("x y", Var("z"), Var("z")),
+    ),
+)
+def test_invalid_name_raises_and_interns_nothing(build):
+    top, z = Top(), Var("z")  # noqa: F841 - keep the valid parts interned
+    before = len(syntax._TABLE)
+    with pytest.raises(ValueError):
+        build()
+    assert len(syntax._TABLE) == before
+
+
+_HASHES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+junk = [object() for _ in range(int(sys.argv[2]))]
+from dsub.syntax import parse_type
+types = [parse_type(t) for t in ("Top", "x.A", "{A: Bot .. x.B}", "all(y: x.A) {C: y.C .. Top}")]
+print([hash(t) for t in types], [types.index(t) for t in set(types)])
+"""
+
+
+def test_node_hashes_depend_on_structure_only():
+    # with a fixed string hash seed, different allocation histories (so
+    # different addresses) give the same hashes and the same set order
+    src = str(FsPath(syntax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _HASHES, src, str(junk)], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        for junk in (0, 1000, 33333)
+    }
+    assert len(outputs) == 1
+
+
+@given(st.lists(st.integers(0, 10**9), min_size=1, max_size=20))
+def test_dropped_nodes_leave_the_table(ns):
+    gc.collect()
+    before = len(syntax._TABLE)
+    built = [Decl("A", Path(f"v{n}", "A"), All(f"w{n}", Top(), Path(f"w{n}", "B"))) for n in ns]
+    assert len(syntax._TABLE) > before
+    del built
+    gc.collect()
+    assert len(syntax._TABLE) == before
+
+
+def test_concurrent_construction_yields_one_node_per_structure():
+    # fresh labels, so every thread races to build the same new nodes
+    labels = [f"L{uuid.uuid4().hex}" for _ in range(40)]
+    texts = [f"all(x: {{{a}: Bot .. Top}}) {{{a}: x.{a} .. x.{a}}}" for a in labels]
+    barrier = threading.Barrier(8)
+    results = []
+
+    def work():
+        barrier.wait()
+        built = []
+        for a, text in zip(labels, texts):
+            built.append(parse_type(text))
+            built.append(Let("y", Tag(a, Decl(a, Bot(), Top())), Var("y")))
+        results.append(built)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    for column in zip(*results):
+        assert all(node is column[0] for node in column)
+
+
+@given(st.text(max_size=6))
+def test_is_ident_agrees_with_the_tokenizer(text):
+    try:
+        tokens = list(syntax._tokenize(text))
+        reads = len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == text
+    except ParseError:
+        reads = False
+    assert syntax.is_ident(text) == reads

@@ -80,11 +80,11 @@ class VerifyResult:
 def decl_verify(tree: DerivationTree) -> VerifyResult:
     """Check that every node instantiates its rule schema; on failure report
     the first offending node (paths index into ``premises``)."""
-    return _verify(tree, "root")
-
-
-def _fail(path: str, message: str) -> VerifyResult:
-    return VerifyResult(False, path, message)
+    trail: list = []
+    message = _verify(tree, trail)
+    if message is None:
+        return VerifyResult(True)
+    return VerifyResult(False, "root" + "".join(f".premises[{i}]" for i in reversed(trail)), message)
 
 
 def _same_env(a: TypeEnv, b: TypeEnv) -> bool:
@@ -99,21 +99,24 @@ def _extends_by_one(inner: TypeEnv, outer: TypeEnv):
     return inner.bindings[-1]
 
 
-def _verify(node: DerivationTree, path: str) -> VerifyResult:
+def _verify(node: DerivationTree, trail: list) -> Optional[str]:
+    """The first failure's message, with the premise indices leading to the
+    failing node appended to ``trail`` innermost first; None if valid."""
     entry = _CHECKERS.get(node.rule)
     if entry is None:
-        return _fail(path, f"unknown rule {node.rule!r}")
+        return f"unknown rule {node.rule!r}"
     form, check = entry
     if not isinstance(node.conclusion, form):
-        return _fail(path, f"rule {node.rule} concludes the wrong judgment form")
+        return f"rule {node.rule} concludes the wrong judgment form"
     message = check(node)
     if message is not None:
-        return _fail(path, f"{node.rule}: {message}")
+        return f"{node.rule}: {message}"
     for i, premise in enumerate(node.premises):
-        result = _verify(premise, f"{path}.premises[{i}]")
-        if not result.ok:
-            return result
-    return VerifyResult(True)
+        message = _verify(premise, trail)
+        if message is not None:
+            trail.append(i)
+            return message
+    return None
 
 
 def _arity(node: DerivationTree, n: int) -> Optional[str]:

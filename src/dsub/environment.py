@@ -43,10 +43,13 @@ class TypeEnv:
     __slots__ = ("bindings", "_parent", "_index", "_dom", "_key", "_hash", "_memo")
 
     def __init__(self, bindings: tuple = ()) -> None:
-        self.bindings = tuple(bindings)
-        self._parent = None
-        # name -> (position, the environment before the binding or None)
-        self._index = {x: (i, None) for i, (x, _) in enumerate(self.bindings)}
+        bindings = tuple(bindings)
+        self._init(bindings, None, {x: (i, None) for i, (x, _) in enumerate(bindings)})
+
+    def _init(self, bindings: tuple, parent, index: dict) -> None:
+        self.bindings = bindings
+        self._parent = parent
+        self._index = index  # name -> (position, the environment before it or None)
         self._dom = self._key = self._hash = self._memo = None
 
     @staticmethod
@@ -65,12 +68,8 @@ class TypeEnv:
         if out_of_scope:
             names = ", ".join(sorted(out_of_scope))
             raise UnboundVariable(f"type mentions unbound variable(s): {names}")
-        child = TypeEnv.__new__(TypeEnv)
-        child.bindings = self.bindings + ((x, t),)
-        child._parent = self
-        child._index = dict(self._index)
-        child._index[x] = (len(self.bindings), self)
-        child._dom = child._key = child._hash = child._memo = None
+        child = object.__new__(TypeEnv)
+        child._init(self.bindings + ((x, t),), self, {**self._index, x: (len(self), self)})
         return child
 
     @property

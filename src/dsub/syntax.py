@@ -8,6 +8,10 @@ variable-to-variable applications, and lets.
 Binding uses concrete names.  ``all``/``lam``/``let`` bind their variable in
 the body only (never in the annotation), and every operation here is
 capture-avoiding; outputs are meaningful up to alpha-equivalence.
+
+Nodes are hash-consed: there is one live node per structure, so ``==`` on
+types and terms is identity.  The parser refuses input nested deeper than
+:data:`MAX_NESTING` levels.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ def _check_label(name: str) -> None:
 
 _TABLE: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 _TABLE_LOCK = threading.Lock()
+_SET = object.__setattr__  # nodes refuse plain assignment
 
 
 def _build(cls, key: tuple, fields: tuple, names: tuple = (), labels: tuple = ()):
@@ -64,9 +69,6 @@ def _build(cls, key: tuple, fields: tuple, names: tuple = (), labels: tuple = ()
             _SET(node, "_hash", hash((cls.__name__, *fields)))
             _TABLE[key] = node
     return node
-
-
-_SET = object.__setattr__  # nodes refuse plain assignment
 
 
 class _Node:

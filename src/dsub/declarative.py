@@ -96,7 +96,7 @@ def _extends_by_one(inner: TypeEnv, outer: TypeEnv):
     exactly one binding, else None."""
     if len(inner) != len(outer) + 1 or not _same_env(inner.parent, outer):
         return None
-    return inner.bindings[-1]
+    return inner.last
 
 
 def _verify(node: DerivationTree, trail: list) -> Optional[str]:

@@ -15,6 +15,8 @@ Environments are immutable values; extension returns a new environment.
 
 from __future__ import annotations
 
+import threading
+
 from .errors import DsubError
 from .syntax import Type, _Parser, canon_type, fv_type, is_ident, print_type
 
@@ -31,26 +33,55 @@ class UnboundVariable(DsubError):
     pass
 
 
+_INDEX_LOCK = threading.Lock()
+
+
 class TypeEnv:
     """Ordered sequence of (variable, type) bindings, oldest first.
 
-    An environment built by :meth:`extend` links to the environment it
-    extends (``parent``) and indexes every bound name by its position and by
-    the environment before its binding, so ``lookup``, ``in``, ``dom`` and
-    :meth:`binding` take constant time and prefixes are shared, not copied.
+    An environment is its newest binding on top of the environment it
+    extends (``parent``), so an extension shares its prefixes instead of
+    copying them.  The environments along a chain of extensions share one
+    index from each bound name to its position, its type and the
+    environment before its binding; an environment sees only the entries
+    below its own length.  ``lookup``, ``in``, :meth:`binding` and
+    :meth:`unbound` take constant time per name.  Extending an environment
+    that has already been extended copies the index once.
     """
 
-    __slots__ = ("bindings", "_parent", "_index", "_dom", "_key", "_hash", "_memo")
+    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "_hash", "_memo")
 
     def __init__(self, bindings: tuple = ()) -> None:
+        """The environment of ``bindings``, unchecked: :meth:`extend` and
+        :func:`env_from_bindings` check each binding."""
         bindings = tuple(bindings)
-        self._init(bindings, None, {x: (i, None) for i, (x, _) in enumerate(bindings)})
+        parent = None
+        if bindings:
+            parent = TypeEnv()
+            for x, t in bindings[:-1]:
+                parent = parent._extended(x, t)
+        self._link(parent, bindings[-1] if bindings else None)
 
-    def _init(self, bindings: tuple, parent, index: dict) -> None:
-        self.bindings = bindings
+    def _link(self, parent: "TypeEnv | None", last) -> None:
         self._parent = parent
-        self._index = index  # name -> (position, the environment before it or None)
+        self._last = last
         self._dom = self._key = self._hash = self._memo = None
+        if parent is None:
+            self._len, self._index = 0, {}
+            return
+        self._len = parent._len + 1
+        x, t = last
+        with _INDEX_LOCK:
+            index = parent._index
+            if len(index) != parent._len or x in index:  # parent was extended before
+                index = {y: e for y, e in index.items() if e[0] < parent._len}
+            index[x] = (parent._len, parent, t)
+        self._index = index
+
+    def _extended(self, x: str, t: Type) -> "TypeEnv":
+        child = object.__new__(TypeEnv)
+        child._link(self, (x, t))
+        return child
 
     @staticmethod
     def empty() -> "TypeEnv":
@@ -59,7 +90,7 @@ class TypeEnv:
     def extend(self, x: str, t: Type) -> "TypeEnv":
         if not is_ident(x):
             raise DsubError(f"{x!r} is not a variable name")
-        if x in self._index:
+        if x in self:
             raise DuplicateBinding(f"variable {x!r} is already bound")
         free = fv_type(t)
         if x in free:
@@ -68,56 +99,56 @@ class TypeEnv:
         if out_of_scope:
             names = ", ".join(sorted(out_of_scope))
             raise UnboundVariable(f"type mentions unbound variable(s): {names}")
-        child = object.__new__(TypeEnv)
-        child._init(self.bindings + ((x, t),), self, {**self._index, x: (len(self), self)})
-        return child
+        return self._extended(x, t)
 
     @property
     def parent(self) -> "TypeEnv | None":
-        """This environment without its last binding (None when empty)."""
-        if self._parent is None and self.bindings:
-            self._parent = TypeEnv(self.bindings[:-1])
+        """This environment without its newest binding (None when empty)."""
         return self._parent
 
-    def lookup(self, x: str):
+    @property
+    def last(self):
+        """The newest binding as (variable, type), or None when empty."""
+        return self._last
+
+    @property
+    def bindings(self) -> tuple:
+        out = []
+        g = self
+        while g._parent is not None:
+            out.append(g._last)
+            g = g._parent
+        return tuple(reversed(out))
+
+    def _entry(self, x: str):
         entry = self._index.get(x)
-        return None if entry is None else self.bindings[entry[0]][1]
+        return entry if entry is not None and entry[0] < self._len else None
+
+    def lookup(self, x: str):
+        entry = self._entry(x)
+        return None if entry is None else entry[2]
 
     def binding(self, x: str):
         """``x``'s binding as (the environment before it, its type), or None."""
-        entry = self._index.get(x)
-        if entry is None:
-            return None
-        i, prefix = entry
-        if prefix is None:
-            prefix = TypeEnv(self.bindings[:i])
-        return prefix, self.bindings[i][1]
-
-    def split_at(self, x: str):
-        """Decompose around ``x``'s binding: (prefix, type, suffix), or None."""
-        found = self.binding(x)
-        if found is None:
-            return None
-        prefix, t = found
-        return prefix, t, TypeEnv(self.bindings[len(prefix) + 1 :])
+        entry = self._entry(x)
+        return None if entry is None else entry[1:]
 
     @property
     def key(self) -> str:
         """Identical exactly for environments that bind the same variables,
         in the same order, at alpha-equivalent types (:meth:`extend` admits
         only names without ``:`` and ``;``); built once per environment,
-        from its parent's key."""
-        pending = []
-        g = self
-        while g._key is None and g._parent is not None:
-            pending.append(g)
-            g = g._parent
-        if g._key is None:
-            g._key = ";".join(f"{x}:{canon_type(t)}" for x, t in g.bindings)
-        for g in reversed(pending):
-            x, t = g.bindings[-1]
-            head = g._parent._key
-            g._key = f"{head};{x}:{canon_type(t)}" if head else f"{x}:{canon_type(t)}"
+        from its parent's key when the parent has one."""
+        if self._key is None:
+            parent = self._parent
+            if parent is None:
+                self._key = ""
+            else:
+                x, t = self._last
+                head = parent._key
+                if head is None:
+                    head = ";".join(f"{y}:{canon_type(u)}" for y, u in parent.bindings)
+                self._key = f"{head};{x}:{canon_type(t)}" if head else f"{x}:{canon_type(t)}"
         return self._key
 
     @property
@@ -129,17 +160,17 @@ class TypeEnv:
 
     def dom(self) -> frozenset:
         if self._dom is None:
-            self._dom = frozenset(self._index)
+            self._dom = frozenset(x for x, _ in self.bindings)
         return self._dom
 
     def unbound(self, names) -> frozenset:
         """The names in ``names`` this environment does not bind."""
-        return frozenset(x for x in names if x not in self._index)
+        return frozenset(x for x in names if self._entry(x) is None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TypeEnv):
             return NotImplemented
-        return self is other or self.bindings == other.bindings
+        return self is other or (self._len == other._len and self.bindings == other.bindings)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -150,10 +181,10 @@ class TypeEnv:
         return f"TypeEnv(bindings={self.bindings!r})"
 
     def __len__(self) -> int:
-        return len(self.bindings)
+        return self._len
 
     def __contains__(self, x: str) -> bool:
-        return x in self._index
+        return self._entry(x) is not None
 
     def __iter__(self):
         return iter(self.bindings)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,23 +74,28 @@ def test_extend_admits_exactly_the_names_the_parser_reads(name):
     assert admitted == reads_as_one_name
 
 
-def test_split_at():
+def test_binding_gives_prefix_and_type():
     g = TypeEnv.empty().extend("x", Top()).extend("y", Bot())
-    prefix, ty, suffix = g.split_at("y")
+    prefix, ty = g.binding("y")
     assert prefix.bindings == (("x", Top()),)
     assert ty == Bot()
-    assert suffix.bindings == ()
-    prefix, ty, suffix = g.split_at("x")
+    prefix, ty = g.binding("x")
     assert prefix.bindings == ()
     assert ty == Top()
-    assert suffix.bindings == (("y", Bot()),)
-    assert TypeEnv.empty().split_at("x") is None
+    assert TypeEnv.empty().binding("x") is None
+    # an environment built directly, not by extension, has no shared prefixes
+    prefix, ty = TypeEnv(g.bindings).binding("y")
+    assert (prefix, ty) == (TypeEnv((("x", Top()),)), Bot())
 
 
-def test_split_of_extension():
+def test_binding_of_extension_shares_the_prefix():
     g = TypeEnv.empty().extend("x", Top())
     extended = g.extend("y", Bot())
-    assert extended.split_at("y") == (g, Bot(), TypeEnv.empty())
+    prefix, ty = extended.binding("y")
+    assert prefix is g and ty == Bot()
+    assert extended.parent is g
+    assert TypeEnv(extended.bindings).parent == g
+    assert TypeEnv.empty().parent is None
 
 
 def test_bindings_satisfy_wellformedness():
@@ -113,3 +120,31 @@ def test_env_file_roundtrip():
 def test_env_file_comments():
     g = parse_env("// a comment\nx : Top ;\n")
     assert g.lookup("x") == Top()
+
+
+def test_extensions_of_one_environment_stay_apart():
+    # extensions share their prefix's index; each sees only its own names
+    g = TypeEnv.empty().extend("x", Top())
+    a = g.extend("y", Bot())
+    b = g.extend("z", Top())
+    assert "y" in a and "z" not in a
+    assert "z" in b and "y" not in b
+    assert "y" not in g and "z" not in g and g.dom() == {"x"}
+    c = a.extend("z", Bot())  # z at the position b binds it at
+    assert (b.lookup("z"), c.lookup("z")) == (Top(), Bot())
+    assert b.unbound({"x", "y", "z"}) == {"y"}
+    assert c.binding("z") == (a, Bot())
+
+
+def test_long_environments_take_linear_time_and_memory():
+    def peak_bytes(n: int) -> int:
+        pairs = [(f"x{i}", Top()) for i in range(n)]
+        tracemalloc.start()
+        g = env_from_bindings(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        prefix, _ = g.binding(f"x{n // 2}")
+        assert len(prefix) == n // 2 and f"x{n // 2}" not in prefix and g.lookup("x0") == Top()
+        return peak
+
+    assert peak_bytes(4000) <= 2.5 * peak_bytes(2000)

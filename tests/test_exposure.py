@@ -139,7 +139,7 @@ def test_full_env_matches_prefix_env():
     checked = 0
     for g in envs:
         for x, stored in g:
-            prefix, _, _ = g.split_at(x)
+            prefix, _ = g.binding(x)
             full, strict = expose(g, stored), expose(prefix, stored)
             assert isinstance(full, Exposed) == isinstance(strict, Exposed), x
             if isinstance(full, Exposed):

@@ -488,9 +488,9 @@ def test_dropped_nodes_leave_the_table(ns):
 
 def test_concurrent_construction_yields_one_node_per_structure():
     # fresh labels, so every thread races to build the same new nodes
-    labels = [f"L{uuid.uuid4().hex}" for _ in range(40)]
+    labels = [f"L{uuid.uuid4().hex}" for _ in range(200)]
     texts = [f"all(x: {{{a}: Bot .. Top}}) {{{a}: x.{a} .. x.{a}}}" for a in labels]
-    barrier = threading.Barrier(8)
+    barrier = threading.Barrier(8, timeout=60)
     results = []
 
     def work():
@@ -508,9 +508,10 @@ def test_concurrent_construction_yields_one_node_per_structure():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
     for column in zip(*results):
         assert all(node is column[0] for node in column)

@@ -46,7 +46,7 @@ class TypeEnv:
     environment before its binding; an environment sees only the entries
     below its own length.  ``lookup``, ``in``, :meth:`binding` and
     :meth:`unbound` take constant time per name.  Extending an environment
-    that has already been extended copies the index once.
+    a second time starts a new index, a copy of the entries it sees.
     """
 
     __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "_hash", "_memo")

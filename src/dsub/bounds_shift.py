@@ -29,7 +29,6 @@ from .syntax import (
     Path,
     Top,
     Type,
-    fresh_name,
     fv_type,
     print_type,
     subst_var_in_type,
@@ -127,17 +126,14 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, parent: Type | None = None) ->
             s_result = _shift(g, s, x, not up, t)
             if isinstance(s_result, ShiftStuck):
                 return s_result
-            if y in g:
-                y2 = fresh_name(y, g.dom() | fv_type(u) | {x})
-                u = subst_var_in_type(u, y, y2)
-                y = y2
+            z = g.fresh(y, (fv_type(u) - {y}) | {x})
             # promotion recurses under the demoted parameter type, demotion
             # under the original one
-            inner_env = g.extend(y, s_result.ty if up else s)
-            u_result = _shift(inner_env, u, x, up, t)
+            inner_env = g.extend(z, s_result.ty if up else s)
+            u_result = _shift(inner_env, subst_var_in_type(u, y, z), x, up, t)
             if isinstance(u_result, ShiftStuck):
                 return u_result
-            out = All(y, s_result.ty, u_result.ty)
+            out = All(z, s_result.ty, u_result.ty)
             rule = "P-Lam" if up else "D-Lam"
             return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (s_result.trace, u_result.trace)))
     raise TypeError(f"not a type: {t!r}")

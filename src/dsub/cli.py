@@ -4,8 +4,10 @@ Exit codes: 0 for a positive result (typed, subtype holds, exposed,
 derivation valid/found, harness clean), 1 for a negative result (untypable,
 not a subtype, stuck, invalid derivation, search unknown, violations found,
 corpus mismatch), 2 for usage, parse, or I/O errors, malformed derivation
-JSON and input nested too deeply to check.  Machine output (types, JSON, CSV)
-goes to stdout; diagnostics go to stderr.
+JSON and input nested too deeply to check, 3 for an internal error (a
+violated invariant such as a termination measure that failed to decrease,
+i.e. a bug).  Machine output (types, JSON, CSV) goes to stdout; diagnostics
+go to stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from pathlib import Path as FsPath
 from . import __version__
 from .bounds_shift import ShiftStuck, demote, promote
 from .declarative import (
-    DeclSearcher,
     SubJ,
     TypJ,
     decl_search,
@@ -91,7 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = bench_sub.add_parser("pn", help="two-chain exponential family")
     pb.add_argument("--min", type=int, default=1)
     pb.add_argument("--max", type=int, default=16)
-    pb.add_argument("--metric", choices=("calls", "nanos"), default="calls")
+    pb.add_argument(
+        "--metric",
+        choices=("calls", "nanos"),
+        default="calls",
+        help="calls: entries the plain recursion makes (column calls); nanos: wall time of the "
+        "memoised model that counts them, not of that recursion (column model_nanos)",
+    )
     pb.add_argument("--out", help="write CSV here instead of stdout")
 
     p = verb("corpus", help="golden corpus")
@@ -129,6 +136,9 @@ def main(argv=None) -> int:
     except RecursionError:  # a backstop: the parser bounds nesting first
         _diag(f"dsub: error: {_TOO_DEEP}")
         return 2
+    except Exception as exc:  # a bug, never an answer: no traceback, no exit 1
+        _diag(f"dsub: internal error: {type(exc).__name__}: {exc}")
+        return 3
 
 
 def _dispatch(args) -> int:
@@ -210,7 +220,7 @@ def _cmd_decl(args) -> int:
     else:
         term = parse_term(FsPath(args.typ[0]).read_text())
         goal = TypJ(env, term, parse_type(args.typ[1]))
-    tree = decl_search(goal, args.fuel, DeclSearcher())
+    tree = decl_search(goal, args.fuel)
     if tree is None:
         _diag(f"no derivation found within fuel {args.fuel} (not a refutation)")
         print("unknown")
@@ -231,7 +241,7 @@ def _cmd_lab(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    lines = [f"n,{args.metric}"]
+    lines = ["n,model_nanos" if args.metric == "nanos" else "n,calls"]
     lines += [f"{n},{value}" for n, value in bench_pn(args.min, args.max, args.metric)]
     text = "\n".join(lines) + "\n"
     if args.out:

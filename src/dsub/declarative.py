@@ -45,7 +45,6 @@ from .syntax import (
     alpha_eq_term,
     alpha_eq_type,
     canon_type,
-    fresh_name,
     fv_term,
     fv_type,
     parse_term,
@@ -412,7 +411,6 @@ class DeclSearcher:
         key = (goal.key(), fuel)
         if key in self._memo:
             return self._memo[key]
-        self._memo[key] = None  # cycles within the same fuel budget fail
         found = self._search_sub(goal, fuel) if isinstance(goal, SubJ) else self._search_typ(goal, fuel)
         self._memo[key] = found
         return found
@@ -479,8 +477,7 @@ class DeclSearcher:
         if isinstance(lhs, All) and isinstance(rhs, All):
             params = self.search(SubJ(g, rhs.param_type, lhs.param_type), fuel - 1)
             if params is not None:
-                avoid = g.dom() | (fv_type(lhs.result) - {lhs.param}) | (fv_type(rhs.result) - {rhs.param})
-                z = fresh_name(lhs.param, avoid)
+                z = g.fresh(lhs.param, (fv_type(lhs.result) - {lhs.param}) | (fv_type(rhs.result) - {rhs.param}))
                 inner = SubJ(
                     g.extend(z, rhs.param_type),
                     subst_var_in_type(lhs.result, lhs.param, z),
@@ -495,14 +492,14 @@ class DeclSearcher:
         if isinstance(lhs, Path):
             # Sel-<:: x.A <: rhs via a typing x : {A: S..rhs}, S guessed
             for lower in candidates:
-                premise = self._sel_premise(g, lhs.var, Decl(lhs.label, lower, rhs), fuel)
+                premise = self.search(TypJ(g, Var(lhs.var), Decl(lhs.label, lower, rhs)), fuel - 1)
                 if premise is not None:
                     return DerivationTree("Sel-<:", goal, (premise,))
 
         if isinstance(rhs, Path):
             # <:-Sel: lhs <: x.A via a typing x : {A: lhs..T}, T guessed
             for upper in candidates:
-                premise = self._sel_premise(g, rhs.var, Decl(rhs.label, lhs, upper), fuel)
+                premise = self.search(TypJ(g, Var(rhs.var), Decl(rhs.label, lhs, upper)), fuel - 1)
                 if premise is not None:
                     return DerivationTree("<:-Sel", goal, (premise,))
 
@@ -516,13 +513,6 @@ class DeclSearcher:
             if right is not None:
                 return DerivationTree("Trans", goal, (left, right))
         return None
-
-    def _sel_premise(self, g: TypeEnv, var: str, decl: Decl, fuel: int):
-        try:
-            premise = TypJ(g, Var(var), decl)
-        except ValueError:
-            return None
-        return self.search(premise, fuel - 1)
 
     # -- typing goals
 
@@ -544,55 +534,35 @@ class DeclSearcher:
                     return DerivationTree("Typ-I", goal)
             case Lam(param=x, param_type=annot, body=body):
                 if isinstance(ty, All) and alpha_eq_type(ty.param_type, annot):
-                    avoid = g.dom() | (fv_term(body) - {x}) | (fv_type(ty.result) - {ty.param})
-                    z = fresh_name(x, avoid)
-                    try:
-                        inner = TypJ(
-                            g.extend(z, annot),
-                            subst_var_in_term(body, x, z),
-                            subst_var_in_type(ty.result, ty.param, z),
-                        )
-                    except (ValueError, DsubError):
-                        inner = None
-                    if inner is not None:
-                        premise = self.search(inner, fuel - 1)
-                        if premise is not None:
-                            return DerivationTree("All-I", goal, (premise,))
+                    z = g.fresh(x, (fv_term(body) - {x}) | (fv_type(ty.result) - {ty.param}))
+                    inner = TypJ(
+                        g.extend(z, annot),
+                        subst_var_in_term(body, x, z),
+                        subst_var_in_type(ty.result, ty.param, z),
+                    )
+                    premise = self.search(inner, fuel - 1)
+                    if premise is not None:
+                        return DerivationTree("All-I", goal, (premise,))
             case App(fun=f, arg=a):
                 for fun_ty in self._candidates(goal):
                     if not isinstance(fun_ty, All):
                         continue
                     if not alpha_eq_type(subst_var_in_type(fun_ty.result, fun_ty.param, a), ty):
                         continue
-                    try:
-                        fun_goal = TypJ(g, Var(f), fun_ty)
-                        arg_goal = TypJ(g, Var(a), fun_ty.param_type)
-                    except ValueError:
-                        continue
-                    fun_premise = self.search(fun_goal, fuel - 1)
+                    fun_premise = self.search(TypJ(g, Var(f), fun_ty), fuel - 1)
                     if fun_premise is None:
                         continue
-                    arg_premise = self.search(arg_goal, fuel - 1)
+                    arg_premise = self.search(TypJ(g, Var(a), fun_ty.param_type), fuel - 1)
                     if arg_premise is not None:
                         return DerivationTree("All-E", goal, (fun_premise, arg_premise))
             case Let(bound=x, rhs=rhs, body=body):
                 if x not in fv_type(ty):
                     for rhs_ty in self._candidates(goal):
-                        try:
-                            rhs_goal = TypJ(g, rhs, rhs_ty)
-                        except ValueError:
-                            continue
-                        rhs_premise = self.search(rhs_goal, fuel - 1)
+                        rhs_premise = self.search(TypJ(g, rhs, rhs_ty), fuel - 1)
                         if rhs_premise is None:
                             continue
-                        avoid = g.dom() | (fv_term(body) - {x}) | fv_type(ty)
-                        z = fresh_name(x, avoid)
-                        try:
-                            body_goal = TypJ(
-                                g.extend(z, rhs_ty), subst_var_in_term(body, x, z), ty
-                            )
-                        except (ValueError, DsubError):
-                            continue
+                        z = g.fresh(x, (fv_term(body) - {x}) | fv_type(ty))
+                        body_goal = TypJ(g.extend(z, rhs_ty), subst_var_in_term(body, x, z), ty)
                         body_premise = self.search(body_goal, fuel - 1)
                         if body_premise is not None:
                             return DerivationTree("Let", goal, (rhs_premise, body_premise))
@@ -600,11 +570,7 @@ class DeclSearcher:
         for mid in self._candidates(goal):
             if alpha_eq_type(mid, ty):
                 continue
-            try:
-                typing_goal = TypJ(g, term, mid)
-            except ValueError:
-                continue
-            typing = self.search(typing_goal, fuel - 1)
+            typing = self.search(TypJ(g, term, mid), fuel - 1)
             if typing is None:
                 continue
             widening = self.search(SubJ(g, mid, ty), fuel - 1)
@@ -613,14 +579,12 @@ class DeclSearcher:
         return None
 
 
-def decl_search(goal: Judgment, fuel: int, searcher: Optional[DeclSearcher] = None):
+def decl_search(goal: Judgment, fuel: int):
     """Find a derivation of ``goal`` within ``fuel`` nesting depth, or None.
 
     None means "not found with this strategy and budget", never "underivable".
     """
-    if searcher is None:
-        searcher = DeclSearcher()
-    return searcher.search(goal, fuel)
+    return DeclSearcher().search(goal, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +731,7 @@ def _elab_t_app_bot(node: DerivationTree) -> DerivationTree:
     g = c.env
     _, head_node, arg_node = node.premises  # the first types the function at its stored type
     arg_deriv = elaborate_step(arg_node)
-    fun_ty = All(fresh_name("z", g.dom()), arg_deriv.conclusion.ty, Bot())
+    fun_ty = All(g.fresh("z"), arg_deriv.conclusion.ty, Bot())
     fun_at = _bot_bridge(g, c.term.fun, elaborate_step(head_node), fun_ty)
     return DerivationTree("All-E", c, (fun_at, arg_deriv))
 

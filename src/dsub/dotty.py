@@ -195,7 +195,8 @@ def make_pn(n: int):
 
 def bench_pn(min_n: int, max_n: int, metric: str = "calls") -> Iterator[tuple]:
     """Yield (N, value) rows for the worst-case family; ``metric`` is
-    ``calls`` (deterministic) or ``nanos`` (wall time)."""
+    ``calls`` (deterministic) or ``nanos`` (wall time of this memoised
+    model, not of the recursion it counts)."""
     if not 1 <= min_n <= max_n:
         raise ValueError("need 1 <= min_n <= max_n")
     if metric not in ("calls", "nanos"):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 
 from .errors import DsubError
-from .syntax import Type, _Parser, canon_type, fv_type, is_ident, print_type
+from .syntax import Type, _Parser, canon_type, fresh_name, fv_type, is_ident, print_type
 
 
 class DuplicateBinding(DsubError):
@@ -51,37 +51,11 @@ class TypeEnv:
 
     __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "_hash", "_memo")
 
-    def __init__(self, bindings: tuple = ()) -> None:
-        """The environment of ``bindings``, unchecked: :meth:`extend` and
-        :func:`env_from_bindings` check each binding."""
-        bindings = tuple(bindings)
-        parent = None
-        if bindings:
-            parent = TypeEnv()
-            for x, t in bindings[:-1]:
-                parent = parent._extended(x, t)
-        self._link(parent, bindings[-1] if bindings else None)
-
-    def _link(self, parent: "TypeEnv | None", last) -> None:
-        self._parent = parent
-        self._last = last
+    def __init__(self) -> None:
+        """The empty environment; :meth:`extend` adds checked bindings."""
+        self._parent = self._last = None
+        self._len, self._index = 0, {}
         self._dom = self._key = self._hash = self._memo = None
-        if parent is None:
-            self._len, self._index = 0, {}
-            return
-        self._len = parent._len + 1
-        x, t = last
-        with _INDEX_LOCK:
-            index = parent._index
-            if len(index) != parent._len or x in index:  # parent was extended before
-                index = {y: e for y, e in index.items() if e[0] < parent._len}
-            index[x] = (parent._len, parent, t)
-        self._index = index
-
-    def _extended(self, x: str, t: Type) -> "TypeEnv":
-        child = object.__new__(TypeEnv)
-        child._link(self, (x, t))
-        return child
 
     @staticmethod
     def empty() -> "TypeEnv":
@@ -99,7 +73,25 @@ class TypeEnv:
         if out_of_scope:
             names = ", ".join(sorted(out_of_scope))
             raise UnboundVariable(f"type mentions unbound variable(s): {names}")
-        return self._extended(x, t)
+        with _INDEX_LOCK:
+            index = self._index
+            if len(index) != self._len or x in index:  # this environment was extended before
+                index = {y: e for y, e in index.items() if e[0] < self._len}
+            index[x] = (self._len, self, t)
+        child = object.__new__(TypeEnv)
+        child._parent, child._last = self, (x, t)
+        child._len, child._index = self._len + 1, index
+        child._dom = child._key = child._hash = child._memo = None
+        return child
+
+    def fresh(self, x: str, free=frozenset()) -> str:
+        """The name at which to open a binder ``x`` in this environment:
+        ``x`` itself unless this environment binds it or it is among
+        ``free``, the other free variables of what the binder scopes over;
+        otherwise the least ``x<n>`` (n = 1, 2, ...) outside both."""
+        if x not in self and x not in free:
+            return x
+        return fresh_name(x, self.dom() | free)
 
     @property
     def parent(self) -> "TypeEnv | None":

@@ -39,7 +39,7 @@ from .syntax import (
     Type,
     Var,
     alpha_eq_type,
-    fresh_name,
+    fv_term,
     fv_type,
     print_type,
     subst_var_in_term,
@@ -80,11 +80,8 @@ def weight(g: TypeEnv, t: Type) -> int:
             prefix, stored = found
             w = 1 + weight(prefix, stored)
         case All(param=x, param_type=s, result=u):
-            if x in g:
-                x2 = fresh_name(x, g.dom() | fv_type(u))
-                u = subst_var_in_type(u, x, x2)
-                x = x2
-            w = 1 + weight(g.extend(x, s), u)
+            z = g.fresh(x, fv_type(u) - {x})
+            w = 1 + weight(g.extend(z, s), subst_var_in_type(u, x, z))
         case _:
             raise TypeError(f"not a type: {t!r}")
     memo[t] = w
@@ -156,8 +153,7 @@ def _sub(
                 return step_node("S-Typ-<:-Typ", SubJ(g, s, t), (lower, upper))
 
     if isinstance(s, All) and isinstance(t, All) and alpha_eq_type(s.param_type, t.param_type):
-        avoid = g.dom() | (fv_type(s.result) - {s.param}) | (fv_type(t.result) - {t.param})
-        z = fresh_name(s.param, avoid)
+        z = g.fresh(s.param, (fv_type(s.result) - {s.param}) | (fv_type(t.result) - {t.param}))
         inner_env = g.extend(z, s.param_type)
         lhs_body = subst_var_in_type(s.result, s.param, z)
         rhs_body = subst_var_in_type(t.result, t.param, z)
@@ -267,14 +263,11 @@ def _typ(g: TypeEnv, term: Term, loc: str) -> StepTypingOutcome:
                     f"{', '.join(sorted(out_of_scope))}",
                     loc,
                 )
-            if x in g:
-                x2 = fresh_name(x, g.dom() | fv_type(ty))
-                body = subst_var_in_term(body, x, x2)
-                x = x2
-            inner = _typ(g.extend(x, ty), body, _at(loc, "body"))
+            z = g.fresh(x, fv_term(body) - {x})
+            inner = _typ(g.extend(z, ty), subst_var_in_term(body, x, z), _at(loc, "body"))
             if isinstance(inner, Untypable):
                 return inner
-            result = All(x, ty, inner.ty)
+            result = All(z, ty, inner.ty)
             return Typed(result, step_node("T-All-I", TypJ(g, term, result), (inner.trace,)))
 
         case App(fun=f, arg=a):
@@ -323,15 +316,12 @@ def _typ(g: TypeEnv, term: Term, loc: str) -> StepTypingOutcome:
             rhs_typed = _typ(g, rhs, _at(loc, "rhs"))
             if isinstance(rhs_typed, Untypable):
                 return rhs_typed
-            if x in g:
-                x2 = fresh_name(x, g.dom() | fv_type(rhs_typed.ty))
-                body = subst_var_in_term(body, x, x2)
-                x = x2
-            inner_env = g.extend(x, rhs_typed.ty)
-            body_typed = _typ(inner_env, body, _at(loc, "body"))
+            z = g.fresh(x, fv_term(body) - {x})
+            inner_env = g.extend(z, rhs_typed.ty)
+            body_typed = _typ(inner_env, subst_var_in_term(body, x, z), _at(loc, "body"))
             if isinstance(body_typed, Untypable):
                 return body_typed
-            promoted = promote(inner_env, body_typed.ty, x)
+            promoted = promote(inner_env, body_typed.ty, z)
             if isinstance(promoted, ShiftStuck):
                 return Untypable(f"let body type not promotable ({promoted.reason})", loc)
             return Typed(

@@ -33,16 +33,6 @@ from .errors import DsubError
 # node leaves it when the last reference to it goes.
 
 
-def _check_var(name: str) -> None:
-    if not name or not (name[0].islower()) or not name.replace("_", "").isalnum():
-        raise ValueError(f"invalid variable name: {name!r}")
-
-
-def _check_label(name: str) -> None:
-    if not name or not (name[0].isupper()) or not name.replace("_", "").isalnum():
-        raise ValueError(f"invalid type label: {name!r}")
-
-
 _TABLE: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 _TABLE_LOCK = threading.Lock()
 _SET = object.__setattr__  # nodes refuse plain assignment
@@ -490,6 +480,20 @@ class _Token(NamedTuple):
     col: int
 
 
+def _word_kind(text: str) -> str | None:
+    """The one name rule: a word is a letter or ``_`` followed by letters,
+    digits and ``_``; a word that is not a keyword is a label when it starts
+    upper-case and a variable ("ident") otherwise.  The token kind ``text``
+    reads as when it is exactly one word, else None."""
+    if not text or not (text[0].isalpha() or text[0] == "_"):
+        return None
+    if not all(c.isalnum() or c == "_" for c in text):
+        return None
+    if text in _KEYWORDS:
+        return "keyword"
+    return "label" if text[0].isupper() else "ident"
+
+
 def _tokenize(text: str) -> Iterator[_Token]:
     line, col = 1, 1
     i, n = 0, len(text)
@@ -515,13 +519,7 @@ def _tokenize(text: str) -> Iterator[_Token]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            if word in _KEYWORDS:
-                kind = "keyword"
-            elif word[0].isupper():
-                kind = "label"
-            else:
-                kind = "ident"
-            yield _Token(kind, word, line, col)
+            yield _Token(_word_kind(word), word, line, col)
             col += j - i
             i = j
         else:
@@ -530,15 +528,18 @@ def _tokenize(text: str) -> Iterator[_Token]:
 
 
 def is_ident(text: str) -> bool:
-    """True when ``text`` reads as exactly one variable name: one word as
-    the tokenizer reads words, not a keyword, not starting upper-case."""
-    return (
-        bool(text)
-        and (text[0].isalpha() or text[0] == "_")
-        and not text[0].isupper()
-        and all(c.isalnum() or c == "_" for c in text)
-        and text not in _KEYWORDS
-    )
+    """True when ``text`` reads as exactly one variable name."""
+    return _word_kind(text) == "ident"
+
+
+def _check_var(name: str) -> None:
+    if _word_kind(name) != "ident":
+        raise ValueError(f"invalid variable name: {name!r}")
+
+
+def _check_label(name: str) -> None:
+    if _word_kind(name) != "label":
+        raise ValueError(f"invalid type label: {name!r}")
 
 
 class _Parser:

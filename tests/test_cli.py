@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+import dsub.bounds_shift
+import dsub.step
 from dsub.cli import main
 from dsub.syntax import MAX_NESTING
 from dsub.trace import TRACE_RULES
@@ -70,6 +72,21 @@ def test_check_output_byte_stable(capsys):
     first = run(capsys, "check", str(CORPUS / "minimality_term.dsub"))
     second = run(capsys, "check", str(CORPUS / "minimality_term.dsub"))
     assert first == second
+
+
+@pytest.mark.parametrize("term", ("lam(x: Top) x1", "let x = {A = Top} in x1", "lam(y: Top) x1"))
+def test_check_opens_binders_fresh_for_the_body(tmp_path, capsys, term):
+    # x is bound, so the binder is renamed; the new name must not capture
+    # the body's free x1, which stays unbound: a negative answer, exit 1
+    (tmp_path / "x.env").write_text("x : Top ;\n")
+    (tmp_path / "t.dsub").write_text(term + "\n")
+    code, out, err = run(capsys, "check", str(tmp_path / "t.dsub"), "--env", str(tmp_path / "x.env"))
+    assert (code, out, err) == (1, "", "untypable: body: unbound variable 'x1'\n")
+
+
+def test_check_reads_every_name_the_parser_reads(tmp_path, capsys):
+    (tmp_path / "t.dsub").write_text("lam(_y: Top) _y\n")
+    assert run(capsys, "check", str(tmp_path / "t.dsub")) == (0, "all(_y: Top) Top\n", "")
 
 
 @pytest.mark.parametrize(
@@ -337,6 +354,12 @@ def test_bench_pn_stdout(capsys):
     assert len(lines) == 7
 
 
+def test_bench_pn_nanos_is_labelled_as_model_cost(capsys):
+    code, out, _ = run(capsys, "bench", "pn", "--min", "1", "--max", "2", "--metric", "nanos")
+    assert code == 0
+    assert out.splitlines()[0] == "n,model_nanos"
+
+
 def test_bench_pn_out_file(capsys, tmp_path):
     out_file = tmp_path / "rows.csv"
     code, out, _ = run(
@@ -425,3 +448,29 @@ def test_version(capsys):
     assert code == 0 and out.startswith("dsub ")
     code, out, _ = run(capsys, "check", "--version")
     assert code == 0 and out.startswith("dsub ")
+
+
+# ---------------------------------------------------------------------------
+# internal errors
+
+
+_DECL = "{A: Bot .. Top}"
+
+
+@pytest.mark.parametrize(
+    "module, name, stub, argv, error",
+    [
+        (dsub.step, "weight", lambda g, t: 1, ["sub", "--env", "ENV", _DECL, _DECL], "StepInvariantError"),
+        (dsub.bounds_shift, "type_size", lambda t: 1, ["promote", "--env", "ENV", "--var", "x", _DECL], "ShiftInvariantError"),
+    ],
+)
+def test_internal_error_exits_3_without_a_traceback(monkeypatch, tmp_path, capsys, module, name, stub, argv, error):
+    # criterion 3's stubs: a measure that never decreases trips its check
+    env = tmp_path / "x.env"
+    env.write_text("x : Top ;\n")
+    monkeypatch.setattr(module, name, stub)
+    code, out, err = run(capsys, *[str(env) if a == "ENV" else a for a in argv])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"dsub: internal error: {error}: ")
+    assert "Traceback" not in err and err.count("\n") == 1

@@ -293,7 +293,7 @@ def test_search_monotone_in_fuel():
     for goal in goals:
         found_at = None
         for fuel in range(1, 10):
-            tree = decl_search(goal, fuel, DeclSearcher())
+            tree = decl_search(goal, fuel)
             if tree is not None:
                 found_at = found_at or fuel
                 assert decl_verify(tree).ok
@@ -318,8 +318,8 @@ def test_search_results_always_verify():
 
 def test_search_deterministic():
     goal = SubJ(bad_bounds_env(), FUN_VV, FUN_VZ)
-    a = decl_search(goal, 6, DeclSearcher())
-    b = decl_search(goal, 6, DeclSearcher())
+    a = decl_search(goal, 6)
+    b = decl_search(goal, 6)
     assert a == b
 
 

@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from functools import lru_cache
 
 import pytest
@@ -129,6 +130,52 @@ def test_pn_depth_grows_linearly():
     for n in (1, 2, 5, 10):
         stats = scala_sub(*make_pn(n))
         assert stats.max_depth <= 2 * n + 1
+
+
+def _plain_sub(u, t1, t2) -> tuple:
+    """The recursion the model counts, run literally with no cache: its
+    (result, calls, max_depth)."""
+    calls, below = 1, 0
+
+    def enter(a, b) -> bool:
+        nonlocal calls, below
+        result, c, d = _plain_sub(u, a, b)
+        calls += c
+        below = max(below, d)
+        return result
+
+    result = False
+    if isinstance(t2, Member) and u.bounds(t2.name).lower is not None:
+        result = enter(t1, u.bounds(t2.name).lower)
+    if not result and isinstance(t1, Member) and u.bounds(t1.name).upper is not None:
+        result = enter(u.bounds(t1.name).upper, t2)
+    if not result:
+        match t1, t2:
+            case (Base(name=a), Base(name=b)) | (Member(name=a), Member(name=b)):
+                result = a == b
+            case Fun(param=p1, result=r1), Fun(param=p2, result=r2):
+                result = enter(p2, p1) and enter(r1, r2)
+    return result, calls, 1 + below
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_cached_counts_match_the_plain_recursion_on_the_two_chains(n):
+    universe, t1, t2 = make_pn(n)
+    queries = [(t1, t2)]
+    if n <= 4:  # every pair of members, where sub-queries repeat most
+        members = [Member(name) for name, _ in universe.members]
+        queries = [(a, b) for a in members for b in members]
+    for a, b in queries:
+        assert astuple(scala_sub(universe, a, b)) == _plain_sub(universe, a, b), (a, b)
+
+
+def test_cached_counts_match_the_plain_recursion_on_bad_bounds():
+    universe = bad_bounds_universe()
+    e = Member("E")
+    types = (INT, STRING, e, F_II, F_IS, Fun(e, INT), Fun(F_IS, e), Fun(e, e))
+    for a in types:
+        for b in types:
+            assert astuple(scala_sub(universe, a, b)) == _plain_sub(universe, a, b), (a, b)
 
 
 def test_cyclic_universe_hits_depth_guard():

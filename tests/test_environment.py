@@ -74,6 +74,16 @@ def test_extend_admits_exactly_the_names_the_parser_reads(name):
     assert admitted == reads_as_one_name
 
 
+def test_fresh_renames_only_a_binder_that_would_clash():
+    g = env_from_bindings((("x", Top()), ("x1", Top()), ("y", Top())))
+    assert g.fresh("z") == "z"
+    assert g.fresh("z", {"x", "w"}) == "z"
+    assert g.fresh("w", {"w"}) == "w1"  # among the scope's other free variables
+    assert g.fresh("x") == "x2"  # the least x<n> the environment does not bind
+    assert g.fresh("x", {"x2", "x4"}) == "x3"
+    assert g.fresh("y", {"y1"}) == "y2"
+
+
 def test_binding_gives_prefix_and_type():
     g = TypeEnv.empty().extend("x", Top()).extend("y", Bot())
     prefix, ty = g.binding("y")
@@ -83,9 +93,9 @@ def test_binding_gives_prefix_and_type():
     assert prefix.bindings == ()
     assert ty == Top()
     assert TypeEnv.empty().binding("x") is None
-    # an environment built directly, not by extension, has no shared prefixes
-    prefix, ty = TypeEnv(g.bindings).binding("y")
-    assert (prefix, ty) == (TypeEnv((("x", Top()),)), Bot())
+    # an environment rebuilt from the same bindings shares no prefixes
+    prefix, ty = env_from_bindings(g.bindings).binding("y")
+    assert (prefix, ty) == (env_from_bindings((("x", Top()),)), Bot())
 
 
 def test_binding_of_extension_shares_the_prefix():
@@ -94,7 +104,7 @@ def test_binding_of_extension_shares_the_prefix():
     prefix, ty = extended.binding("y")
     assert prefix is g and ty == Bot()
     assert extended.parent is g
-    assert TypeEnv(extended.bindings).parent == g
+    assert env_from_bindings(extended.bindings).parent == g
     assert TypeEnv.empty().parent is None
 
 
@@ -103,7 +113,7 @@ def test_bindings_satisfy_wellformedness():
         [("x", Decl("A", Bot(), Top())), ("y", Path("x", "A")), ("z", Top())]
     )
     for i, (x, ty) in enumerate(g.bindings):
-        prefix = TypeEnv(g.bindings[:i])
+        prefix = env_from_bindings(g.bindings[:i])
         assert x not in prefix.dom()
         from dsub.syntax import fv_type
 

@@ -135,7 +135,7 @@ def test_full_env_matches_prefix_env():
     # well-formedness makes exposing a stored type in the full environment
     # equal to exposing it in the strict prefix before its binder; checked
     # for every binding of every enumeration environment and of each prefix
-    envs = {TypeEnv(g.bindings[:n]) for g in _envs() for n in range(len(g) + 1)}
+    envs = {env_from_bindings(g.bindings[:n]) for g in _envs() for n in range(len(g) + 1)}
     checked = 0
     for g in envs:
         for x, stored in g:

@@ -1,7 +1,7 @@
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dsub.step
@@ -23,10 +23,15 @@ from dsub.lab import (
 from dsub.step import Typed, Untypable, step_subtype, step_type, weight
 from dsub.syntax import (
     All,
+    App,
     Bot,
     Decl,
+    Lam,
+    Let,
     Path,
+    Tag,
     Top,
+    Var,
     alpha_eq_type,
     fresh_name,
     fv_type,
@@ -370,6 +375,45 @@ def test_shadowing_binders_are_renamed():
     assert isinstance(out.ty, All)
     assert out.ty.param_type == Path("x", "A")
     assert out.ty.param != "x"
+
+
+# names a renamed binder may take (x1 for x) are also free and bound names
+_NAMES = ("x", "x1", "y", "y1")
+_X_TOP = _env(("x", Top()))
+
+
+def _terms_over(depth: int = 3):
+    """Terms over :data:`_NAMES`, free or bound; binders may shadow."""
+    names = st.sampled_from(_NAMES)
+    types = _types_in(_NAMES, 1)
+    leaves = [st.builds(Var, names), st.builds(App, names, names), st.builds(Tag, _labels, types)]
+    if depth == 0:
+        return st.one_of(leaves)
+    inner = _terms_over(depth - 1)
+    return st.one_of(*leaves, st.builds(Lam, names, types, inner), st.builds(Let, names, inner, inner))
+
+
+@st.composite
+def _env_and_term(draw):
+    g = TypeEnv.empty()
+    for x in draw(st.lists(st.sampled_from(_NAMES), unique=True, max_size=3)):
+        g = g.extend(x, draw(_types_in(tuple(g.dom()), 2)))
+    return g, draw(_terms_over())
+
+
+@settings(max_examples=300)
+@example((_X_TOP, parse_term("lam(x: Top) x1")))
+@example((_X_TOP, parse_term("let x = {A = Top} in x1")))
+@given(_env_and_term())
+def test_step_typing_decides_and_every_typing_verifies(env_and_term):
+    g, term = env_and_term
+    outcome = step_type(g, term)
+    assert isinstance(outcome, (Typed, Untypable))
+    if isinstance(outcome, Typed):
+        tree = elaborate_step(outcome.trace)
+        assert tree.conclusion.term is term and tree.conclusion.ty is outcome.ty
+        verdict = decl_verify(tree)
+        assert verdict.ok, f"{verdict.path}: {verdict.message}"
 
 
 def test_step_typing_deterministic():

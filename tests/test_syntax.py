@@ -9,11 +9,12 @@ import uuid
 from pathlib import Path as FsPath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsub import syntax
 from dsub.environment import parse_env
+from dsub.lab import Enumerator
 from dsub.syntax import (
     MAX_NESTING,
     All,
@@ -441,6 +442,8 @@ def test_nodes_are_immutable():
         lambda: Var(""),
         lambda: App("f", "X"),
         lambda: Let("x y", Var("z"), Var("z")),
+        lambda: Var("in"),
+        lambda: Decl("Top", Bot(), Top()),
     ),
 )
 def test_invalid_name_raises_and_interns_nothing(build):
@@ -525,3 +528,46 @@ def test_is_ident_agrees_with_the_tokenizer(text):
     except ParseError:
         reads = False
     assert syntax.is_ident(text) == reads
+
+
+def _reads_as(text: str, kind: str) -> bool:
+    try:
+        tokens = list(syntax._tokenize(text))
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0].kind == kind and tokens[0].text == text
+
+
+def _builds(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+@example("_y", "A")
+@example("_", "B_")
+@example("in", "A")
+@example("x", "Top")
+@example("x", "Bot")
+@given(*[st.text(alphabet="xyAB_1 .;éΣ", max_size=4) | st.sampled_from(("Top", "Bot", "all", "lam", "let", "in"))] * 2)
+def test_names_build_exactly_when_the_parser_reads_them(word, label):
+    var_ok, label_ok = _reads_as(word, "ident"), _reads_as(label, "label")
+    assert _builds(lambda: Var(word)) == var_ok
+    assert _builds(lambda: Path(word, label)) == (var_ok and label_ok)
+    assert _builds(lambda: Decl(label, Bot(), Top())) == label_ok
+    if var_ok and label_ok:
+        assert parse_type(f"all({word}: Top) {word}.{label}") is All(word, Top(), Path(word, label))
+
+
+def test_every_enumerated_node_prints_as_text_that_parses_back_to_it():
+    enum = Enumerator(labels=("A", "B_"))
+    scope = ("_v", "w1")
+    types = list(enum.types(5, scope))
+    terms = list(enum.terms(4, scope))
+    assert len(types) > 5000 and len(terms) > 700
+    for t in types:
+        assert parse_type(print_type(t)) is t
+    for t in terms:
+        assert parse_term(print_term(t)) is t

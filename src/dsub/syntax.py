@@ -480,18 +480,21 @@ class _Token(NamedTuple):
     col: int
 
 
-def _word_kind(text: str) -> str | None:
-    """The one name rule: a word is a letter or ``_`` followed by letters,
-    digits and ``_``; a word that is not a keyword is a label when it starts
-    upper-case and a variable ("ident") otherwise.  The token kind ``text``
-    reads as when it is exactly one word, else None."""
-    if not text or not (text[0].isalpha() or text[0] == "_"):
-        return None
-    if not all(c.isalnum() or c == "_" for c in text):
-        return None
-    if text in _KEYWORDS:
+def _word_kind(word: str) -> str:
+    """A word's token kind: a keyword, else a label when it starts
+    upper-case, else a variable ("ident")."""
+    if word in _KEYWORDS:
         return "keyword"
-    return "label" if text[0].isupper() else "ident"
+    return "label" if word[0].isupper() else "ident"
+
+
+def _reads_as(text: str) -> str | None:
+    """The one rule for names: the kind of ``text`` when it is one word as
+    the tokenizer scans words (a letter or ``_`` followed by letters, digits
+    and ``_``), else None."""
+    if not (text[:1] == "_" or text[:1].isalpha()) or not text.replace("_", "a").isalnum():
+        return None
+    return _word_kind(text)
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
@@ -529,16 +532,16 @@ def _tokenize(text: str) -> Iterator[_Token]:
 
 def is_ident(text: str) -> bool:
     """True when ``text`` reads as exactly one variable name."""
-    return _word_kind(text) == "ident"
+    return _reads_as(text) == "ident"
 
 
 def _check_var(name: str) -> None:
-    if _word_kind(name) != "ident":
+    if _reads_as(name) != "ident":
         raise ValueError(f"invalid variable name: {name!r}")
 
 
 def _check_label(name: str) -> None:
-    if _word_kind(name) != "label":
+    if _reads_as(name) != "label":
         raise ValueError(f"invalid type label: {name!r}")
 
 

@@ -93,11 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--min", type=int, default=1)
     pb.add_argument("--max", type=int, default=16)
     pb.add_argument(
-        "--metric",
-        choices=("calls", "nanos"),
-        default="calls",
-        help="calls: entries the plain recursion makes (column calls); nanos: wall time of the "
-        "memoised model that counts them, not of that recursion (column model_nanos)",
+        "--metric", choices=("calls", "nanos"), default="calls",
+        help="calls the plain recursion makes, or nanos the memoised model counting them takes "
+        "(column model_nanos)",
     )
     pb.add_argument("--out", help="write CSV here instead of stdout")
 

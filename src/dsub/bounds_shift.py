@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .environment import TypeEnv, UnboundVariable
-from .exposure import Stuck, expose
+from .environment import TypeEnv
+from .exposure import Stuck, select
 from .syntax import (
     All,
     Bot,
@@ -91,25 +91,17 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, parent: Type | None = None) ->
         case Path(var=y):
             if y != x:
                 return Shifted(t, step_node("P-Var" if up else "D-Var", ShiftJ(g, t, x, t, up)))
-            stored = g.lookup(x)
-            if stored is None:
-                raise UnboundVariable(f"unbound variable {x!r} in {print_type(t)}")
-            head = expose(g, stored)
+            head = select(g, t)
             if isinstance(head, Stuck):
-                return ShiftStuck(f"cannot {direction} {print_type(t)}: {head.describe()}")
-            match head.ty:
-                case Bot():
-                    out = Bot() if up else Top()
-                    rule = "P-Up-Bot" if up else "D-Down-Bot"
-                    return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (head.trace,)))
-                case Decl(label=label, lower=lo, upper=hi) if label == t.label:
-                    out = hi if up else lo
-                    rule = "P-Up" if up else "D-Down"
-                    return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (head.trace,)))
-                case other:
-                    return ShiftStuck(
-                        f"cannot {direction} {print_type(t)}: head exposes to {print_type(other)}"
-                    )
+                why = f"head exposes to {print_type(head.blocker)}" if head.path is t else head.describe()
+                return ShiftStuck(f"cannot {direction} {print_type(t)}: {why}")
+            if isinstance(head.ty, Bot):
+                out = Bot() if up else Top()
+                rule = "P-Up-Bot" if up else "D-Down-Bot"
+            else:
+                out = head.ty.upper if up else head.ty.lower
+                rule = "P-Up" if up else "D-Down"
+            return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (head.trace,)))
         case Decl(label=label, lower=lo, upper=hi):
             lo_result = _shift(g, lo, x, not up, t)
             if isinstance(lo_result, ShiftStuck):

@@ -328,7 +328,7 @@ def corpus_run(directory) -> int:
     for path in cases:
         try:
             ok, detail = runners[path.suffix](path)
-        except (DsubError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (DsubError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             ok, detail = False, f"error: {exc}"
         except RecursionError:
             ok, detail = False, f"error: {_TOO_DEEP}"

@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 from .environment import TypeEnv, env_from_bindings
 from .errors import DsubError
-from .exposure import exposed_type
+from .exposure import expose
 from .syntax import (
     All,
     App,
@@ -445,14 +445,14 @@ class DeclSearcher:
             add_subterms(goal.ty)
         for x, stored in goal.env:
             add_subterms(stored)
-            head = exposed_type(goal.env, stored)
-            if isinstance(head, Decl):
-                add(Path(x, head.label))
+            head = expose(goal.env, stored)
+            if head and isinstance(head.ty, Decl):
+                add(Path(x, head.ty.label))
         for t in list(seen.values()):
             if isinstance(t, Path):
-                exposed = exposed_type(goal.env, t)
-                if exposed is not None:
-                    add(exposed)
+                exposed = expose(goal.env, t)
+                if exposed:
+                    add(exposed.ty)
         ordered = sorted(seen.values(), key=lambda t: (type_size(t), canon_type(t)))
         return tuple(ordered)
 

@@ -145,7 +145,8 @@ class TypeEnv:
 
     @property
     def memo(self) -> dict:
-        """A cache for measures of types in this environment, keyed by node."""
+        """A cache of what this environment computes once per type node:
+        ``weight`` keys it by the node, ``expose`` by ``("expose", node)``."""
         if self._memo is None:
             self._memo = {}
         return self._memo

@@ -3,23 +3,25 @@
 ``expose(g, t)`` rewrites a path-dependent type ``x.A`` to a supertype that
 is not a path, by exposing the head variable's stored type and following the
 matching declaration's upper bound.  Non-path types expose to themselves.
+Each environment exposes each node once: the outcome, stuck or not, is kept
+in :attr:`TypeEnv.memo`.
 
 The head variable's stored type can only mention strictly earlier bindings
 (environments are well-formed), so the recursion always terminates.
 
-When the head's stored type exposes to Top, a function type, or a
-declaration with a different label, no rewrite applies; the explicit
-:class:`Stuck` outcome reports that, and callers treat it as failure of
-their own rule's premise.
-
-``exposed_type(g, t)`` computes the same exposed type without building the
-derivation, for callers (the declarative search) that keep only the type.
+``select(g, x.A)`` is the premise every selection rule shares: exposure's
+X-Bot/X-Path, promotion's P-Up/D-Down and step subtyping's selection rules.
+It holds when ``x``'s stored type exposes to Bot or to a declaration
+labelled ``A``.  When it exposes to Top, a function type, or a declaration
+with a different label, no rule applies; the explicit :class:`Stuck`
+outcome reports that, and callers treat it as failure of their own rule's
+premise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .environment import TypeEnv, UnboundVariable
 from .syntax import Bot, Decl, Path, Type, print_type
@@ -57,40 +59,42 @@ ExposureResult = Union[Exposed, Stuck]
 
 
 def expose(g: TypeEnv, t: Type) -> ExposureResult:
+    key = ("expose", t)  # a tuple, so it cannot collide with weight's node keys
+    memo = g.memo
+    result = memo.get(key)
+    if result is None:  # not falsy: a Stuck outcome is cached too
+        result = memo[key] = _expose(g, t)
+    return result
+
+
+def _expose(g: TypeEnv, t: Type) -> ExposureResult:
     if not isinstance(t, Path):
         return Exposed(t, step_node("X-Other", ExposeJ(g, t, t)))
+    head = select(g, t)
+    if isinstance(head, Stuck):
+        return head
+    if isinstance(head.ty, Bot):
+        return Exposed(Bot(), step_node("X-Bot", ExposeJ(g, t, Bot()), (head.trace,)))
+    tail = expose(g, head.ty.upper)
+    if isinstance(tail, Stuck):
+        return tail
+    return Exposed(tail.ty, step_node("X-Path", ExposeJ(g, t, tail.ty), (head.trace, tail.trace)))
 
-    stored = g.lookup(t.var)
+
+def select(g: TypeEnv, path: Path) -> ExposureResult:
+    """Expose the stored type of ``path``'s head variable; the result is
+    Bot or a declaration with ``path``'s label, or else :class:`Stuck`: the
+    head's own when the head is stuck, otherwise on ``path``, blocked on
+    what the head exposes to."""
+    stored = g.lookup(path.var)
     if stored is None:
-        raise UnboundVariable(f"unbound variable {t.var!r} in {print_type(t)}")
-
+        raise UnboundVariable(f"unbound variable {path.var!r} in {print_type(path)}")
     head = expose(g, stored)
     if isinstance(head, Stuck):
         return head
-
     match head.ty:
         case Bot():
-            return Exposed(Bot(), step_node("X-Bot", ExposeJ(g, t, Bot()), (head.trace,)))
-        case Decl(label=label, upper=upper) if label == t.label:
-            tail = expose(g, upper)
-            if isinstance(tail, Stuck):
-                return tail
-            return Exposed(tail.ty, step_node("X-Path", ExposeJ(g, t, tail.ty), (head.trace, tail.trace)))
-        case _:
-            return Stuck(t, head.ty)
-
-
-def exposed_type(g: TypeEnv, t: Type) -> Optional[Type]:
-    """``expose(g, t).ty`` without the trace, or None where ``expose`` is
-    stuck; for callers that keep only the exposed type."""
-    if not isinstance(t, Path):
-        return t
-    stored = g.lookup(t.var)
-    if stored is None:
-        raise UnboundVariable(f"unbound variable {t.var!r} in {print_type(t)}")
-    match exposed_type(g, stored):
-        case Bot():
-            return Bot()
-        case Decl(label=label, upper=upper) if label == t.label:
-            return exposed_type(g, upper)
-    return None
+            return head
+        case Decl(label=label) if label == path.label:
+            return head
+    return Stuck(path, head.ty)

@@ -269,21 +269,6 @@ class Enumerator:
         for size in range(1, max_size + 1):
             yield from self.terms_of_size(size, scope)
 
-    def envs(self, max_bindings: int, max_type_size: int) -> Iterator[TypeEnv]:
-        """All well-formed environments binding a prefix of the alphabet's
-        variables, with binding types up to the given size."""
-
-        def extendings(g: TypeEnv, remaining: tuple) -> Iterator[TypeEnv]:
-            yield g
-            if not remaining:
-                return
-            var = remaining[0]
-            scope = tuple(x for x, _ in g.bindings)
-            for ty in self.types(max_type_size, scope):
-                yield from extendings(g.extend(var, ty), remaining[1:])
-
-        yield from extendings(TypeEnv.empty(), self.variables[:max_bindings])
-
 
 # ---------------------------------------------------------------------------
 # Harness reports

@@ -24,7 +24,7 @@ from typing import Optional, Union
 from .bounds_shift import ShiftStuck, promote
 from .environment import TypeEnv, UnboundVariable
 from .errors import InternalLimit
-from .exposure import Stuck, expose
+from .exposure import Stuck, expose, select
 from .syntax import (
     All,
     App,
@@ -180,26 +180,20 @@ def _path_attempt(
     parent: Optional[int],
     depth: int,
 ) -> Optional[DerivationTree]:
-    path = s if left else t
-    stored = g.lookup(path.var)
-    if stored is None:
-        raise UnboundVariable(f"unbound variable {path.var!r} in {print_type(path)}")
-    head = expose(g, stored)
+    head = select(g, s if left else t)
     if isinstance(head, Stuck):
         return None
-    match head.ty:
-        case Bot():
-            rule = "S-<:-Bot" if left else "S-Bot-<:"
-            return step_node(rule, SubJ(g, s, t), (head.trace,))
-        case Decl(label=label, lower=lo, upper=hi) if label == path.label:
-            if left:
-                inner = _sub(g, hi, t, parent, depth + 1)
-                if inner is not None:
-                    return step_node("S-<:-Sel", SubJ(g, s, t), (head.trace, inner))
-            else:
-                inner = _sub(g, s, lo, parent, depth + 1)
-                if inner is not None:
-                    return step_node("S-Sel-<:", SubJ(g, s, t), (head.trace, inner))
+    if isinstance(head.ty, Bot):
+        rule = "S-<:-Bot" if left else "S-Bot-<:"
+        return step_node(rule, SubJ(g, s, t), (head.trace,))
+    if left:
+        inner = _sub(g, head.ty.upper, t, parent, depth + 1)
+        if inner is not None:
+            return step_node("S-<:-Sel", SubJ(g, s, t), (head.trace, inner))
+    else:
+        inner = _sub(g, s, head.ty.lower, parent, depth + 1)
+        if inner is not None:
+            return step_node("S-Sel-<:", SubJ(g, s, t), (head.trace, inner))
     return None
 
 

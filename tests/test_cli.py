@@ -233,6 +233,28 @@ def test_promote_stuck(capsys, tmp_path):
     assert code == 1 and out == ""
 
 
+# the two forms of a stuck selection: its head is stuck itself (s.A, on
+# w.B), or its head exposes to a type that is not a declaration (v.A)
+_STUCK_ENV = "w : {A: Top .. Top} ;\ns : w.B ;\nv : all(q: Top) Top ;\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    (
+        (("promote", "--var", "s", "s.A"), (1, "", "cannot promote s.A: w.B blocked on {A: Top .. Top}\n")),
+        (("promote", "--var", "v", "{A: v.A .. Top}"), (1, "", "cannot demote v.A: head exposes to all(q: Top) Top\n")),
+        (("expose", "s.A"), (1, "stuck: {A: Top .. Top}\n", "")),
+        (("sub", "w.A", "s.A"), (1, "not-subtype\n", "w.A <: s.A does not hold\n")),
+        (("sub", "v.A", "Bot"), (1, "not-subtype\n", "v.A <: Bot does not hold\n")),
+    ),
+)
+def test_stuck_selection_diagnostics(capsys, tmp_path, argv, want):
+    env = tmp_path / "stuck.env"
+    env.write_text(_STUCK_ENV)
+    verb, *rest = argv
+    assert run(capsys, verb, "--env", str(env), *rest) == want
+
+
 # ---------------------------------------------------------------------------
 # decl
 
@@ -415,6 +437,16 @@ def test_corpus_run_survives_a_recursion_error(capsys, tmp_path):
         "ok    trivial.sub",
         "1/2 corpus cases passed",
     ]
+
+
+def test_corpus_run_reports_a_missing_env_file_and_runs_the_rest(capsys, tmp_path):
+    (tmp_path / "a.sub").write_text("//! env: missing.env\n//! expect: subtype\nBot\nTop\n")
+    (tmp_path / "b.sub").write_text("//! expect: subtype\nBot\nTop\n")
+    code, out, err = run(capsys, "corpus", "run", "--dir", str(tmp_path))
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (1, "", 3)
+    assert lines[0].startswith("FAIL  a.sub: error: ") and "missing.env" in lines[0]
+    assert lines[1:] == ["ok    b.sub", "1/2 corpus cases passed"]
 
 
 def test_corpus_run_empty_dir(capsys, tmp_path):

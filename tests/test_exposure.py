@@ -2,7 +2,7 @@ import pytest
 
 from dsub.declarative import SubJ, decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
-from dsub.exposure import Exposed, Stuck, expose, exposed_type
+from dsub.exposure import Exposed, Stuck, expose
 from dsub.lab import Enumerator, bad_bounds_env
 from dsub.step import weight
 from dsub.syntax import All, Bot, Decl, Path, Top, alpha_eq_type
@@ -61,11 +61,20 @@ def test_expose_stuck_on_label_mismatch():
     assert result.blocker == Decl("B", Bot(), Top())
 
 
+def test_expose_is_computed_once_per_environment():
+    bindings = (("x", Decl("A", Bot(), Top())), ("y", Top()))
+    g = env_from_bindings(bindings)
+    exposed, stuck = expose(g, Path("x", "A")), expose(g, Path("y", "A"))
+    assert isinstance(exposed, Exposed) and isinstance(stuck, Stuck)
+    assert expose(g, Path("x", "A")) is exposed and expose(g, Path("y", "A")) is stuck
+    other = env_from_bindings(bindings)
+    assert expose(other, Path("x", "A")) is not exposed
+    assert expose(other, Path("x", "A")).ty is exposed.ty
+
+
 def test_expose_unbound_head():
     with pytest.raises(UnboundVariable):
         expose(TypeEnv.empty(), Path("x", "A"))
-    with pytest.raises(UnboundVariable):
-        exposed_type(TypeEnv.empty(), Path("x", "A"))
 
 
 def _envs():
@@ -92,18 +101,6 @@ def test_exposed_is_never_a_path():
         result = expose(g, t)
         if isinstance(result, Exposed):
             assert not isinstance(result.ty, Path)
-
-
-def test_exposed_type_matches_expose():
-    stuck = 0
-    for g, t in _enumerated_cases():
-        result = expose(g, t)
-        if isinstance(result, Exposed):
-            assert exposed_type(g, t) == result.ty
-        else:
-            assert exposed_type(g, t) is None
-            stuck += 1
-    assert stuck > 0
 
 
 def test_exposure_weight_monotonic():

@@ -29,7 +29,6 @@ from dsub.syntax import (
     canon_term,
     canon_type,
     fv_term,
-    fv_type,
     parse_type,
     print_term,
 )
@@ -177,18 +176,6 @@ def test_enumeration_is_deterministic():
     a = list(Enumerator().types(4, ("x",)))
     b = list(Enumerator().types(4, ("x",)))
     assert a == b
-
-
-def test_envs_are_wellformed_and_deterministic():
-    enum = Enumerator()
-    envs = list(enum.envs(2, 3))
-    assert envs[0].bindings == ()
-    assert envs == list(Enumerator().envs(2, 3))
-    for g in envs[:200]:
-        for i, (x, ty) in enumerate(g.bindings):
-            prefix = frozenset(y for y, _ in g.bindings[:i])
-            assert x not in prefix
-            assert fv_type(ty) <= prefix
 
 
 # ---------------------------------------------------------------------------

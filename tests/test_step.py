@@ -9,6 +9,7 @@ import dsub.syntax
 from dsub.declarative import decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.errors import InternalLimit
+from dsub.exposure import expose
 from dsub.lab import (
     DECL_V,
     DECL_Z,
@@ -21,6 +22,7 @@ from dsub.lab import (
     minimality_term,
 )
 from dsub.step import Typed, Untypable, step_subtype, step_type, weight
+from dsub.trace import derivation_to_json
 from dsub.syntax import (
     All,
     App,
@@ -414,6 +416,25 @@ def test_step_typing_decides_and_every_typing_verifies(env_and_term):
         assert tree.conclusion.term is term and tree.conclusion.ty is outcome.ty
         verdict = decl_verify(tree)
         assert verdict.ok, f"{verdict.path}: {verdict.message}"
+
+
+def _typing_bytes(g, term):
+    outcome = step_type(g, term)
+    return derivation_to_json(outcome.trace) if outcome else outcome.describe()
+
+
+@settings(max_examples=300)
+@example((_X_TOP, parse_term("lam(x: Top) x1")))
+@given(_env_and_term())
+def test_step_typing_does_not_depend_on_the_memo(env_and_term):
+    g, term = env_and_term
+    cold = _typing_bytes(g, term)
+    assert _typing_bytes(env_from_bindings(g.bindings), term) == cold
+    for x, stored in g:
+        expose(g, stored)
+        for label in ("A", "B"):
+            expose(g, Path(x, label))
+    assert _typing_bytes(g, term) == cold
 
 
 def test_step_typing_deterministic():

@@ -6,6 +6,8 @@ erased variable are replaced by the matching declaration's upper bound
 (promotion) or lower bound (demotion), discovered through exposure; a head
 that exposes to Bot promotes to Bot and demotes to Top.  The two relations
 are mutually recursive through declaration bounds and function parameters.
+Each answers :class:`~dsub.trace.Derived` (the shifted type and its trace),
+or :class:`~dsub.trace.Failed` naming the selection whose head is stuck.
 
 Binders equal to the erased variable shield their body and the type is
 returned unchanged; this is unreachable for fresh-named inputs but keeps the
@@ -17,11 +19,8 @@ environment with the demoted parameter type, demotion with the original one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from .environment import TypeEnv
-from .exposure import Stuck, select
+from .exposure import select
 from .syntax import (
     All,
     Bot,
@@ -34,48 +33,28 @@ from .syntax import (
     subst_var_in_type,
     type_size,
 )
-from .trace import DerivationTree, ShiftJ, step_node
+from .trace import Derived, Failed, ShiftJ, step_node
 
 
 class ShiftInvariantError(AssertionError):
     """A termination-measure or erasure invariant was violated (a bug)."""
 
 
-@dataclass(frozen=True)
-class Shifted:
-    ty: Type
-    trace: DerivationTree
-
-    def __bool__(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class ShiftStuck:
-    reason: str
-
-    def __bool__(self) -> bool:
-        return False
-
-
-ShiftResult = Union[Shifted, ShiftStuck]
-
-
-def promote(g: TypeEnv, t: Type, x: str) -> ShiftResult:
+def promote(g: TypeEnv, t: Type, x: str) -> Derived | Failed:
     result = _shift(g, t, x, up=True)
-    if isinstance(result, Shifted) and x in fv_type(result.ty):
+    if result and x in fv_type(result.ty):
         raise ShiftInvariantError(f"promotion left {x!r} free in {print_type(result.ty)}")
     return result
 
 
-def demote(g: TypeEnv, t: Type, x: str) -> ShiftResult:
+def demote(g: TypeEnv, t: Type, x: str) -> Derived | Failed:
     result = _shift(g, t, x, up=False)
-    if isinstance(result, Shifted) and x in fv_type(result.ty):
+    if result and x in fv_type(result.ty):
         raise ShiftInvariantError(f"demotion left {x!r} free in {print_type(result.ty)}")
     return result
 
 
-def _shift(g: TypeEnv, t: Type, x: str, up: bool, parent: Type | None = None) -> ShiftResult:
+def _shift(g: TypeEnv, t: Type, x: str, up: bool, parent: Type | None = None) -> Derived | Failed:
     """Shift ``t``; a component of ``parent`` asserts the structural-size
     termination measure first."""
     if parent is not None and not type_size(t) < type_size(parent):
@@ -85,47 +64,47 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, parent: Type | None = None) ->
     direction = "promote" if up else "demote"
     match t:
         case Bot():
-            return Shifted(t, step_node("P-Bot" if up else "D-Bot", ShiftJ(g, t, x, t, up)))
+            return Derived(t, step_node("P-Bot" if up else "D-Bot", ShiftJ(g, t, x, t, up)))
         case Top():
-            return Shifted(t, step_node("P-Top" if up else "D-Top", ShiftJ(g, t, x, t, up)))
+            return Derived(t, step_node("P-Top" if up else "D-Top", ShiftJ(g, t, x, t, up)))
         case Path(var=y):
             if y != x:
-                return Shifted(t, step_node("P-Var" if up else "D-Var", ShiftJ(g, t, x, t, up)))
+                return Derived(t, step_node("P-Var" if up else "D-Var", ShiftJ(g, t, x, t, up)))
             head = select(g, t)
-            if isinstance(head, Stuck):
+            if not head:
                 why = f"head exposes to {print_type(head.blocker)}" if head.path is t else head.describe()
-                return ShiftStuck(f"cannot {direction} {print_type(t)}: {why}")
+                return Failed(f"cannot {direction} {print_type(t)}: {why}")
             if isinstance(head.ty, Bot):
                 out = Bot() if up else Top()
                 rule = "P-Up-Bot" if up else "D-Down-Bot"
             else:
                 out = head.ty.upper if up else head.ty.lower
                 rule = "P-Up" if up else "D-Down"
-            return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (head.trace,)))
+            return Derived(out, step_node(rule, ShiftJ(g, t, x, out, up), (head.trace,)))
         case Decl(label=label, lower=lo, upper=hi):
             lo_result = _shift(g, lo, x, not up, t)
-            if isinstance(lo_result, ShiftStuck):
+            if not lo_result:
                 return lo_result
             hi_result = _shift(g, hi, x, up, t)
-            if isinstance(hi_result, ShiftStuck):
+            if not hi_result:
                 return hi_result
             out = Decl(label, lo_result.ty, hi_result.ty)
             rule = "P-Decl" if up else "D-Decl"
-            return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (lo_result.trace, hi_result.trace)))
+            return Derived(out, step_node(rule, ShiftJ(g, t, x, out, up), (lo_result.trace, hi_result.trace)))
         case All(param=y, param_type=s, result=u):
             if y == x:
-                return Shifted(t, step_node("P-Cap" if up else "D-Cap", ShiftJ(g, t, x, t, up)))
+                return Derived(t, step_node("P-Cap" if up else "D-Cap", ShiftJ(g, t, x, t, up)))
             s_result = _shift(g, s, x, not up, t)
-            if isinstance(s_result, ShiftStuck):
+            if not s_result:
                 return s_result
             z = g.fresh(y, (fv_type(u) - {y}) | {x})
             # promotion recurses under the demoted parameter type, demotion
             # under the original one
             inner_env = g.extend(z, s_result.ty if up else s)
             u_result = _shift(inner_env, subst_var_in_type(u, y, z), x, up, t)
-            if isinstance(u_result, ShiftStuck):
+            if not u_result:
                 return u_result
             out = All(z, s_result.ty, u_result.ty)
             rule = "P-Lam" if up else "D-Lam"
-            return Shifted(out, step_node(rule, ShiftJ(g, t, x, out, up), (s_result.trace, u_result.trace)))
+            return Derived(out, step_node(rule, ShiftJ(g, t, x, out, up), (s_result.trace, u_result.trace)))
     raise TypeError(f"not a type: {t!r}")

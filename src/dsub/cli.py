@@ -18,7 +18,7 @@ import sys
 from pathlib import Path as FsPath
 
 from . import __version__
-from .bounds_shift import ShiftStuck, demote, promote
+from .bounds_shift import demote, promote
 from .declarative import (
     SubJ,
     TypJ,
@@ -30,9 +30,9 @@ from .declarative import (
 from .dotty import bench_pn
 from .environment import TypeEnv, parse_env
 from .errors import DsubError
-from .exposure import Stuck, expose
+from .exposure import expose
 from .lab import check_no_tag_switch, check_wellbehaved, run_minimality_counterexample
-from .step import Typed, Untypable, step_subtype, step_type
+from .step import step_subtype, step_type
 from .syntax import alpha_eq_type, parse_term, parse_type, print_type
 
 
@@ -158,7 +158,7 @@ def _cmd_check(args) -> int:
     env = _load_env(args.env)
     term = parse_term(FsPath(args.file).read_text())
     outcome = step_type(env, term)
-    if isinstance(outcome, Untypable):
+    if not outcome:
         _diag(f"untypable: {outcome.describe()}")
         return 1
     if args.emit_trace:
@@ -183,7 +183,7 @@ def _cmd_sub(args) -> int:
 def _cmd_expose(args) -> int:
     env = _load_env(args.env)
     result = expose(env, parse_type(args.type))
-    if isinstance(result, Stuck):
+    if not result:
         print(f"stuck: {print_type(result.blocker)}")
         return 1
     print(print_type(result.ty))
@@ -194,7 +194,7 @@ def _cmd_shift(args) -> int:
     env = _load_env(args.env)
     op = promote if args.verb == "promote" else demote
     result = op(env, parse_type(args.type), args.var)
-    if isinstance(result, ShiftStuck):
+    if not result:
         _diag(result.reason)
         return 1
     print(print_type(result.ty))
@@ -272,12 +272,12 @@ def _run_dsub_case(path: FsPath) -> tuple:
     outcome = step_type(env, parse_term(text))
     if expect.startswith("typed"):
         wanted = parse_type(expect[len("typed") :].strip())
-        if isinstance(outcome, Typed) and alpha_eq_type(outcome.ty, wanted):
+        if outcome and alpha_eq_type(outcome.ty, wanted):
             return True, ""
-        got = print_type(outcome.ty) if isinstance(outcome, Typed) else outcome.describe()
+        got = print_type(outcome.ty) if outcome else outcome.describe()
         return False, f"expected type {print_type(wanted)}, got {got}"
     if expect == "untypable":
-        if isinstance(outcome, Untypable):
+        if not outcome:
             return True, ""
         return False, f"expected untypable, got {print_type(outcome.ty)}"
     return False, f"unrecognized expectation {expect!r}"

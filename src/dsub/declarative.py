@@ -518,6 +518,7 @@ class DeclSearcher:
 
     def _search_typ(self, goal: TypJ, fuel: int) -> Optional[DerivationTree]:
         g, term, ty = goal.env, goal.term, goal.ty
+        candidates = None  # computed by the first rule that guesses a type
 
         match term:
             case Var(name=x):
@@ -544,7 +545,8 @@ class DeclSearcher:
                     if premise is not None:
                         return DerivationTree("All-I", goal, (premise,))
             case App(fun=f, arg=a):
-                for fun_ty in self._candidates(goal):
+                candidates = self._candidates(goal)
+                for fun_ty in candidates:
                     if not isinstance(fun_ty, All):
                         continue
                     if not alpha_eq_type(subst_var_in_type(fun_ty.result, fun_ty.param, a), ty):
@@ -557,7 +559,8 @@ class DeclSearcher:
                         return DerivationTree("All-E", goal, (fun_premise, arg_premise))
             case Let(bound=x, rhs=rhs, body=body):
                 if x not in fv_type(ty):
-                    for rhs_ty in self._candidates(goal):
+                    candidates = self._candidates(goal)
+                    for rhs_ty in candidates:
                         rhs_premise = self.search(TypJ(g, rhs, rhs_ty), fuel - 1)
                         if rhs_premise is None:
                             continue
@@ -567,7 +570,9 @@ class DeclSearcher:
                         if body_premise is not None:
                             return DerivationTree("Let", goal, (rhs_premise, body_premise))
 
-        for mid in self._candidates(goal):
+        if candidates is None:
+            candidates = self._candidates(goal)
+        for mid in candidates:
             if alpha_eq_type(mid, ty):
                 continue
             typing = self.search(TypJ(g, term, mid), fuel - 1)

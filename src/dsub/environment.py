@@ -11,6 +11,8 @@ binding ``x: T`` with prefix ``G1``:
   stored types).
 
 Environments are immutable values; extension returns a new environment.
+Their one equality is :attr:`TypeEnv.key` (the same bindings up to
+alpha-equivalence); ``==`` is identity, as for syntax nodes.
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ class TypeEnv:
     a second time starts a new index, a copy of the entries it sees.
     """
 
-    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "_hash", "_memo")
+    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "_memo")
 
     def __init__(self) -> None:
         """The empty environment; :meth:`extend` adds checked bindings."""
         self._parent = self._last = None
         self._len, self._index = 0, {}
-        self._dom = self._key = self._hash = self._memo = None
+        self._dom = self._key = self._memo = None
 
     @staticmethod
     def empty() -> "TypeEnv":
@@ -81,7 +83,7 @@ class TypeEnv:
         child = object.__new__(TypeEnv)
         child._parent, child._last = self, (x, t)
         child._len, child._index = self._len + 1, index
-        child._dom = child._key = child._hash = child._memo = None
+        child._dom = child._key = child._memo = None
         return child
 
     def fresh(self, x: str, free=frozenset()) -> str:
@@ -159,16 +161,6 @@ class TypeEnv:
     def unbound(self, names) -> frozenset:
         """The names in ``names`` this environment does not bind."""
         return frozenset(x for x in names if self._entry(x) is None)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TypeEnv):
-            return NotImplemented
-        return self is other or (self._len == other._len and self.bindings == other.bindings)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.bindings)
-        return self._hash
 
     def __repr__(self) -> str:
         return f"TypeEnv(bindings={self.bindings!r})"

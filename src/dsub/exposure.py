@@ -16,27 +16,19 @@ labelled ``A``.  When it exposes to Top, a function type, or a declaration
 with a different label, no rule applies; the explicit :class:`Stuck`
 outcome reports that, and callers treat it as failure of their own rule's
 premise.
+
+Both answer :class:`~dsub.trace.Derived` on success.  Their failure is
+:class:`Stuck` rather than :class:`~dsub.trace.Failed`, because promotion
+and ``dsub expose`` read which path is stuck and what blocks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .environment import TypeEnv, UnboundVariable
 from .syntax import Bot, Decl, Path, Type, print_type
-from .trace import DerivationTree, ExposeJ, step_node
-
-
-@dataclass(frozen=True)
-class Exposed:
-    """Successful exposure; ``ty`` is never a path."""
-
-    ty: Type
-    trace: DerivationTree
-
-    def __bool__(self) -> bool:
-        return True
+from .trace import Derived, ExposeJ, step_node
 
 
 @dataclass(frozen=True)
@@ -55,10 +47,7 @@ class Stuck:
         return f"{print_type(self.path)} blocked on {print_type(self.blocker)}"
 
 
-ExposureResult = Union[Exposed, Stuck]
-
-
-def expose(g: TypeEnv, t: Type) -> ExposureResult:
+def expose(g: TypeEnv, t: Type) -> Derived | Stuck:
     key = ("expose", t)  # a tuple, so it cannot collide with weight's node keys
     memo = g.memo
     result = memo.get(key)
@@ -67,21 +56,21 @@ def expose(g: TypeEnv, t: Type) -> ExposureResult:
     return result
 
 
-def _expose(g: TypeEnv, t: Type) -> ExposureResult:
+def _expose(g: TypeEnv, t: Type) -> Derived | Stuck:
     if not isinstance(t, Path):
-        return Exposed(t, step_node("X-Other", ExposeJ(g, t, t)))
+        return Derived(t, step_node("X-Other", ExposeJ(g, t, t)))
     head = select(g, t)
-    if isinstance(head, Stuck):
+    if not head:
         return head
     if isinstance(head.ty, Bot):
-        return Exposed(Bot(), step_node("X-Bot", ExposeJ(g, t, Bot()), (head.trace,)))
+        return Derived(Bot(), step_node("X-Bot", ExposeJ(g, t, Bot()), (head.trace,)))
     tail = expose(g, head.ty.upper)
-    if isinstance(tail, Stuck):
+    if not tail:
         return tail
-    return Exposed(tail.ty, step_node("X-Path", ExposeJ(g, t, tail.ty), (head.trace, tail.trace)))
+    return Derived(tail.ty, step_node("X-Path", ExposeJ(g, t, tail.ty), (head.trace, tail.trace)))
 
 
-def select(g: TypeEnv, path: Path) -> ExposureResult:
+def select(g: TypeEnv, path: Path) -> Derived | Stuck:
     """Expose the stored type of ``path``'s head variable; the result is
     Bot or a declaration with ``path``'s label, or else :class:`Stuck`: the
     head's own when the head is stuck, otherwise on ``path``, blocked on
@@ -90,7 +79,7 @@ def select(g: TypeEnv, path: Path) -> ExposureResult:
     if stored is None:
         raise UnboundVariable(f"unbound variable {path.var!r} in {print_type(path)}")
     head = expose(g, stored)
-    if isinstance(head, Stuck):
+    if not head:
         return head
     match head.ty:
         case Bot():

@@ -28,7 +28,7 @@ from .declarative import (
     derivation_to_json,
 )
 from .environment import TypeEnv
-from .step import Typed, step_subtype, step_type
+from .step import step_subtype, step_type
 from .syntax import (
     All,
     App,
@@ -457,7 +457,7 @@ def run_minimality_counterexample() -> MinimalityReport:
     body = minimality_body()
 
     outcome = step_type(env, body)
-    if isinstance(outcome, Typed):
+    if outcome:
         report.step_result = print_type(outcome.ty)
         report.step_result_ok = alpha_eq_type(outcome.ty, DECL_V)
     else:

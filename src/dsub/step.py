@@ -8,7 +8,10 @@ alpha-equivalence (the kernel restriction that makes the relation decidable).
 Step typing drops subsumption: applications expose the function's type to a
 function type (or Bot) and perform a single subtype check against the
 parameter type; lets promote the body's type to erase the bound variable.
-Both procedures compute at most one type per input.
+Both procedures compute at most one type per input.  Step typing answers
+:class:`~dsub.trace.Derived` or :class:`~dsub.trace.Failed` with the dotted
+location of the subterm at fault; step subtyping computes no type, so it
+answers a :class:`SubtypeResult` that holds or not.
 
 ``weight`` is the termination measure for subtyping; every recursive
 subtyping call re-measures itself in its own environment and asserts it
@@ -19,12 +22,12 @@ runaway recursion into a distinct :class:`InternalLimit` error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .bounds_shift import ShiftStuck, promote
+from .bounds_shift import promote
 from .environment import TypeEnv, UnboundVariable
 from .errors import InternalLimit
-from .exposure import Stuck, expose, select
+from .exposure import expose, select
 from .syntax import (
     All,
     App,
@@ -45,7 +48,7 @@ from .syntax import (
     subst_var_in_term,
     subst_var_in_type,
 )
-from .trace import DerivationTree, SubJ, TypJ, step_node
+from .trace import DerivationTree, Derived, Failed, SubJ, TypJ, step_node
 
 DEPTH_LIMIT = 10_000
 
@@ -181,7 +184,7 @@ def _path_attempt(
     depth: int,
 ) -> Optional[DerivationTree]:
     head = select(g, s if left else t)
-    if isinstance(head, Stuck):
+    if not head:
         return None
     if isinstance(head.ty, Bot):
         rule = "S-<:-Bot" if left else "S-Bot-<:"
@@ -201,82 +204,57 @@ def _path_attempt(
 # Step typing
 
 
-@dataclass(frozen=True)
-class Typed:
-    ty: Type
-    trace: DerivationTree
-
-    def __bool__(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class Untypable:
-    reason: str
-    location: str  # dotted path into the term; "" for the root
-
-    def __bool__(self) -> bool:
-        return False
-
-    def describe(self) -> str:
-        where = self.location or "term"
-        return f"{where}: {self.reason}"
-
-
-StepTypingOutcome = Union[Typed, Untypable]
-
-
-def step_type(g: TypeEnv, term: Term) -> StepTypingOutcome:
+def step_type(g: TypeEnv, term: Term) -> Derived | Failed:
     """Compute the unique step type of ``term`` under ``g``, or explain why
     there is none."""
     return _typ(g, term, "")
 
 
-def _typ(g: TypeEnv, term: Term, loc: str) -> StepTypingOutcome:
+def _typ(g: TypeEnv, term: Term, loc: str) -> Derived | Failed:
     match term:
         case Var(name=x):
             stored = g.lookup(x)
             if stored is None:
-                return Untypable(f"unbound variable {x!r}", loc)
-            return Typed(stored, step_node("T-Var", TypJ(g, term, stored)))
+                return Failed(f"unbound variable {x!r}", loc)
+            return Derived(stored, step_node("T-Var", TypJ(g, term, stored)))
 
         case Tag(label=a, alias=ty):
             out_of_scope = g.unbound(fv_type(ty))
             if out_of_scope:
-                return Untypable(
+                return Failed(
                     f"tag type mentions unbound variable(s): {', '.join(sorted(out_of_scope))}", loc
                 )
             result = Decl(a, ty, ty)
-            return Typed(result, step_node("T-Typ-I", TypJ(g, term, result)))
+            return Derived(result, step_node("T-Typ-I", TypJ(g, term, result)))
 
         case Lam(param=x, param_type=ty, body=body):
             out_of_scope = g.unbound(fv_type(ty))
             if out_of_scope:
-                return Untypable(
+                return Failed(
                     f"parameter type mentions unbound variable(s): "
                     f"{', '.join(sorted(out_of_scope))}",
                     loc,
                 )
             z = g.fresh(x, fv_term(body) - {x})
             inner = _typ(g.extend(z, ty), subst_var_in_term(body, x, z), _at(loc, "body"))
-            if isinstance(inner, Untypable):
+            if not inner:
                 return inner
             result = All(z, ty, inner.ty)
-            return Typed(result, step_node("T-All-I", TypJ(g, term, result), (inner.trace,)))
+            return Derived(result, step_node("T-All-I", TypJ(g, term, result), (inner.trace,)))
 
         case App(fun=f, arg=a):
             fun_typed = _typ(g, Var(f), _at(loc, "fun"))
-            if isinstance(fun_typed, Untypable):
+            if not fun_typed:
                 return fun_typed
             head = expose(g, fun_typed.ty)
-            if isinstance(head, Stuck):
-                return Untypable(f"function position not exposable ({head.describe()})", loc)
+            if not head:
+                return Failed(f"function position not exposable ({head.describe()})", loc)
             arg_typed = _typ(g, Var(a), _at(loc, "arg"))
-            if isinstance(arg_typed, Untypable):
+            if not arg_typed:
                 return arg_typed
             match head.ty:
                 case Bot():
-                    return Typed(
+                    return Derived(
                         Bot(),
                         step_node(
                             "T-App-Bot",
@@ -287,13 +265,13 @@ def _typ(g: TypeEnv, term: Term, loc: str) -> StepTypingOutcome:
                 case All(param=z, param_type=s, result=u):
                     check = step_subtype(g, arg_typed.ty, s)
                     if not check.holds:
-                        return Untypable(
+                        return Failed(
                             f"argument type {print_type(arg_typed.ty)} is not a step subtype "
                             f"of parameter type {print_type(s)}",
                             loc,
                         )
                     result = subst_var_in_type(u, z, a)
-                    return Typed(
+                    return Derived(
                         result,
                         step_node(
                             "T-All-E",
@@ -302,23 +280,23 @@ def _typ(g: TypeEnv, term: Term, loc: str) -> StepTypingOutcome:
                         ),
                     )
                 case other:
-                    return Untypable(
+                    return Failed(
                         f"function position has non-function type {print_type(other)}", loc
                     )
 
         case Let(bound=x, rhs=rhs, body=body):
             rhs_typed = _typ(g, rhs, _at(loc, "rhs"))
-            if isinstance(rhs_typed, Untypable):
+            if not rhs_typed:
                 return rhs_typed
             z = g.fresh(x, fv_term(body) - {x})
             inner_env = g.extend(z, rhs_typed.ty)
             body_typed = _typ(inner_env, subst_var_in_term(body, x, z), _at(loc, "body"))
-            if isinstance(body_typed, Untypable):
+            if not body_typed:
                 return body_typed
             promoted = promote(inner_env, body_typed.ty, z)
-            if isinstance(promoted, ShiftStuck):
-                return Untypable(f"let body type not promotable ({promoted.reason})", loc)
-            return Typed(
+            if not promoted:
+                return Failed(f"let body type not promotable ({promoted.reason})", loc)
+            return Derived(
                 promoted.ty,
                 step_node(
                     "T-Let",
@@ -337,9 +315,6 @@ __all__ = [
     "DEPTH_LIMIT",
     "StepInvariantError",
     "SubtypeResult",
-    "Typed",
-    "Untypable",
-    "StepTypingOutcome",
     "step_subtype",
     "step_type",
     "weight",

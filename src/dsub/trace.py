@@ -1,4 +1,5 @@
-"""Derivation trees and the judgments they conclude.
+"""Derivation trees, the judgments they conclude, and the outcome of an
+algorithmic relation.
 
 A :class:`DerivationTree` node names the applied rule, records the judgment
 it establishes and holds the derivations of its premises.  The same node
@@ -10,6 +11,13 @@ type carries both kinds of tree:
   declarative derivations;
 - declarative derivations, checked by ``decl_verify`` and found by
   ``decl_search``.
+
+Exposure, promotion/demotion and step typing each compute at most one type.
+They answer :class:`Derived` (truthy: the type and its trace) when a rule
+applies; promotion/demotion and step typing answer :class:`Failed` (falsy:
+why no rule applies, and where in the term) when none does.  Exposure's
+failure is its own :class:`~dsub.exposure.Stuck`, whose fields its callers
+read.
 
 Each judgment form writes its own JSON payload (``kind``, ``env``, then its
 fields in surface syntax); :func:`derivation_to_json` is the one tree writer.
@@ -23,8 +31,10 @@ from typing import Union
 from .environment import TypeEnv
 from .syntax import Term, Type, canon_term, canon_type, fv_term, fv_type, print_term, print_type
 
-# Rule names that may appear in step traces, grouped by judgment kind.
-SUB_STEP_RULES = frozenset(
+# Rule names that may appear in step traces: step subtyping (S-), then one
+# line each for step typing (T-), exposure (X-), promotion (P-) and demotion
+# (D-).  ``dsub.declarative`` has one elaborator for each.
+TRACE_RULES = frozenset(
     (
         "S-Bot",
         "S-Top",
@@ -35,14 +45,12 @@ SUB_STEP_RULES = frozenset(
         "S-Sel-<:",
         "S-Bot-<:",
         "S-<:-Bot",
+        "T-Var", "T-All-I", "T-Typ-I", "T-All-E", "T-App-Bot", "T-Let",
+        "X-Bot", "X-Path", "X-Other",
+        "P-Up", "P-Up-Bot", "P-Lam", "P-Var", "P-Bot", "P-Top", "P-Decl", "P-Cap",
+        "D-Down", "D-Down-Bot", "D-Lam", "D-Var", "D-Bot", "D-Top", "D-Decl", "D-Cap",
     )
 )
-TYP_STEP_RULES = frozenset(("T-Var", "T-All-I", "T-Typ-I", "T-All-E", "T-App-Bot", "T-Let"))
-EXPOSE_RULES = frozenset(("X-Bot", "X-Path", "X-Other"))
-PROMOTE_RULES = frozenset(("P-Up", "P-Up-Bot", "P-Lam", "P-Var", "P-Bot", "P-Top", "P-Decl", "P-Cap"))
-DEMOTE_RULES = frozenset(("D-Down", "D-Down-Bot", "D-Lam", "D-Var", "D-Bot", "D-Top", "D-Decl", "D-Cap"))
-
-TRACE_RULES = SUB_STEP_RULES | TYP_STEP_RULES | EXPOSE_RULES | PROMOTE_RULES | DEMOTE_RULES
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +158,31 @@ class DerivationTree:
     rule: str
     conclusion: Union[SubJ, TypJ, ExposeJ, ShiftJ]
     premises: tuple = field(default=())
+
+
+@dataclass(frozen=True)
+class Derived:
+    """An algorithmic relation computed ``ty``; ``trace`` derives it.
+    Truthy, as objects are by default; :class:`Failed` is falsy."""
+
+    ty: Type
+    trace: DerivationTree
+
+
+@dataclass(frozen=True)
+class Failed:
+    """No algorithmic rule applies, for ``reason``; ``location`` is the
+    dotted path into the term at fault ("" for the root, or no term)."""
+
+    reason: str
+    location: str = ""
+
+    def __bool__(self) -> bool:
+        return False
+
+    def describe(self) -> str:
+        where = self.location or "term"
+        return f"{where}: {self.reason}"
 
 
 def step_node(rule: str, conclusion, premises: tuple = ()) -> DerivationTree:

@@ -30,7 +30,7 @@ import pytest
 
 import dsub.bounds_shift
 import dsub.step
-from dsub.bounds_shift import ShiftInvariantError, Shifted, demote, promote
+from dsub.bounds_shift import ShiftInvariantError, demote, promote
 from dsub.cli import main
 from dsub.declarative import (
     ElaborationGap,
@@ -40,7 +40,7 @@ from dsub.declarative import (
 from dsub.dotty import INT, STRING, Fun, Member, bad_bounds_universe, make_pn, scala_sub
 from dsub.environment import TypeEnv, env_from_bindings
 from dsub.errors import InternalLimit
-from dsub.exposure import Exposed, expose
+from dsub.exposure import expose
 from dsub.lab import (
     Enumerator,
     bad_bounds_env,
@@ -50,7 +50,6 @@ from dsub.lab import (
 )
 from dsub.step import (
     StepInvariantError,
-    Typed,
     step_subtype,
     step_type,
     weight,
@@ -68,6 +67,7 @@ from dsub.syntax import (
     print_term,
     print_type,
 )
+from dsub.trace import Derived
 from test_cli import CORPUS
 from test_lab import below_red_flaw
 
@@ -106,7 +106,7 @@ def test_criterion_1_soundness_elaboration():
         for term in enum.terms(4, scope):
             instances += 1
             outcome = step_type(g, term)
-            if not isinstance(outcome, Typed):
+            if not isinstance(outcome, Derived):
                 continue
             try:
                 tree = elaborate_step(outcome.trace)
@@ -219,7 +219,7 @@ def test_criterion_4_exposure_monotonicity():
         labels = ("A", "B", "E", "V") if "e" in scope else ("A", "B", "C")
         for t in Enumerator(labels=labels).types(4, scope):
             result = expose(g, t)
-            if not isinstance(result, Exposed):
+            if not isinstance(result, Derived):
                 continue
             checked += 1
             if isinstance(result.ty, Path):
@@ -243,7 +243,7 @@ def test_criterion_5_shift_erasure_and_direction():
             for x in scope:
                 for op, direction in ((promote, "promote"), (demote, "demote")):
                     result = op(g, t, x)
-                    if not isinstance(result, Shifted):
+                    if not isinstance(result, Derived):
                         continue
                     checked += 1
                     if x in fv_type(result.ty):

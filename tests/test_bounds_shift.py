@@ -1,10 +1,11 @@
 import pytest
 
-from dsub.bounds_shift import ShiftStuck, Shifted, demote, promote
+from dsub.bounds_shift import demote, promote
 from dsub.declarative import decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.lab import Enumerator, bad_bounds_env
 from dsub.syntax import All, Bot, Decl, Path, Top, alpha_eq_type, fv_type
+from dsub.trace import Derived, Failed
 
 
 def _env(*pairs):
@@ -16,7 +17,7 @@ G1 = _env(("x", Decl("A", Bot(), Top())))
 
 def test_promote_path_to_upper():
     result = promote(G1, Path("x", "A"), "x")
-    assert isinstance(result, Shifted) and result.ty == Top()
+    assert isinstance(result, Derived) and result.ty == Top()
 
 
 def test_promote_bot_and_top_fixed():
@@ -34,7 +35,7 @@ def test_promote_decl_flips_lower():
 
 def test_demote_path_to_lower():
     result = demote(G1, Path("x", "A"), "x")
-    assert isinstance(result, Shifted) and result.ty == Bot()
+    assert isinstance(result, Derived) and result.ty == Bot()
 
 
 def test_demote_bot_head_gives_top():
@@ -67,7 +68,7 @@ def test_binder_matching_target_shields_body():
 def test_stuck_on_unexposable_head():
     g = _env(("x", Top()))
     result = promote(g, Path("x", "A"), "x")
-    assert isinstance(result, ShiftStuck)
+    assert isinstance(result, Failed)
     assert "expose" in result.reason or "blocked" in result.reason
 
 
@@ -97,7 +98,7 @@ def test_erasure_on_enumerated_inputs():
     for g, t, x in _cases():
         for op in (promote, demote):
             result = op(g, t, x)
-            if isinstance(result, Shifted):
+            if isinstance(result, Derived):
                 assert x not in fv_type(result.ty)
                 checked += 1
     assert checked > 1000
@@ -109,7 +110,7 @@ def test_identity_on_types_without_the_variable():
             continue
         for op in (promote, demote):
             result = op(g, t, x)
-            assert isinstance(result, Shifted)
+            assert isinstance(result, Derived)
             assert alpha_eq_type(result.ty, t)
 
 
@@ -117,7 +118,7 @@ def test_shift_directions_elaborate_and_verify():
     checked = 0
     for g, t, x in _cases(max_size=3):
         promoted = promote(g, t, x)
-        if isinstance(promoted, Shifted):
+        if isinstance(promoted, Derived):
             tree = elaborate_step(promoted.trace)
             assert alpha_eq_type(tree.conclusion.lhs, t)
             assert alpha_eq_type(tree.conclusion.rhs, promoted.ty)
@@ -125,7 +126,7 @@ def test_shift_directions_elaborate_and_verify():
             assert verdict.ok, f"{verdict.path}: {verdict.message}"
             checked += 1
         demoted = demote(g, t, x)
-        if isinstance(demoted, Shifted):
+        if isinstance(demoted, Derived):
             tree = elaborate_step(demoted.trace)
             assert alpha_eq_type(tree.conclusion.lhs, demoted.ty)
             assert alpha_eq_type(tree.conclusion.rhs, t)

@@ -1,14 +1,24 @@
 import json
+import os
+import random
+import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dsub
 import dsub.bounds_shift
 import dsub.step
 from dsub.cli import main
-from dsub.syntax import MAX_NESTING
-from dsub.trace import TRACE_RULES
+from dsub.declarative import elaborate_step
+from dsub.environment import parse_env
+from dsub.lab import Enumerator
+from dsub.step import step_type
+from dsub.syntax import MAX_NESTING, parse_term, print_term, print_type
+from dsub.trace import TRACE_RULES, derivation_to_json
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -506,3 +516,108 @@ def test_internal_error_exits_3_without_a_traceback(monkeypatch, tmp_path, capsy
     assert out == ""
     assert err.startswith(f"dsub: internal error: {error}: ")
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the installed entry point, run as a subprocess
+
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\.\.|\S")
+
+
+def _broken(text: str, rng: random.Random, unbound: str, deep: str) -> list:
+    """Broken copies of well-formed ``text``: truncated, one token dropped,
+    a stray character, then ``unbound`` (``text`` with an unbound variable)
+    and ``deep`` (one level past the nesting bound)."""
+    words = _WORD.findall(text)
+    drop = rng.randrange(len(words))
+    at = rng.randrange(len(text) + 1)
+    return [
+        text[: len(text) // 2],
+        " ".join(words[:drop] + words[drop + 1 :]),
+        text[:at] + rng.choice("#@$%~!?") + text[at:],
+        unbound,
+        deep,
+    ]
+
+
+def _grammar_invocations(tmp_path) -> list:
+    """About forty argument lists: every verb that reads syntax, on types and
+    terms drawn from the enumerator and on broken copies of them."""
+    rng = random.Random(8)
+    enum = Enumerator()
+    scope = ("x", "y")
+    env = tmp_path / "g.env"
+    env.write_text("x : {A: Bot .. Top} ;\ny : {B: x.A .. x.A} ;\n")
+    g = parse_env(env.read_text())
+    closed = list(enum.types(3))
+    scoped = list(enum.types(3, scope))
+    terms = list(enum.terms(3, scope))
+    s, t, u = (print_type(rng.choice(scoped)) for _ in range(3))
+    closed_term = print_term(rng.choice(list(enum.terms(3))))
+    term, other = (print_term(rng.choice(terms)) for _ in range(2))
+    files = {}
+    for name, text in (("closed", closed_term), ("term", term), ("other", other)):
+        files[name] = tmp_path / f"{name}.dsub"
+        files[name].write_text(text)
+    rng.shuffle(terms)
+    trace = next(typed.trace for typed in (step_type(g, m) for m in terms) if typed and typed.trace.premises)
+    valid = json.dumps(derivation_to_json(elaborate_step(trace)))
+    e = ["--env", str(env)]
+    calls = [
+        ["check", str(files["closed"])],
+        ["check", str(files["term"]), *e],
+        ["check", str(files["other"]), *e, "--emit-trace", str(tmp_path / "t.json")],
+        ["sub", print_type(rng.choice(closed)), print_type(rng.choice(closed))],
+        ["sub", *e, s, t],
+        ["expose", *e, "y.B"],
+        ["expose", *e, "x.B"],
+        ["promote", *e, "--var", "y", u],
+        ["demote", *e, "--var", "x", s],
+        ["decl", "search", *e, "--fuel", "2", "--sub", t, u],
+        ["decl", "search", *e, "--fuel", "2", "--typ", str(files["term"]), s],
+    ]
+    bad_terms = _broken(term, rng, f"let w = q in {term}", "{B = " + _nested_decl(MAX_NESTING) + "}")
+    for i, bad in enumerate(bad_terms):
+        path = tmp_path / f"bad{i}.dsub"
+        path.write_text(bad)
+        calls.append(["check", str(path), *e] if i % 2 else ["check", str(path)])
+    verbs = (
+        lambda bad: ["sub", *e, bad, t],
+        lambda bad: ["expose", *e, bad],
+        lambda bad: ["promote" if rng.random() < 0.5 else "demote", *e, "--var", "x", bad],
+        lambda bad: ["decl", "search", *e, "--fuel", "2", "--sub", s, bad],
+    )
+    for make in verbs:
+        calls += map(make, _broken(u, rng, f"all(w: q.A) {u}", _nested_decl(MAX_NESTING + 1)))
+    for i, data in enumerate(
+        (
+            valid,
+            valid[: len(valid) // 2],
+            valid.replace('"premises": [{', '"premises": ["x", {', 1),
+            valid.replace('"kind": "', '"kind": "x', 1),
+            valid.replace('"env": [', '"env": [["x", "x.A"], ', 1),
+            json.dumps([valid]),
+        )
+    ):
+        path = tmp_path / f"d{i}.json"
+        path.write_text(data)
+        calls.append(["decl", "verify", str(path)])
+    return calls
+
+
+def test_cli_subprocess_never_prints_a_traceback(tmp_path):
+    src = str(Path(dsub.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    seen = set()
+    for argv in _grammar_invocations(tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-m", "dsub.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        where = f"dsub {' '.join(argv)}\n{done.stderr}"
+        assert "Traceback" not in done.stderr, where
+        assert done.returncode in (0, 1, 2), where
+        if done.returncode == 2:
+            assert any(line.startswith(("dsub: error:", "usage:")) for line in done.stderr.splitlines()), where
+        seen.add(done.returncode)
+    assert seen == {0, 1, 2}

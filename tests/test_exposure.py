@@ -2,10 +2,11 @@ import pytest
 
 from dsub.declarative import SubJ, decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
-from dsub.exposure import Exposed, Stuck, expose
+from dsub.exposure import Stuck, expose
 from dsub.lab import Enumerator, bad_bounds_env
 from dsub.step import weight
 from dsub.syntax import All, Bot, Decl, Path, Top, alpha_eq_type
+from dsub.trace import Derived
 
 
 def _env(*pairs):
@@ -15,13 +16,13 @@ def _env(*pairs):
 def test_expose_path_to_upper_bound():
     g = _env(("x", Decl("A", Bot(), Top())))
     result = expose(g, Path("x", "A"))
-    assert isinstance(result, Exposed) and result.ty == Top()
+    assert isinstance(result, Derived) and result.ty == Top()
 
 
 def test_expose_non_path_is_identity():
     g = TypeEnv.empty()
     result = expose(g, Top())
-    assert isinstance(result, Exposed) and result.ty == Top()
+    assert isinstance(result, Derived) and result.ty == Top()
     fn = All("x", Top(), Top())
     assert expose(g, fn).ty == fn
 
@@ -29,14 +30,14 @@ def test_expose_non_path_is_identity():
 def test_expose_bot_head():
     g = _env(("x", Bot()))
     result = expose(g, Path("x", "A"))
-    assert isinstance(result, Exposed) and result.ty == Bot()
+    assert isinstance(result, Derived) and result.ty == Bot()
     assert result.trace.rule == "X-Bot"
 
 
 def test_expose_chained_paths():
     g = _env(("x", Decl("A", Bot(), Top())), ("y", Decl("B", Bot(), Path("x", "A"))))
     result = expose(g, Path("y", "B"))
-    assert isinstance(result, Exposed) and result.ty == Top()
+    assert isinstance(result, Derived) and result.ty == Top()
 
 
 def test_expose_stuck_on_top_head():
@@ -65,7 +66,7 @@ def test_expose_is_computed_once_per_environment():
     bindings = (("x", Decl("A", Bot(), Top())), ("y", Top()))
     g = env_from_bindings(bindings)
     exposed, stuck = expose(g, Path("x", "A")), expose(g, Path("y", "A"))
-    assert isinstance(exposed, Exposed) and isinstance(stuck, Stuck)
+    assert isinstance(exposed, Derived) and isinstance(stuck, Stuck)
     assert expose(g, Path("x", "A")) is exposed and expose(g, Path("y", "A")) is stuck
     other = env_from_bindings(bindings)
     assert expose(other, Path("x", "A")) is not exposed
@@ -99,7 +100,7 @@ def _enumerated_cases(max_size=4):
 def test_exposed_is_never_a_path():
     for g, t in _enumerated_cases():
         result = expose(g, t)
-        if isinstance(result, Exposed):
+        if isinstance(result, Derived):
             assert not isinstance(result.ty, Path)
 
 
@@ -107,7 +108,7 @@ def test_exposure_weight_monotonic():
     checked = 0
     for g, t in _enumerated_cases():
         result = expose(g, t)
-        if isinstance(result, Exposed):
+        if isinstance(result, Derived):
             assert weight(g, result.ty) <= weight(g, t)
             checked += 1
     assert checked > 500
@@ -117,7 +118,7 @@ def test_exposure_elaborates_to_valid_subtyping():
     checked = 0
     for g, t in _enumerated_cases(max_size=3):
         result = expose(g, t)
-        if isinstance(result, Exposed):
+        if isinstance(result, Derived):
             tree = elaborate_step(result.trace)
             assert isinstance(tree.conclusion, SubJ)
             assert alpha_eq_type(tree.conclusion.lhs, t)
@@ -138,8 +139,8 @@ def test_full_env_matches_prefix_env():
         for x, stored in g:
             prefix, _ = g.binding(x)
             full, strict = expose(g, stored), expose(prefix, stored)
-            assert isinstance(full, Exposed) == isinstance(strict, Exposed), x
-            if isinstance(full, Exposed):
+            assert isinstance(full, Derived) == isinstance(strict, Derived), x
+            if isinstance(full, Derived):
                 assert alpha_eq_type(full.ty, strict.ty), x
             checked += 1
     assert checked > 0

@@ -21,8 +21,8 @@ from dsub.lab import (
     minimality_body,
     minimality_term,
 )
-from dsub.step import Typed, Untypable, step_subtype, step_type, weight
-from dsub.trace import derivation_to_json
+from dsub.step import step_subtype, step_type, weight
+from dsub.trace import Derived, Failed, derivation_to_json
 from dsub.syntax import (
     All,
     App,
@@ -307,44 +307,44 @@ def test_depth_valve_is_distinct(monkeypatch):
 
 def test_type_lambda_identity():
     out = step_type(TypeEnv.empty(), parse_term("lam(x: Top) x"))
-    assert isinstance(out, Typed)
+    assert isinstance(out, Derived)
     assert alpha_eq_type(out.ty, All("x", Top(), Top()))
 
 
 def test_type_tag():
     out = step_type(TypeEnv.empty(), parse_term("{A = Top}"))
-    assert isinstance(out, Typed)
+    assert isinstance(out, Derived)
     assert out.ty == Decl("A", Top(), Top())
 
 
 def test_type_let_promotes_bound_variable_away():
     out = step_type(TypeEnv.empty(), parse_term("let x = {A = Top} in lam(y: x.A) y"))
-    assert isinstance(out, Typed)
+    assert isinstance(out, Derived)
     assert alpha_eq_type(out.ty, All("y", Top(), Top()))
 
 
 def test_type_minimality_body():
     out = step_type(bad_bounds_env(), minimality_body())
-    assert isinstance(out, Typed)
+    assert isinstance(out, Derived)
     assert alpha_eq_type(out.ty, DECL_V)
 
 
 def test_type_minimality_term_closed():
     out = step_type(TypeEnv.empty(), minimality_term())
-    assert isinstance(out, Typed)
+    assert isinstance(out, Derived)
     assert alpha_eq_type(out.ty, All("e", Decl("E", FUN_VV, FUN_VZ), DECL_V))
 
 
 def test_type_application_of_bot():
     out = step_type(TypeEnv.empty(), parse_term("lam(x: Bot) lam(y: Top) x y"))
-    assert isinstance(out, Typed)
+    assert isinstance(out, Derived)
     assert alpha_eq_type(out.ty, All("x", Bot(), All("y", Top(), Bot())))
 
 
 def test_type_application_result_substitutes_argument():
     term = parse_term("lam(f: all(z: Top) z.A) lam(y: Top) f y")
     out = step_type(TypeEnv.empty(), term)
-    assert isinstance(out, Typed)
+    assert isinstance(out, Derived)
     assert alpha_eq_type(
         out.ty, All("f", All("z", Top(), Path("z", "A")), All("y", Top(), Path("y", "A")))
     )
@@ -352,7 +352,7 @@ def test_type_application_result_substitutes_argument():
 
 def test_untypable_application_of_top():
     out = step_type(TypeEnv.empty(), parse_term("lam(f: Top) f f"))
-    assert isinstance(out, Untypable)
+    assert isinstance(out, Failed)
     assert "function position" in out.reason
     assert out.location == "body"
 
@@ -360,19 +360,19 @@ def test_untypable_application_of_top():
 def test_untypable_argument_mismatch():
     term = parse_term("lam(f: all(z: {A: Top .. Top}) Top) lam(y: Top) f y")
     out = step_type(TypeEnv.empty(), term)
-    assert isinstance(out, Untypable)
+    assert isinstance(out, Failed)
     assert "not a step subtype" in out.reason
 
 
 def test_untypable_unbound_variable():
     out = step_type(TypeEnv.empty(), parse_term("x"))
-    assert isinstance(out, Untypable)
+    assert isinstance(out, Failed)
 
 
 def test_shadowing_binders_are_renamed():
     g = _env(("x", Decl("A", Bot(), Top())))
     out = step_type(g, parse_term("lam(x: x.A) x"))
-    assert isinstance(out, Typed)
+    assert isinstance(out, Derived)
     # the parameter annotation refers to the outer x; the binder is freshened
     assert isinstance(out.ty, All)
     assert out.ty.param_type == Path("x", "A")
@@ -410,8 +410,8 @@ def _env_and_term(draw):
 def test_step_typing_decides_and_every_typing_verifies(env_and_term):
     g, term = env_and_term
     outcome = step_type(g, term)
-    assert isinstance(outcome, (Typed, Untypable))
-    if isinstance(outcome, Typed):
+    assert isinstance(outcome, (Derived, Failed))
+    if isinstance(outcome, Derived):
         tree = elaborate_step(outcome.trace)
         assert tree.conclusion.term is term and tree.conclusion.ty is outcome.ty
         verdict = decl_verify(tree)
@@ -441,7 +441,7 @@ def test_step_typing_deterministic():
     g = bad_bounds_env()
     first = step_type(g, minimality_body())
     second = step_type(g, minimality_body())
-    assert isinstance(first, Typed) and isinstance(second, Typed)
+    assert isinstance(first, Derived) and isinstance(second, Derived)
     assert alpha_eq_type(first.ty, second.ty)
     assert print_type(first.ty) == print_type(second.ty)
 

@@ -3,7 +3,8 @@
 Exit codes: 0 for a positive result (typed, subtype holds, exposed,
 derivation valid/found, harness clean), 1 for a negative result (untypable,
 not a subtype, stuck, invalid derivation, search unknown, violations found,
-corpus mismatch), 2 for usage, parse, or I/O errors, malformed derivation
+corpus mismatch), 2 for usage, parse, or I/O errors, a type argument that
+mentions a variable the environment does not bind, malformed derivation
 JSON and input nested too deeply to check, 3 for an internal error (a
 violated invariant such as a termination measure that failed to decrease,
 i.e. a bug).  Machine output (types, JSON, CSV) goes to stdout; diagnostics
@@ -28,12 +29,12 @@ from .declarative import (
     derivation_to_json,
 )
 from .dotty import bench_pn
-from .environment import TypeEnv, parse_env
+from .environment import TypeEnv, UnboundVariable, parse_env
 from .errors import DsubError
 from .exposure import expose
 from .lab import check_no_tag_switch, check_wellbehaved, run_minimality_counterexample
 from .step import step_subtype, step_type
-from .syntax import alpha_eq_type, parse_term, parse_type, print_type
+from .syntax import Type, alpha_eq_type, fv_type, parse_term, parse_type, print_type
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,6 +114,14 @@ def _load_env(path) -> TypeEnv:
     return parse_env(FsPath(path).read_text())
 
 
+def _scoped(env: TypeEnv, *types: Type) -> None:
+    """Refuse, as :meth:`TypeEnv.extend` does, types that mention a
+    variable ``env`` does not bind: such a query has no answer to give."""
+    loose = env.unbound(frozenset().union(*map(fv_type, types)))
+    if loose:
+        raise UnboundVariable(f"type mentions unbound variable(s): {', '.join(sorted(loose))}")
+
+
 _TOO_DEEP = "input is nested too deeply"
 
 
@@ -170,6 +179,7 @@ def _cmd_check(args) -> int:
 def _cmd_sub(args) -> int:
     env = _load_env(args.env)
     lhs, rhs = parse_type(args.lhs), parse_type(args.rhs)
+    _scoped(env, lhs, rhs)
     result = step_subtype(env, lhs, rhs)
     if result.holds:
         print("subtype")
@@ -182,7 +192,9 @@ def _cmd_sub(args) -> int:
 
 def _cmd_expose(args) -> int:
     env = _load_env(args.env)
-    result = expose(env, parse_type(args.type))
+    t = parse_type(args.type)
+    _scoped(env, t)
+    result = expose(env, t)
     if not result:
         print(f"stuck: {print_type(result.blocker)}")
         return 1

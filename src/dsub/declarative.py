@@ -391,70 +391,105 @@ _CHECKERS = {
 # Bounded search
 
 
+def _add_candidate(t: Type, scope: frozenset, seen: dict) -> None:
+    if fv_type(t) <= scope:  # candidates must stay well-scoped in the goal's env
+        seen.setdefault(canon_type(t), t)
+
+
+def _add_subterms(t: Type, scope: frozenset, seen: dict) -> None:
+    _add_candidate(t, scope, seen)
+    match t:
+        case Decl(lower=lo, upper=hi):
+            _add_subterms(lo, scope, seen)
+            _add_subterms(hi, scope, seen)
+        case All(param_type=s, result=u):
+            _add_subterms(s, scope, seen)
+            _add_subterms(u, scope, seen)
+
+
+def _env_candidates(g: TypeEnv) -> dict:
+    """The environment's share of every goal's candidates, built once per
+    environment and kept in :attr:`TypeEnv.memo` under ``"candidates"``:
+    canonical key -> the first type met with it, over the stored types with
+    their subterms and each variable's own selection.
+
+    It holds the exposure of every path in scope too.  A path exposes to
+    Bot or to an upper bound reached from a stored type through upper
+    bounds alone, never under a binder, so that bound is a stored subterm
+    already."""
+    memo = g.memo
+    share = memo.get("candidates")
+    if share is None:
+        scope = g.dom()
+        share = {}
+        for x, t in g:
+            _add_subterms(t, scope, share)
+            head = expose(g, t)
+            if head and isinstance(head.ty, Decl):
+                _add_candidate(Path(x, head.ty.label), scope, share)
+        memo["candidates"] = share
+    return share
+
+
+def _size_then_key(item: tuple) -> tuple:
+    key, t = item
+    return type_size(t), key
+
+
 class DeclSearcher:
     """Fuel-bounded backward search over the declarative rules.
 
     Midpoints for Trans/Sub (and the unknown bound in the Sel rules) are
     drawn from a finite candidate set: Top, Bot, subterms of the goal's
-    types, environment types and their subterms, exposures of the paths in
-    that set, and each environment variable's own selection when its type
-    exposes to a declaration.  Results are memoized per (judgment, fuel);
-    anything found is verified sound by construction.
+    types, environment types and their subterms (which include the
+    exposures of the paths in that set), and each environment variable's
+    own selection when its type exposes to a declaration.  The
+    environment's share of that set is built once per environment.
+
+    Found derivations are memoized per (judgment, fuel).  A failure is kept
+    once per judgment, at the highest fuel searched, and answers every
+    search of that judgment with no more fuel: each rule tries its premises
+    in the same order at any fuel, so whatever is found at some fuel is
+    found at every higher one.  Anything found is verified sound by
+    construction.
     """
 
     def __init__(self) -> None:
-        self._memo: dict = {}
+        self._memo: dict = {}  # (judgment key, fuel) -> the tree found
+        self._failed: dict = {}  # judgment key -> highest fuel that found nothing
 
     def search(self, goal: Judgment, fuel: int) -> Optional[DerivationTree]:
         if fuel <= 0:
             return None
-        key = (goal.key(), fuel)
-        if key in self._memo:
-            return self._memo[key]
-        found = self._search_sub(goal, fuel) if isinstance(goal, SubJ) else self._search_typ(goal, fuel)
-        self._memo[key] = found
+        k = goal.key()
+        if self._failed.get(k, 0) >= fuel:
+            return None
+        key = (k, fuel)
+        found = self._memo.get(key)
+        if found is None:
+            found = self._search_sub(goal, fuel) if isinstance(goal, SubJ) else self._search_typ(goal, fuel)
+            if found is None:
+                self._failed[k] = fuel  # every search made inside this one had less fuel
+            else:
+                self._memo[key] = found
         return found
 
     # -- candidates
 
-    def _candidates(self, goal: Judgment) -> tuple:
+    def _candidates(self, goal: Judgment) -> list:
+        """Top, Bot, the goal's own subterms and the environment's share;
+        the first of each alpha-equivalence class met in that order stands
+        for it.  Ordered by size, then canonical key.  A list, not a tuple:
+        CPython keeps freed tuples of each small length for reuse, and
+        tuples here raised a cold search's peak memory by about 1 MB."""
         scope = goal.env.dom()
-        seen: dict = {}
-
-        def add(t: Type) -> None:
-            if fv_type(t) - scope:
-                return  # candidates must stay well-scoped in the goal's env
-            seen.setdefault(canon_type(t), t)
-
-        def add_subterms(t: Type) -> None:
-            add(t)
-            match t:
-                case Decl(lower=lo, upper=hi):
-                    add_subterms(lo)
-                    add_subterms(hi)
-                case All(param_type=s, result=u):
-                    add_subterms(s)
-                    add_subterms(u)
-
-        add(Top())
-        add(Bot())
-        if isinstance(goal, SubJ):
-            add_subterms(goal.lhs)
-            add_subterms(goal.rhs)
-        else:
-            add_subterms(goal.ty)
-        for x, stored in goal.env:
-            add_subterms(stored)
-            head = expose(goal.env, stored)
-            if head and isinstance(head.ty, Decl):
-                add(Path(x, head.ty.label))
-        for t in list(seen.values()):
-            if isinstance(t, Path):
-                exposed = expose(goal.env, t)
-                if exposed:
-                    add(exposed.ty)
-        ordered = sorted(seen.values(), key=lambda t: (type_size(t), canon_type(t)))
-        return tuple(ordered)
+        own: dict = {}
+        _add_candidate(Top(), scope, own)
+        _add_candidate(Bot(), scope, own)
+        for t in (goal.lhs, goal.rhs) if isinstance(goal, SubJ) else (goal.ty,):
+            _add_subterms(t, scope, own)
+        seen = {**_env_candidates(goal.env), **own}  # the goal's own stand for their classes
+        return [t for _, t in sorted(seen.items(), key=_size_then_key)]
 
     # -- subtyping goals
 

@@ -147,8 +147,10 @@ class TypeEnv:
 
     @property
     def memo(self) -> dict:
-        """A cache of what this environment computes once per type node:
-        ``weight`` keys it by the node, ``expose`` by ``("expose", node)``."""
+        """A cache of what this environment computes once: ``weight`` keys
+        it by the type node, ``expose`` by ``("expose", node)``, and the
+        declarative search keeps its share of every goal's candidates under
+        ``"candidates"``."""
         if self._memo is None:
             self._memo = {}
         return self._memo

@@ -265,6 +265,29 @@ def test_stuck_selection_diagnostics(capsys, tmp_path, argv, want):
     assert run(capsys, verb, "--env", str(env), *rest) == want
 
 
+# a type that mentions an unbound variable is a usage error (exit 2), never
+# a negative answer (exit 1) nor an answer echoed back (exit 0)
+_ILL_SCOPED = "all(w: q.A) {C: y.C .. Top}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        pytest.param(("sub", _ILL_SCOPED, "{C: y.B .. y.A}"), id="sub"),
+        pytest.param(("expose", _ILL_SCOPED), id="expose"),
+    ),
+)
+def test_ill_scoped_type_is_a_usage_error(capsys, tmp_path, argv):
+    env = tmp_path / "g.env"
+    env.write_text("y : {A: Bot .. Top} ;\n")
+    verb, *rest = argv
+    assert run(capsys, verb, "--env", str(env), *rest) == (
+        2,
+        "",
+        "dsub: error: type mentions unbound variable(s): q\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # decl
 

@@ -16,6 +16,7 @@ from dsub.declarative import (
 )
 from dsub.environment import TypeEnv, env_from_bindings
 from dsub.errors import DsubError
+from dsub.exposure import expose
 from dsub.lab import (
     BAD_BOUNDS_DECL,
     DECL_V,
@@ -38,7 +39,11 @@ from dsub.syntax import (
     Top,
     Var,
     alpha_eq_type,
+    canon_type,
+    fv_type,
     parse_term,
+    subst_var_in_type,
+    type_size,
 )
 from dsub.trace import TRACE_RULES, Derived
 
@@ -323,6 +328,112 @@ def test_search_deterministic():
     a = decl_search(goal, 6)
     b = decl_search(goal, 6)
     assert a == b
+
+
+def _subterms(t):
+    yield t
+    if isinstance(t, Decl):
+        yield from _subterms(t.lower)
+        yield from _subterms(t.upper)
+    elif isinstance(t, All):
+        yield from _subterms(t.param_type)
+        yield from _subterms(t.result)
+
+
+def _reference_candidates(goal):
+    """The candidate set as built before the environment's share was kept:
+    every call walks the environment again and exposes every path."""
+    scope = goal.env.dom()
+    seen = {}
+
+    def add(t):
+        if fv_type(t) - scope:
+            return
+        seen.setdefault(canon_type(t), t)
+
+    add(Top())
+    add(Bot())
+    for t in (goal.lhs, goal.rhs) if isinstance(goal, SubJ) else (goal.ty,):
+        for u in _subterms(t):
+            add(u)
+    for x, stored in goal.env:
+        for u in _subterms(stored):
+            add(u)
+        head = expose(goal.env, stored)
+        if head and isinstance(head.ty, Decl):
+            add(Path(x, head.ty.label))
+    for t in list(seen.values()):
+        if isinstance(t, Path):
+            exposed = expose(goal.env, t)
+            if exposed:
+                add(exposed.ty)
+    return tuple(sorted(seen.values(), key=lambda t: (type_size(t), canon_type(t))))
+
+
+def _all_sub_all_extension():
+    # the body premise's environment, as All-<:-All opens it for two
+    # function types over x.A, under x : {A: Bot .. {B: Top .. Top}}
+    g = _env(("x", Decl("A", Bot(), Decl("B", Top(), Top()))))
+    lhs, rhs = All("y", Path("x", "A"), Path("y", "B")), All("y", Path("x", "A"), Top())
+    z = g.fresh(lhs.param, (fv_type(lhs.result) - {lhs.param}) | (fv_type(rhs.result) - {rhs.param}))
+    return g.extend(z, rhs.param_type)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [EMPTY, _env(("x", Decl("A", Bot(), Top()))), bad_bounds_env(), _all_sub_all_extension()],
+    ids=["empty", "x-decl", "bad-bounds", "all-sub-all-extension"],
+)
+def test_candidates_match_the_reference(env):
+    # goals over the environment's variables, plus closed types whose
+    # binders may reuse a bound name, so that alpha-equivalent candidates
+    # meet and the first of each class must stay the one kept
+    scope = tuple(x for x, _ in env)
+    labels = tuple(sorted({"A", "B", "V"} | {t.label for _, t in env if isinstance(t, Decl)}))
+    enum = Enumerator(variables=scope, labels=labels)
+    stored = [u for _, t in env for u in _subterms(t)]
+    renamed = [
+        All(f"{u.param}1", u.param_type, subst_var_in_type(u.result, u.param, f"{u.param}1"))
+        for u in stored
+        if isinstance(u, All)
+    ]
+    types = list(dict.fromkeys([*enum.types(3, scope), *enum.types(3), *stored, *renamed]))
+    searcher = DeclSearcher()
+    goals = [SubJ(env, s, t) for s in types for t in types[::7]]
+    goals += [TypJ(env, Tag("A", Top()), t) for t in types]
+    for goal in goals:
+        got, want = searcher._candidates(goal), _reference_candidates(goal)
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), goal
+
+
+def test_shared_searcher_answers_as_fresh_ones():
+    # one searcher visits every goal at fuel 6, then 5, then 4, so that its
+    # failures at higher fuel answer the lower; another visits them at 4, 5
+    # and 6, so that nothing found with less fuel may stand for a search
+    # with more.  Each answer must be the tree a fresh search at that fuel
+    # finds.
+    env = bad_bounds_env()
+    universe = list(Enumerator(variables=("e",), labels=("E", "V", "Z")).types(4, ("e",)))
+    decls = [t for t in universe if isinstance(t, Decl)]
+    goals = [SubJ(env, s, t) for s in universe for t in universe][::600]
+    goals += [SubJ(env, s, t) for s in decls for t in decls if s.label == t.label][::20]
+    # the few lab goals first found at fuel 5, or found as another tree at 6
+    pivot = Path("e", "E")
+    for t in universe:
+        if isinstance(t, All) and Bot() in (t.param_type, t.result):
+            goals += [SubJ(env, pivot, t), SubJ(env, t, pivot)]
+    fresh = {}
+    for fuel in (6, 5, 4):
+        for goal in goals:
+            tree = decl_search(goal, fuel)
+            fresh[goal, fuel] = tree and derivation_to_json(tree)
+    assert sum(tree is not None for tree in fresh.values()) > 100
+    for fuels in ((6, 5, 4), (4, 5, 6)):
+        searcher = DeclSearcher()
+        for fuel in fuels:
+            for goal in goals:
+                tree = searcher.search(goal, fuel)
+                assert (tree and derivation_to_json(tree)) == fresh[goal, fuel], (goal, fuel, fuels)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from pathlib import Path as FsPath
 from . import __version__
 from .bounds_shift import demote, promote
 from .declarative import (
+    MAX_FUEL,
     SubJ,
     TypJ,
     decl_search,
@@ -73,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("file")
     ps = decl_sub.add_parser("search", help="fuel-bounded derivation search")
     ps.add_argument("--env", help="environment file")
-    ps.add_argument("--fuel", type=int, required=True)
+    ps.add_argument("--fuel", type=_fuel, required=True, help=f"search depth, 1 to {MAX_FUEL}")
     group = ps.add_mutually_exclusive_group(required=True)
     group.add_argument("--sub", nargs=2, metavar=("S", "T"), help="subtyping goal")
     group.add_argument("--typ", nargs=2, metavar=("FILE", "T"), help="typing goal: term file and type")
@@ -81,11 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verb("lab", help="metatheory harnesses")
     lab_sub = p.add_subparsers(dest="lab_verb", required=True)
     pc = lab_sub.add_parser("colours", help="well-behavedness falsification suite")
-    pc.add_argument("--max-size", type=int, default=4)
-    pc.add_argument("--fuel", type=int, default=6)
     pt = lab_sub.add_parser("tags", help="no-tag-switch falsification suite")
-    pt.add_argument("--max-size", type=int, default=4)
-    pt.add_argument("--fuel", type=int, default=6)
+    for p in (pc, pt):
+        p.add_argument("--max-size", type=_positive, default=4, help="largest type in the universe, at least 1")
+        p.add_argument("--fuel", type=_fuel, default=6, help=f"search depth, 1 to {MAX_FUEL}")
     lab_sub.add_parser("minimality", help="minimal-typing counterexample report")
 
     p = verb("bench", help="worst-case benchmarks")
@@ -106,6 +106,25 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--dir", default="corpus", help="corpus directory (default: ./corpus)")
 
     return parser
+
+
+def _positive(text: str) -> int:
+    """An argparse type: a whole number of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is less than 1")
+    return n
+
+
+def _fuel(text: str) -> int:
+    """An argparse type: fuel from 1 to :data:`~dsub.declarative.MAX_FUEL`."""
+    fuel = _positive(text)
+    if fuel > MAX_FUEL:
+        raise argparse.ArgumentTypeError(f"fuel {fuel} is more than the maximum, {MAX_FUEL}")
+    return fuel
 
 
 def _load_env(path) -> TypeEnv:

@@ -23,6 +23,7 @@ the bound variable escaping check), and subsumption (Sub).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -44,6 +45,7 @@ from .syntax import (
     Var,
     alpha_eq_term,
     alpha_eq_type,
+    canon_term,
     canon_type,
     fv_term,
     fv_type,
@@ -78,9 +80,11 @@ class VerifyResult:
 
 def decl_verify(tree: DerivationTree) -> VerifyResult:
     """Check that every node instantiates its rule schema; on failure report
-    the first offending node (paths index into ``premises``)."""
+    the first offending node (paths index into ``premises``).  A node shared
+    by several premises (the search shares memoised subtrees) is checked
+    once, so the cost is linear in the distinct nodes."""
     trail: list = []
-    message = _verify(tree, trail)
+    message = _verify(tree, trail, set())
     if message is None:
         return VerifyResult(True)
     return VerifyResult(False, "root" + "".join(f".premises[{i}]" for i in reversed(trail)), message)
@@ -98,9 +102,12 @@ def _extends_by_one(inner: TypeEnv, outer: TypeEnv):
     return inner.last
 
 
-def _verify(node: DerivationTree, trail: list) -> Optional[str]:
+def _verify(node: DerivationTree, trail: list, valid: set) -> Optional[str]:
     """The first failure's message, with the premise indices leading to the
-    failing node appended to ``trail`` innermost first; None if valid."""
+    failing node appended to ``trail`` innermost first; None if valid.
+    ``valid`` holds the ids of the nodes already found valid."""
+    if id(node) in valid:
+        return None
     entry = _CHECKERS.get(node.rule)
     if entry is None:
         return f"unknown rule {node.rule!r}"
@@ -111,10 +118,11 @@ def _verify(node: DerivationTree, trail: list) -> Optional[str]:
     if message is not None:
         return f"{node.rule}: {message}"
     for i, premise in enumerate(node.premises):
-        message = _verify(premise, trail)
+        message = _verify(premise, trail, valid)
         if message is not None:
             trail.append(i)
             return message
+    valid.add(id(node))
     return None
 
 
@@ -390,6 +398,10 @@ _CHECKERS = {
 # ---------------------------------------------------------------------------
 # Bounded search
 
+#: The most fuel a search may be given: the search, the tree it finds and that
+#: tree's JSON nest ~2 Python frames per unit, under the default limit of 1000.
+MAX_FUEL = 200
+
 
 def _add_candidate(t: Type, scope: frozenset, seen: dict) -> None:
     if fv_type(t) <= scope:  # candidates must stay well-scoped in the goal's env
@@ -408,15 +420,12 @@ def _add_subterms(t: Type, scope: frozenset, seen: dict) -> None:
 
 
 def _env_candidates(g: TypeEnv) -> dict:
-    """The environment's share of every goal's candidates, built once per
-    environment and kept in :attr:`TypeEnv.memo` under ``"candidates"``:
-    canonical key -> the first type met with it, over the stored types with
-    their subterms and each variable's own selection.
-
-    It holds the exposure of every path in scope too.  A path exposes to
-    Bot or to an upper bound reached from a stored type through upper
-    bounds alone, never under a binder, so that bound is a stored subterm
-    already."""
+    """The environment's share of every goal's candidates, kept in
+    :attr:`TypeEnv.memo` under ``"candidates"``: canonical key -> the first
+    type met with it, over the stored types, their subterms and each
+    variable's own selection.  It holds every in-scope path's exposure too:
+    a path exposes to Bot or to an upper bound reached from a stored type
+    through upper bounds alone, never under a binder, so a stored subterm."""
     memo = g.memo
     share = memo.get("candidates")
     if share is None:
@@ -431,9 +440,25 @@ def _env_candidates(g: TypeEnv) -> dict:
     return share
 
 
-def _size_then_key(item: tuple) -> tuple:
-    key, t = item
-    return type_size(t), key
+def _candidates(g: TypeEnv, own: tuple) -> list:
+    """A goal's candidates as (canonical key, type) pairs, ordered by size
+    then key: Top, Bot, the subterms of the goal's types ``own`` and the
+    environment's share, the first of each alpha class met standing for it."""
+    scope = g.dom()
+    seen: dict = {}
+    for t in (Top(), Bot(), *own):
+        _add_subterms(t, scope, seen)
+    return sorted({**_env_candidates(g), **seen}.items(), key=lambda kt: (type_size(kt[1]), kt[0]))
+
+
+def _tree(proof: tuple, built: dict) -> DerivationTree:
+    """The derivation ``proof`` stands for; a proof met again is one node."""
+    tree = built.get(id(proof))
+    if tree is None:
+        rule, form, g, left, right, premises = proof
+        premises = tuple(_tree(p, built) for p in premises)
+        tree = built[id(proof)] = DerivationTree(rule, form(g, left, right), premises)
+    return tree
 
 
 class DeclSearcher:
@@ -443,179 +468,164 @@ class DeclSearcher:
     drawn from a finite candidate set: Top, Bot, subterms of the goal's
     types, environment types and their subterms (which include the
     exposures of the paths in that set), and each environment variable's
-    own selection when its type exposes to a declaration.  The
-    environment's share of that set is built once per environment.
+    own selection when its type exposes to a declaration.
 
-    Found derivations are memoized per (judgment, fuel).  A failure is kept
-    once per judgment, at the highest fuel searched, and answers every
-    search of that judgment with no more fuel: each rule tries its premises
-    in the same order at any fuel, so whatever is found at some fuel is
-    found at every higher one.  Anything found is verified sound by
-    construction.
+    A goal is ``(kind, env.key, left key, right key)``, from keys cached on
+    the nodes, so a lookup joins no key string; candidates carry their keys,
+    so Refl and the midpoint skips compare keys in hand.  Found proofs are
+    memoized per (goal, fuel).  A failure is kept once per goal, at the
+    highest fuel searched, and answers every search of it with no more
+    fuel: each rule tries its premises in the same order at any fuel, so
+    whatever is found at some fuel is found at every higher one.
+
+    A proof is ``(rule, judgment form, env, left, right, premise proofs)``.
+    Only :meth:`search` builds judgments, one per distinct proof in the tree
+    it returns, so each of them still passes its scope check.
     """
 
     def __init__(self) -> None:
-        self._memo: dict = {}  # (judgment key, fuel) -> the tree found
-        self._failed: dict = {}  # judgment key -> highest fuel that found nothing
+        self._found: dict = {}  # goal + (fuel,) -> the proof found
+        self._failed = defaultdict(dict)  # goal[:3] -> {goal[3]: highest fuel that found nothing}
 
     def search(self, goal: Judgment, fuel: int) -> Optional[DerivationTree]:
         if fuel <= 0:
             return None
-        k = goal.key()
-        if self._failed.get(k, 0) >= fuel:
-            return None
-        key = (k, fuel)
-        found = self._memo.get(key)
-        if found is None:
-            found = self._search_sub(goal, fuel) if isinstance(goal, SubJ) else self._search_typ(goal, fuel)
-            if found is None:
-                self._failed[k] = fuel  # every search made inside this one had less fuel
-            else:
-                self._memo[key] = found
-        return found
+        if isinstance(goal, SubJ):
+            proof = self._sub(goal.env, goal.lhs, goal.rhs, fuel)
+        else:
+            proof = self._typ(goal.env, goal.term, goal.ty, fuel)
+        return None if proof is None else _tree(proof, {})
 
-    # -- candidates
-
-    def _candidates(self, goal: Judgment) -> list:
-        """Top, Bot, the goal's own subterms and the environment's share;
-        the first of each alpha-equivalence class met in that order stands
-        for it.  Ordered by size, then canonical key.  A list, not a tuple:
-        CPython keeps freed tuples of each small length for reuse, and
-        tuples here raised a cold search's peak memory by about 1 MB."""
-        scope = goal.env.dom()
-        own: dict = {}
-        _add_candidate(Top(), scope, own)
-        _add_candidate(Bot(), scope, own)
-        for t in (goal.lhs, goal.rhs) if isinstance(goal, SubJ) else (goal.ty,):
-            _add_subterms(t, scope, own)
-        seen = {**_env_candidates(goal.env), **own}  # the goal's own stand for their classes
-        return [t for _, t in sorted(seen.items(), key=_size_then_key)]
+    def _keep(self, key: tuple, failed: dict, proof: Optional[tuple]) -> Optional[tuple]:
+        if proof is None:
+            failed[key[3]] = key[4]  # every search made inside this one had less fuel
+        else:
+            self._found[key] = proof
+        return proof
 
     # -- subtyping goals
 
-    def _search_sub(self, goal: SubJ, fuel: int) -> Optional[DerivationTree]:
-        g, lhs, rhs = goal.env, goal.lhs, goal.rhs
-        if isinstance(rhs, Top):
-            return DerivationTree("Top", goal)
-        if isinstance(lhs, Bot):
-            return DerivationTree("Bot", goal)
-        if alpha_eq_type(lhs, rhs):
-            return DerivationTree("Refl", goal)
+    def _sub(self, g: TypeEnv, lhs: Type, rhs: Type, fuel: int) -> Optional[tuple]:
+        lk, rk = canon_type(lhs), canon_type(rhs)
+        failed = self._failed["sub", g.key, lk]
+        if failed.get(rk, 0) >= fuel:
+            return None
+        key = ("sub", g.key, lk, rk, fuel)
+        return self._found.get(key) or self._keep(key, failed, self._sub_rules(g, lhs, lk, rhs, rk, fuel))
+
+    def _sub_rules(self, g: TypeEnv, lhs: Type, lk: str, rhs: Type, rk: str, fuel: int) -> Optional[tuple]:
+        axiom = "Top" if isinstance(rhs, Top) else "Bot" if isinstance(lhs, Bot) else "Refl" if lk == rk else None
+        if axiom is not None:
+            return (axiom, SubJ, g, lhs, rhs, ())
+        fuel -= 1  # every other rule has premises
+        if fuel == 0:
+            return None
 
         if isinstance(lhs, Decl) and isinstance(rhs, Decl) and lhs.label == rhs.label:
-            lowers = self.search(SubJ(g, rhs.lower, lhs.lower), fuel - 1)
+            lowers = self._sub(g, rhs.lower, lhs.lower, fuel)
             if lowers is not None:
-                uppers = self.search(SubJ(g, lhs.upper, rhs.upper), fuel - 1)
+                uppers = self._sub(g, lhs.upper, rhs.upper, fuel)
                 if uppers is not None:
-                    return DerivationTree("Typ-<:-Typ", goal, (lowers, uppers))
+                    return ("Typ-<:-Typ", SubJ, g, lhs, rhs, (lowers, uppers))
 
         if isinstance(lhs, All) and isinstance(rhs, All):
-            params = self.search(SubJ(g, rhs.param_type, lhs.param_type), fuel - 1)
+            params = self._sub(g, rhs.param_type, lhs.param_type, fuel)
             if params is not None:
                 z = g.fresh(lhs.param, (fv_type(lhs.result) - {lhs.param}) | (fv_type(rhs.result) - {rhs.param}))
-                inner = SubJ(
-                    g.extend(z, rhs.param_type),
-                    subst_var_in_type(lhs.result, lhs.param, z),
-                    subst_var_in_type(rhs.result, rhs.param, z),
-                )
-                bodies = self.search(inner, fuel - 1)
+                left = subst_var_in_type(lhs.result, lhs.param, z)
+                right = subst_var_in_type(rhs.result, rhs.param, z)
+                bodies = self._sub(g.extend(z, rhs.param_type), left, right, fuel)
                 if bodies is not None:
-                    return DerivationTree("All-<:-All", goal, (params, bodies))
+                    return ("All-<:-All", SubJ, g, lhs, rhs, (params, bodies))
 
-        candidates = self._candidates(goal)
+        candidates = _candidates(g, (lhs, rhs))
+        # Sel-<: x.A <: rhs from x : {A: S..rhs}, <:-Sel lhs <: x.A from x : {A: lhs..T}
+        for rule, path in (("Sel-<:", lhs), ("<:-Sel", rhs)):
+            if isinstance(path, Path):
+                x = Var(path.var)
+                for _, guess in candidates:
+                    bounds = (guess, rhs) if rule == "Sel-<:" else (lhs, guess)
+                    premise = self._typ(g, x, Decl(path.label, *bounds), fuel)
+                    if premise is not None:
+                        return (rule, SubJ, g, lhs, rhs, (premise,))
 
-        if isinstance(lhs, Path):
-            # Sel-<:: x.A <: rhs via a typing x : {A: S..rhs}, S guessed
-            for lower in candidates:
-                premise = self.search(TypJ(g, Var(lhs.var), Decl(lhs.label, lower, rhs)), fuel - 1)
-                if premise is not None:
-                    return DerivationTree("Sel-<:", goal, (premise,))
-
-        if isinstance(rhs, Path):
-            # <:-Sel: lhs <: x.A via a typing x : {A: lhs..T}, T guessed
-            for upper in candidates:
-                premise = self.search(TypJ(g, Var(rhs.var), Decl(rhs.label, lhs, upper)), fuel - 1)
-                if premise is not None:
-                    return DerivationTree("<:-Sel", goal, (premise,))
-
-        for mid in candidates:
-            if alpha_eq_type(mid, lhs) or alpha_eq_type(mid, rhs):
+        for mk, mid in candidates:
+            if mk == lk or mk == rk:
                 continue
-            left = self.search(SubJ(g, lhs, mid), fuel - 1)
+            left = self._sub(g, lhs, mid, fuel)
             if left is None:
                 continue
-            right = self.search(SubJ(g, mid, rhs), fuel - 1)
+            right = self._sub(g, mid, rhs, fuel)
             if right is not None:
-                return DerivationTree("Trans", goal, (left, right))
+                return ("Trans", SubJ, g, lhs, rhs, (left, right))
         return None
 
     # -- typing goals
 
-    def _search_typ(self, goal: TypJ, fuel: int) -> Optional[DerivationTree]:
-        g, term, ty = goal.env, goal.term, goal.ty
-        candidates = None  # computed by the first rule that guesses a type
+    def _typ(self, g: TypeEnv, term: Term, ty: Type, fuel: int) -> Optional[tuple]:
+        mk, tk = canon_term(term), canon_type(ty)
+        failed = self._failed["typ", g.key, mk]
+        if failed.get(tk, 0) >= fuel:
+            return None
+        key = ("typ", g.key, mk, tk, fuel)
+        return self._found.get(key) or self._keep(key, failed, self._typ_rules(g, term, ty, tk, fuel))
 
+    def _typ_rules(self, g: TypeEnv, term: Term, ty: Type, tk: str, fuel: int) -> Optional[tuple]:
         match term:
             case Var(name=x):
                 stored = g.lookup(x)
-                if stored is not None and alpha_eq_type(stored, ty):
-                    return DerivationTree("Var", goal)
+                if stored is not None and canon_type(stored) == tk:
+                    return ("Var", TypJ, g, term, ty, ())
             case Tag(label=a, alias=alias):
-                if (
-                    isinstance(ty, Decl)
-                    and ty.label == a
-                    and alpha_eq_type(ty.lower, alias)
-                    and alpha_eq_type(ty.upper, alias)
-                ):
-                    return DerivationTree("Typ-I", goal)
+                if canon_type(Decl(a, alias, alias)) == tk:
+                    return ("Typ-I", TypJ, g, term, ty, ())
+        fuel -= 1  # every other rule has premises
+        if fuel == 0:
+            return None
+        candidates = None  # computed by the first rule that guesses a type
+
+        match term:
             case Lam(param=x, param_type=annot, body=body):
                 if isinstance(ty, All) and alpha_eq_type(ty.param_type, annot):
                     z = g.fresh(x, (fv_term(body) - {x}) | (fv_type(ty.result) - {ty.param}))
-                    inner = TypJ(
-                        g.extend(z, annot),
-                        subst_var_in_term(body, x, z),
-                        subst_var_in_type(ty.result, ty.param, z),
-                    )
-                    premise = self.search(inner, fuel - 1)
+                    inner = subst_var_in_term(body, x, z), subst_var_in_type(ty.result, ty.param, z)
+                    premise = self._typ(g.extend(z, annot), *inner, fuel)
                     if premise is not None:
-                        return DerivationTree("All-I", goal, (premise,))
+                        return ("All-I", TypJ, g, term, ty, (premise,))
             case App(fun=f, arg=a):
-                candidates = self._candidates(goal)
-                for fun_ty in candidates:
+                candidates = _candidates(g, (ty,))
+                for _, fun_ty in candidates:
                     if not isinstance(fun_ty, All):
                         continue
-                    if not alpha_eq_type(subst_var_in_type(fun_ty.result, fun_ty.param, a), ty):
+                    if canon_type(subst_var_in_type(fun_ty.result, fun_ty.param, a)) != tk:
                         continue
-                    fun_premise = self.search(TypJ(g, Var(f), fun_ty), fuel - 1)
+                    fun_premise = self._typ(g, Var(f), fun_ty, fuel)
                     if fun_premise is None:
                         continue
-                    arg_premise = self.search(TypJ(g, Var(a), fun_ty.param_type), fuel - 1)
+                    arg_premise = self._typ(g, Var(a), fun_ty.param_type, fuel)
                     if arg_premise is not None:
-                        return DerivationTree("All-E", goal, (fun_premise, arg_premise))
+                        return ("All-E", TypJ, g, term, ty, (fun_premise, arg_premise))
             case Let(bound=x, rhs=rhs, body=body):
                 if x not in fv_type(ty):
-                    candidates = self._candidates(goal)
-                    for rhs_ty in candidates:
-                        rhs_premise = self.search(TypJ(g, rhs, rhs_ty), fuel - 1)
+                    candidates = _candidates(g, (ty,))
+                    for _, rhs_ty in candidates:
+                        rhs_premise = self._typ(g, rhs, rhs_ty, fuel)
                         if rhs_premise is None:
                             continue
                         z = g.fresh(x, (fv_term(body) - {x}) | fv_type(ty))
-                        body_goal = TypJ(g.extend(z, rhs_ty), subst_var_in_term(body, x, z), ty)
-                        body_premise = self.search(body_goal, fuel - 1)
+                        body_premise = self._typ(g.extend(z, rhs_ty), subst_var_in_term(body, x, z), ty, fuel)
                         if body_premise is not None:
-                            return DerivationTree("Let", goal, (rhs_premise, body_premise))
+                            return ("Let", TypJ, g, term, ty, (rhs_premise, body_premise))
 
-        if candidates is None:
-            candidates = self._candidates(goal)
-        for mid in candidates:
-            if alpha_eq_type(mid, ty):
+        for mk, mid in candidates or _candidates(g, (ty,)):
+            if mk == tk:
                 continue
-            typing = self.search(TypJ(g, term, mid), fuel - 1)
+            typing = self._typ(g, term, mid, fuel)
             if typing is None:
                 continue
-            widening = self.search(SubJ(g, mid, ty), fuel - 1)
+            widening = self._sub(g, mid, ty, fuel)
             if widening is not None:
-                return DerivationTree("Sub", goal, (typing, widening))
+                return ("Sub", TypJ, g, term, ty, (typing, widening))
         return None
 
 

@@ -13,7 +13,7 @@ import dsub
 import dsub.bounds_shift
 import dsub.step
 from dsub.cli import main
-from dsub.declarative import elaborate_step
+from dsub.declarative import MAX_FUEL, elaborate_step
 from dsub.environment import parse_env
 from dsub.lab import Enumerator
 from dsub.step import step_type
@@ -352,6 +352,38 @@ def test_decl_search_unknown(capsys):
     code, out, err = run(capsys, "decl", "search", "--fuel", "8", "--sub", "Top", "Bot")
     assert code == 1 and out == "unknown\n"
     assert "not a refutation" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decl", "search", "--fuel", "0", "--sub", "Bot", "Top"],
+        ["decl", "search", "--fuel", "-1", "--sub", "Bot", "Top"],
+        ["lab", "tags", "--fuel", "0"],
+        ["lab", "tags", "--max-size", "0"],
+        ["lab", "colours", "--fuel", "0"],
+        ["lab", "colours", "--max-size", "-2"],
+        ["lab", "tags", "--fuel", str(MAX_FUEL + 1)],
+    ],
+)
+def test_search_limits_below_one_or_above_the_maximum_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+def test_decl_search_decides_at_max_fuel_and_refuses_more(capsys, tmp_path):
+    # a one-node goal that no rule derives: the search goes MAX_FUEL deep
+    # without running out of stack, and one more unit is refused up front
+    env = tmp_path / "x.env"
+    env.write_text("x : {A: Bot .. Top} ;\n")
+    query = ["decl", "search", "--env", str(env), "--sub", "Top", "x.A"]
+    code, out, err = run(capsys, *query, "--fuel", str(MAX_FUEL))
+    assert (code, out) == (1, "unknown\n")
+    assert f"within fuel {MAX_FUEL}" in err
+    code, out, err = run(capsys, *query, "--fuel", str(MAX_FUEL + 1))
+    assert (code, out) == (2, "")
+    assert f"fuel {MAX_FUEL + 1} is more than the maximum, {MAX_FUEL}" in err
 
 
 def test_decl_search_typing_goal(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -89,6 +90,29 @@ def test_verify_locates_broken_premise():
     result = decl_verify(tree)
     assert not result.ok
     assert result.path == "root.premises[1]"
+
+
+def _shared_trans_tower(base: DerivationTree, height: int) -> DerivationTree:
+    # Top <: Top by Trans through Top, both premises one shared object: a
+    # DAG with height + 1 distinct nodes and 2 ** height root-to-leaf paths
+    tree = base
+    for _ in range(height):
+        tree = DerivationTree("Trans", SubJ(EMPTY, Top(), Top()), (tree, tree))
+    return tree
+
+
+def test_verify_checks_each_shared_node_once():
+    tree = _shared_trans_tower(DerivationTree("Top", SubJ(EMPTY, Top(), Top())), 40)
+    start = time.perf_counter()
+    assert decl_verify(tree).ok
+    assert time.perf_counter() - start < 1.0
+
+
+def test_verify_reports_a_broken_shared_node_at_its_first_path():
+    tree = _shared_trans_tower(DerivationTree("Bot", SubJ(EMPTY, Top(), Top())), 40)
+    result = decl_verify(tree)
+    assert not result.ok and "left-hand side must be Bot" in result.message
+    assert result.path == "root" + ".premises[0]" * 40
 
 
 def test_verify_trans_midpoint_must_agree():
@@ -323,6 +347,44 @@ def test_search_results_always_verify():
     assert found > 100
 
 
+def _count_judgments(monkeypatch) -> list:
+    """Patch both judgment forms to count their constructions."""
+    built = []
+    for form in (SubJ, TypJ):
+        check = form.__post_init__
+
+        def counting(self, check=check):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(form, "__post_init__", counting)
+    return built
+
+
+def _distinct_nodes(tree, seen=None) -> dict:
+    seen = {} if seen is None else seen
+    if id(tree) not in seen:
+        seen[id(tree)] = tree
+        for premise in tree.premises:
+            _distinct_nodes(premise, seen)
+    return seen
+
+
+def test_search_builds_judgments_only_for_the_tree_it_returns(monkeypatch):
+    # the search recurses over keys and builds a judgment only for a node
+    # of the tree it hands back: none when it finds nothing
+    failing = SubJ(bad_bounds_env(), Top(), Bot())
+    found = SubJ(bad_bounds_env(), FUN_VV, FUN_VZ)
+    built = _count_judgments(monkeypatch)
+    assert DeclSearcher().search(failing, 6) is None
+    assert built == []
+    tree = DeclSearcher().search(found, 6)
+    nodes = _distinct_nodes(tree)
+    assert tree is not None and len(nodes) > 1
+    assert 0 < len(built) <= len(nodes)
+    assert {id(j) for j in built} <= {id(node.conclusion) for node in nodes.values()}
+
+
 def test_search_deterministic():
     goal = SubJ(bad_bounds_env(), FUN_VV, FUN_VZ)
     a = decl_search(goal, 6)
@@ -398,12 +460,13 @@ def test_candidates_match_the_reference(env):
         if isinstance(u, All)
     ]
     types = list(dict.fromkeys([*enum.types(3, scope), *enum.types(3), *stored, *renamed]))
-    searcher = DeclSearcher()
     goals = [SubJ(env, s, t) for s in types for t in types[::7]]
     goals += [TypJ(env, Tag("A", Top()), t) for t in types]
     for goal in goals:
-        got, want = searcher._candidates(goal), _reference_candidates(goal)
-        assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), goal
+        own = (goal.lhs, goal.rhs) if isinstance(goal, SubJ) else (goal.ty,)
+        got, want = declarative._candidates(goal.env, own), _reference_candidates(goal)
+        assert len(got) == len(want) and all(a is b for (_, a), b in zip(got, want)), goal
+        assert all(key == canon_type(t) for key, t in got), goal
 
 
 def test_shared_searcher_answers_as_fresh_ones():

@@ -3,12 +3,13 @@
 Exit codes: 0 for a positive result (typed, subtype holds, exposed,
 derivation valid/found, harness clean), 1 for a negative result (untypable,
 not a subtype, stuck, invalid derivation, search unknown, violations found,
-corpus mismatch), 2 for usage, parse, or I/O errors, a type argument that
-mentions a variable the environment does not bind, malformed derivation
-JSON and input nested too deeply to check, 3 for an internal error (a
-violated invariant such as a termination measure that failed to decrease,
-i.e. a bug).  Machine output (types, JSON, CSV) goes to stdout; diagnostics
-go to stderr.
+corpus mismatch), 2 for usage, parse, or I/O errors, a type argument of
+``sub``, ``expose``, ``promote`` or ``demote`` that mentions a variable the
+environment does not bind, malformed derivation JSON and input nested too
+deeply to check, 3 for an internal error (a violated invariant such as a
+termination measure that failed to decrease, or a recursion-depth valve
+that fired, i.e. a bug).  Machine output (types, JSON, CSV) goes to stdout;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import DsubError
 from .exposure import expose
 from .lab import check_no_tag_switch, check_wellbehaved, run_minimality_counterexample
 from .step import step_subtype, step_type
-from .syntax import Type, alpha_eq_type, fv_type, parse_term, parse_type, print_type
+from .syntax import Term, Type, alpha_eq_type, fv_type, parse_term, parse_type, print_type
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,6 +134,13 @@ def _load_env(path) -> TypeEnv:
     return parse_env(FsPath(path).read_text())
 
 
+def _load_types(env: TypeEnv, *texts: str) -> tuple:
+    """The type arguments of a query, parsed and checked to be in scope."""
+    types = tuple(map(parse_type, texts))
+    _scoped(env, *types)
+    return types
+
+
 def _scoped(env: TypeEnv, *types: Type) -> None:
     """Refuse, as :meth:`TypeEnv.extend` does, types that mention a
     variable ``env`` does not bind: such a query has no answer to give."""
@@ -182,12 +190,46 @@ def _dispatch(args) -> int:
     return handler(args)
 
 
-def _cmd_check(args) -> int:
-    env = _load_env(args.env)
-    term = parse_term(FsPath(args.file).read_text())
+# ---------------------------------------------------------------------------
+# Decisions of check, sub and decl verify, which the verb and the corpus
+# runner both call.  Each takes parsed input to the relation's outcome
+# (truthy when it holds), the answer as a corpus case states it, and why a
+# negative answer is negative ("" for a positive one).
+
+
+def _typing(env: TypeEnv, term: Term) -> tuple:
     outcome = step_type(env, term)
+    if outcome:
+        return outcome, f"typed {print_type(outcome.ty)}", ""
+    return outcome, "untypable", outcome.describe()
+
+
+def _subtyping(env: TypeEnv, lhs: Type, rhs: Type) -> tuple:
+    result = step_subtype(env, lhs, rhs)
+    if result:
+        return result, "subtype", ""
+    return result, "not-subtype", f"{print_type(lhs)} <: {print_type(rhs)} does not hold"
+
+
+def _verifying(tree) -> tuple:
+    result = decl_verify(tree)
+    if result:
+        return result, "valid", ""
+    return result, "invalid", f"{result.path}: {result.message}"
+
+
+def _reply(outcome, answer: str, why: str) -> int:
+    """Print a decision's answer, and why to stderr when it is negative."""
+    print(answer)
+    if why:
+        _diag(why)
+    return 0 if outcome else 1
+
+
+def _cmd_check(args) -> int:
+    outcome, answer, why = _typing(_load_env(args.env), parse_term(FsPath(args.file).read_text()))
     if not outcome:
-        _diag(f"untypable: {outcome.describe()}")
+        _diag(f"{answer}: {why}")
         return 1
     if args.emit_trace:
         FsPath(args.emit_trace).write_text(json.dumps(derivation_to_json(outcome.trace), indent=2) + "\n")
@@ -197,22 +239,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_sub(args) -> int:
     env = _load_env(args.env)
-    lhs, rhs = parse_type(args.lhs), parse_type(args.rhs)
-    _scoped(env, lhs, rhs)
-    result = step_subtype(env, lhs, rhs)
-    if result.holds:
-        print("subtype")
-        return 0
-    if result.diagnostic:
-        _diag(result.diagnostic)
-    print("not-subtype")
-    return 1
+    return _reply(*_subtyping(env, *_load_types(env, args.lhs, args.rhs)))
 
 
 def _cmd_expose(args) -> int:
     env = _load_env(args.env)
-    t = parse_type(args.type)
-    _scoped(env, t)
+    (t,) = _load_types(env, args.type)
     result = expose(env, t)
     if not result:
         print(f"stuck: {print_type(result.blocker)}")
@@ -223,8 +255,9 @@ def _cmd_expose(args) -> int:
 
 def _cmd_shift(args) -> int:
     env = _load_env(args.env)
+    (t,) = _load_types(env, args.type)
     op = promote if args.verb == "promote" else demote
-    result = op(env, parse_type(args.type), args.var)
+    result = op(env, t, args.var)
     if not result:
         _diag(result.reason)
         return 1
@@ -234,14 +267,7 @@ def _cmd_shift(args) -> int:
 
 def _cmd_decl(args) -> int:
     if args.decl_verb == "verify":
-        tree = derivation_from_json(json.loads(FsPath(args.file).read_text()))
-        result = decl_verify(tree)
-        if result.ok:
-            print("valid")
-            return 0
-        print("invalid")
-        _diag(f"{result.path}: {result.message}")
-        return 1
+        return _reply(*_verifying(derivation_from_json(json.loads(FsPath(args.file).read_text()))))
 
     env = _load_env(args.env)
     if args.sub is not None:
@@ -295,54 +321,33 @@ def _corpus_headers(text: str) -> dict:
     return headers
 
 
-def _run_dsub_case(path: FsPath) -> tuple:
+def _decide_case(path: FsPath) -> tuple:
+    """A corpus case's decision by its verb, and the answer the case expects."""
     text = path.read_text()
+    if path.suffix == ".json":
+        data = json.loads(text)
+        return _verifying(derivation_from_json(data)), data.get("expect")
     headers = _corpus_headers(text)
-    expect = headers.get("expect", "")
-    env = parse_env((path.parent / headers["env"]).read_text()) if "env" in headers else TypeEnv.empty()
-    outcome = step_type(env, parse_term(text))
-    if expect.startswith("typed"):
-        wanted = parse_type(expect[len("typed") :].strip())
-        if outcome and alpha_eq_type(outcome.ty, wanted):
-            return True, ""
-        got = print_type(outcome.ty) if outcome else outcome.describe()
-        return False, f"expected type {print_type(wanted)}, got {got}"
-    if expect == "untypable":
-        if not outcome:
-            return True, ""
-        return False, f"expected untypable, got {print_type(outcome.ty)}"
-    return False, f"unrecognized expectation {expect!r}"
+    env = _load_env(path.parent / headers["env"] if "env" in headers else None)
+    if path.suffix == ".dsub":
+        return _typing(env, parse_term(text)), headers.get("expect")
+    types = [line for line in (raw.split("//")[0].strip() for raw in text.splitlines()) if line]
+    if len(types) != 2:
+        raise DsubError(f"expected exactly two type lines, found {len(types)}")
+    return _subtyping(env, *_load_types(env, *types)), headers.get("expect")
 
 
-def _run_sub_case(path: FsPath) -> tuple:
-    text = path.read_text()
-    headers = _corpus_headers(text)
-    expect = headers.get("expect", "")
-    env = parse_env((path.parent / headers["env"]).read_text()) if "env" in headers else TypeEnv.empty()
-    lines = [
-        line.split("//")[0].strip()
-        for line in text.splitlines()
-        if line.split("//")[0].strip()
-    ]
-    if len(lines) != 2:
-        return False, f"expected exactly two type lines, found {len(lines)}"
-    result = step_subtype(env, parse_type(lines[0]), parse_type(lines[1]))
-    if expect == "subtype":
-        return (True, "") if result.holds else (False, "expected subtype, got not-subtype")
-    if expect == "not-subtype":
-        return (True, "") if not result.holds else (False, "expected not-subtype, got subtype")
-    return False, f"unrecognized expectation {expect!r}"
-
-
-def _run_json_case(path: FsPath) -> tuple:
-    data = json.loads(path.read_text())
-    result = decl_verify(derivation_from_json(data))
-    expect = data.get("expect", "")
-    if expect == "valid":
-        return (True, "") if result.ok else (False, f"expected valid: {result.path}: {result.message}")
-    if expect == "invalid":
-        return (True, "") if not result.ok else (False, "expected invalid, verified as valid")
-    return False, f"unrecognized expectation {expect!r}"
+def _mismatch(decision: tuple, expect) -> str:
+    """Why a decision is not the answer a case expects ("" if it is); an
+    expected type agrees with any alpha-equivalent one."""
+    outcome, answer, why = decision
+    if not expect:
+        raise DsubError("case states no expectation")
+    if expect.startswith("typed ") and answer.startswith("typed "):
+        agrees = alpha_eq_type(parse_type(expect[len("typed ") :]), outcome.ty)
+    else:
+        agrees = expect == answer
+    return "" if agrees else f"expected {expect}, got {answer}" + (f": {why}" if why else "")
 
 
 def corpus_run(directory) -> int:
@@ -350,24 +355,23 @@ def corpus_run(directory) -> int:
     if not root.is_dir():
         _diag(f"corpus directory {root} does not exist")
         return 2
-    runners = {".dsub": _run_dsub_case, ".sub": _run_sub_case, ".json": _run_json_case}
-    cases = sorted(p for p in root.iterdir() if p.suffix in runners)
+    cases = sorted(p for p in root.iterdir() if p.suffix in (".dsub", ".sub", ".json"))
     if not cases:
         _diag(f"corpus directory {root} contains no cases")
         return 2
     failures = 0
     for path in cases:
         try:
-            ok, detail = runners[path.suffix](path)
+            detail = _mismatch(*_decide_case(path))
         except (DsubError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            ok, detail = False, f"error: {exc}"
+            detail = f"error: {exc}"
         except RecursionError:
-            ok, detail = False, f"error: {_TOO_DEEP}"
-        if ok:
-            print(f"ok    {path.name}")
-        else:
+            detail = f"error: {_TOO_DEEP}"
+        if detail:
             failures += 1
             print(f"FAIL  {path.name}: {detail}")
+        else:
+            print(f"ok    {path.name}")
     print(f"{len(cases) - failures}/{len(cases)} corpus cases passed")
     return 1 if failures else 0
 

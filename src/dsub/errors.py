@@ -2,12 +2,13 @@
 
 
 class DsubError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors this package raises on bad input."""
 
 
-class InternalLimit(DsubError):
+class InternalLimit(RuntimeError):
     """A recursion-depth safety valve fired.
 
     Reaching this limit on any well-formed input is a bug, never an
-    expected outcome; callers should let it propagate.
+    expected outcome, so it is no :class:`DsubError`: callers should let it
+    propagate, and the CLI reports it as an internal error.
     """

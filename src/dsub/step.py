@@ -99,7 +99,6 @@ def weight(g: TypeEnv, t: Type) -> int:
 class SubtypeResult:
     holds: bool
     trace: Optional[DerivationTree] = None
-    diagnostic: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -107,20 +106,10 @@ class SubtypeResult:
 
 def step_subtype(g: TypeEnv, s: Type, t: Type) -> SubtypeResult:
     """Decide the step subtype relation; on success the result carries the
-    full rule trace.  Unbound variables yield a negative result with a
-    diagnostic rather than an exception."""
-    loose = g.unbound(fv_type(s) | fv_type(t))
-    if loose:
-        return SubtypeResult(
-            False, None, f"unbound variable(s) in query: {', '.join(sorted(loose))}"
-        )
-    try:
-        trace = _sub(g, s, t, None, 0)
-    except UnboundVariable as exc:
-        return SubtypeResult(False, None, str(exc))
-    if trace is None:
-        return SubtypeResult(False, None, f"{print_type(s)} <: {print_type(t)} does not hold")
-    return SubtypeResult(True, trace)
+    full rule trace.  The root call weighs both sides, so a variable ``g``
+    does not bind raises :class:`UnboundVariable` before any rule is tried."""
+    trace = _sub(g, s, t, None, 0)
+    return SubtypeResult(trace is not None, trace)
 
 
 def _measure_entry(g: TypeEnv, s: Type, t: Type, parent: Optional[int]) -> int:

@@ -275,6 +275,8 @@ _ILL_SCOPED = "all(w: q.A) {C: y.C .. Top}"
     (
         pytest.param(("sub", _ILL_SCOPED, "{C: y.B .. y.A}"), id="sub"),
         pytest.param(("expose", _ILL_SCOPED), id="expose"),
+        pytest.param(("promote", "--var", "y", _ILL_SCOPED), id="promote"),
+        pytest.param(("demote", "--var", "y", _ILL_SCOPED), id="demote"),
     ),
 )
 def test_ill_scoped_type_is_a_usage_error(capsys, tmp_path, argv):
@@ -461,10 +463,23 @@ def test_bench_pn_out_file(capsys, tmp_path):
 
 
 def test_corpus_run_passes_on_checkout(capsys):
-    code, out, _ = run(capsys, "corpus", "run", "--dir", str(CORPUS))
-    assert code == 0
-    assert "corpus cases passed" in out
-    assert "FAIL" not in out
+    code, out, err = run(capsys, "corpus", "run", "--dir", str(CORPUS))
+    cases = (
+        "app_of_bot.dsub",
+        "app_of_top.dsub",
+        "fun_bounds_bridge.json",
+        "fun_to_member.sub",
+        "kernel_param_mismatch.sub",
+        "label_mismatch.sub",
+        "member_bridge_not_step.sub",
+        "minimality_body.dsub",
+        "minimality_body_narrow.json",
+        "minimality_body_wide.json",
+        "minimality_term.dsub",
+        "top_concluding_backwards.json",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"ok    {name}" for name in cases] + ["12/12 corpus cases passed"]
 
 
 def test_corpus_run_detects_tampering(capsys, tmp_path):
@@ -514,6 +529,50 @@ def test_corpus_run_reports_a_missing_env_file_and_runs_the_rest(capsys, tmp_pat
     assert lines[1:] == ["ok    b.sub", "1/2 corpus cases passed"]
 
 
+def test_corpus_run_fails_an_ill_scoped_case_with_the_verbs_error(capsys, tmp_path):
+    (tmp_path / "ill.sub").write_text("//! expect: not-subtype\nq.A\nTop\n")
+    # the next case runs, and its expected type agrees up to bound names
+    (tmp_path / "next.dsub").write_text("//! expect: typed all(z: Top) Top\nlam(x: Top) x\n")
+    code, out, err = run(capsys, "corpus", "run", "--dir", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "FAIL  ill.sub: error: type mentions unbound variable(s): q",
+        "ok    next.dsub",
+        "1/2 corpus cases passed",
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, text, want",
+    (
+        pytest.param(
+            "a.sub", "//! expect: subtype\nTop\nBot\n",
+            "expected subtype, got not-subtype: Top <: Bot does not hold", id="got-not-subtype",
+        ),
+        pytest.param(
+            "a.dsub", "//! expect: untypable\nlam(x: Top) x\n",
+            "expected untypable, got typed all(x: Top) Top", id="got-typed",
+        ),
+        pytest.param(
+            "a.dsub", "//! expect: typed Top\nlam(f: Top) f f\n",
+            "expected typed Top, got untypable: body: function position has non-function type Top", id="got-untypable",
+        ),
+        pytest.param(
+            "a.json",
+            '{"expect": "valid", "rule": "Top", "judgment": {"kind": "sub", "env": [], "lhs": "Top", "rhs": "Bot"}, '
+            '"premises": []}',
+            "expected valid, got invalid: root: Top: right-hand side must be Top", id="got-invalid",
+        ),
+        pytest.param("a.sub", "Bot\nTop\n", "error: case states no expectation", id="no-expectation"),
+    ),
+)
+def test_corpus_run_names_the_expected_and_the_given_answer(capsys, tmp_path, name, text, want):
+    (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, "corpus", "run", "--dir", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [f"FAIL  {name}: {want}", "0/1 corpus cases passed"]
+
+
 def test_corpus_run_empty_dir(capsys, tmp_path):
     code, _, err = run(capsys, "corpus", "run", "--dir", str(tmp_path))
     assert code == 2
@@ -559,10 +618,12 @@ _DECL = "{A: Bot .. Top}"
     [
         (dsub.step, "weight", lambda g, t: 1, ["sub", "--env", "ENV", _DECL, _DECL], "StepInvariantError"),
         (dsub.bounds_shift, "type_size", lambda t: 1, ["promote", "--env", "ENV", "--var", "x", _DECL], "ShiftInvariantError"),
+        (dsub.step, "DEPTH_LIMIT", 0, ["sub", "--env", "ENV", _DECL, _DECL], "InternalLimit"),
     ],
 )
 def test_internal_error_exits_3_without_a_traceback(monkeypatch, tmp_path, capsys, module, name, stub, argv, error):
-    # criterion 3's stubs: a measure that never decreases trips its check
+    # criterion 3's stubs: a measure that never decreases trips its check,
+    # and a depth valve that fires at once
     env = tmp_path / "x.env"
     env.write_text("x : Top ;\n")
     monkeypatch.setattr(module, name, stub)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import pytest
 from hypothesis import example, given, settings
@@ -278,10 +279,20 @@ def test_bot_headed_paths_relate_both_ways():
     assert step_subtype(g, Path("x", "A"), Bot()).holds
 
 
-def test_unbound_variable_yields_diagnostic_not_crash():
-    result = step_subtype(TypeEnv.empty(), Path("x", "A"), Bot())
-    assert not result.holds
-    assert result.diagnostic and "unbound" in result.diagnostic
+def test_unbound_variable_raises_rather_than_answering():
+    # an ill-scoped query has no answer, not a negative one
+    with pytest.raises(UnboundVariable):
+        step_subtype(TypeEnv.empty(), Path("x", "A"), Bot())
+    g = _env(("x", Decl("A", Bot(), Top())))
+    types = list(Enumerator().types(3, ("x", "q")))
+    for s, t in itertools.product(types, types):
+        ill_scoped = "q" in fv_type(s) | fv_type(t)
+        try:
+            step_subtype(g, s, t)
+        except UnboundVariable:
+            assert ill_scoped, (print_type(s), print_type(t))
+        else:
+            assert not ill_scoped, (print_type(s), print_type(t))
 
 
 def test_reflexivity_on_enumerated_sample():

@@ -4,9 +4,10 @@ Exit codes: 0 for a positive result (typed, subtype holds, exposed,
 derivation valid/found, harness clean), 1 for a negative result (untypable,
 not a subtype, stuck, invalid derivation, search unknown, violations found,
 corpus mismatch), 2 for usage, parse, or I/O errors, a type argument of
-``sub``, ``expose``, ``promote`` or ``demote`` that mentions a variable the
-environment does not bind, malformed derivation JSON and input nested too
-deeply to check, 3 for an internal error (a violated invariant such as a
+``sub``, ``expose``, ``promote``, ``demote`` or ``decl search`` that
+mentions a variable the environment does not bind, a ``--var`` that is not
+a variable name, malformed derivation JSON and input nested too deeply to
+check, 3 for an internal error (a violated invariant such as a
 termination measure that failed to decrease, or a recursion-depth valve
 that fired, i.e. a bug).  Machine output (types, JSON, CSV) goes to stdout;
 diagnostics go to stderr.
@@ -31,7 +32,7 @@ from .declarative import (
     derivation_to_json,
 )
 from .dotty import bench_pn
-from .environment import TypeEnv, UnboundVariable, parse_env
+from .environment import TypeEnv, check_var_name, parse_env
 from .errors import DsubError
 from .exposure import expose
 from .lab import check_no_tag_switch, check_wellbehaved, run_minimality_counterexample
@@ -135,18 +136,12 @@ def _load_env(path) -> TypeEnv:
 
 
 def _load_types(env: TypeEnv, *texts: str) -> tuple:
-    """The type arguments of a query, parsed and checked to be in scope."""
+    """The type arguments of a query, parsed and refused, as
+    :meth:`TypeEnv.extend` refuses them, when they mention a variable
+    ``env`` does not bind: such a query has no answer to give."""
     types = tuple(map(parse_type, texts))
-    _scoped(env, *types)
+    env.check_scope("type", frozenset().union(*map(fv_type, types)))
     return types
-
-
-def _scoped(env: TypeEnv, *types: Type) -> None:
-    """Refuse, as :meth:`TypeEnv.extend` does, types that mention a
-    variable ``env`` does not bind: such a query has no answer to give."""
-    loose = env.unbound(frozenset().union(*map(fv_type, types)))
-    if loose:
-        raise UnboundVariable(f"type mentions unbound variable(s): {', '.join(sorted(loose))}")
 
 
 _TOO_DEEP = "input is nested too deeply"
@@ -256,6 +251,7 @@ def _cmd_expose(args) -> int:
 def _cmd_shift(args) -> int:
     env = _load_env(args.env)
     (t,) = _load_types(env, args.type)
+    check_var_name(args.var)
     op = promote if args.verb == "promote" else demote
     result = op(env, t, args.var)
     if not result:
@@ -271,10 +267,10 @@ def _cmd_decl(args) -> int:
 
     env = _load_env(args.env)
     if args.sub is not None:
-        goal = SubJ(env, parse_type(args.sub[0]), parse_type(args.sub[1]))
+        goal = SubJ(env, *_load_types(env, *args.sub))
     else:
         term = parse_term(FsPath(args.typ[0]).read_text())
-        goal = TypJ(env, term, parse_type(args.typ[1]))
+        goal = TypJ(env, term, *_load_types(env, args.typ[1]))
     tree = decl_search(goal, args.fuel)
     if tree is None:
         _diag(f"no derivation found within fuel {args.fuel} (not a refutation)")

@@ -18,9 +18,12 @@ alpha-equivalence); ``==`` is identity, as for syntax nodes.
 from __future__ import annotations
 
 import threading
+from itertools import islice
 
 from .errors import DsubError
 from .syntax import Type, _Parser, canon_type, fresh_name, fv_type, is_ident, print_type
+
+_NONE: frozenset = frozenset()
 
 
 class DuplicateBinding(DsubError):
@@ -45,18 +48,19 @@ class TypeEnv:
     extends (``parent``), so an extension shares its prefixes instead of
     copying them.  The environments along a chain of extensions share one
     index from each bound name to its position, its type and the
-    environment before its binding; an environment sees only the entries
-    below its own length.  ``lookup``, ``in``, :meth:`binding` and
-    :meth:`unbound` take constant time per name.  Extending an environment
-    a second time starts a new index, a copy of the entries it sees.
+    environment before its binding, and the set of the index's names; an
+    environment sees only the entries below its own length.  ``lookup``,
+    ``in``, :meth:`binding` and :meth:`unbound` take constant time per
+    name.  Extending an environment a second time starts a new index, a
+    copy of the entries it sees.
     """
 
-    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "_memo")
+    __slots__ = ("_parent", "_last", "_len", "_index", "_names", "_dom", "_key", "_memo")
 
     def __init__(self) -> None:
         """The empty environment; :meth:`extend` adds checked bindings."""
         self._parent = self._last = None
-        self._len, self._index = 0, {}
+        self._len, self._index, self._names = 0, {}, set()
         self._dom = self._key = self._memo = None
 
     @staticmethod
@@ -64,27 +68,46 @@ class TypeEnv:
         return TypeEnv()
 
     def extend(self, x: str, t: Type) -> "TypeEnv":
-        if not is_ident(x):
-            raise DsubError(f"{x!r} is not a variable name")
+        check_var_name(x)
         if x in self:
             raise DuplicateBinding(f"variable {x!r} is already bound")
         free = fv_type(t)
         if x in free:
             raise SelfReference(f"variable {x!r} occurs free in its own type")
-        out_of_scope = self.unbound(free)
-        if out_of_scope:
-            names = ", ".join(sorted(out_of_scope))
-            raise UnboundVariable(f"type mentions unbound variable(s): {names}")
+        self.check_scope("type", free)
         with _INDEX_LOCK:
-            index = self._index
+            index, names = self._index, self._names
             if len(index) != self._len or x in index:  # this environment was extended before
                 index = {y: e for y, e in index.items() if e[0] < self._len}
+                names = set(index)
             index[x] = (self._len, self, t)
+            names.add(x)  # after the index: see check_scope
         child = object.__new__(TypeEnv)
         child._parent, child._last = self, (x, t)
-        child._len, child._index = self._len + 1, index
+        child._len, child._index, child._names = self._len + 1, index, names
         child._dom = child._key = child._memo = None
         return child
+
+    def check_scope(
+        self, what: str, free: frozenset, more: frozenset = _NONE, error: type = UnboundVariable
+    ) -> None:
+        """Refuse ``what``, whose free variables are ``free`` and ``more``,
+        unless this environment binds them all: raise ``error`` naming the
+        others, sorted.  The test is a set inclusion that allocates nothing
+        when it passes.  It reads the shared set of names while this
+        environment is the newest on its index (checking that no extension
+        added a name meanwhile), else this environment's :meth:`dom`."""
+        n, names = self._len, self._names
+        if len(names) == n:
+            if free <= names and more <= names and len(names) == n:
+                return
+        else:
+            dom = self.dom()
+            if free <= dom and more <= dom:
+                return
+        loose = self.unbound(free | more)
+        if loose:
+            raise error(f"{what} mentions unbound variable(s): {', '.join(sorted(loose))}")
 
     def fresh(self, x: str, free=frozenset()) -> str:
         """The name at which to open a binder ``x`` in this environment:
@@ -157,7 +180,8 @@ class TypeEnv:
 
     def dom(self) -> frozenset:
         if self._dom is None:
-            self._dom = frozenset(x for x, _ in self.bindings)
+            with _INDEX_LOCK:  # the index holds this environment's names first, in order
+                self._dom = frozenset(islice(self._index, self._len))
         return self._dom
 
     def unbound(self, names) -> frozenset:
@@ -177,6 +201,12 @@ class TypeEnv:
         return iter(self.bindings)
 
 
+def check_var_name(x: str) -> None:
+    """Refuse ``x`` unless the parser reads it as one variable name."""
+    if not is_ident(x):
+        raise DsubError(f"{x!r} is not a variable name")
+
+
 def env_from_bindings(pairs) -> TypeEnv:
     """Build an environment, re-checking well-formedness of every binding."""
     g = TypeEnv.empty()
@@ -192,15 +222,7 @@ def print_env(g: TypeEnv) -> str:
 
 def parse_env(text: str) -> TypeEnv:
     """Parse the environment file format (oldest binding first)."""
-    p = _Parser(text)
-    pairs = []
-    while not p.at("eof"):
-        x = p.expect("ident").text
-        p.expect("punct", ":")
-        t = p.type_()
-        p.expect("punct", ";")
-        pairs.append((x, t))
-    return env_from_bindings(pairs)
+    return env_from_bindings(_Parser(text).bindings())
 
 
 __all__ = [
@@ -208,6 +230,7 @@ __all__ = [
     "DuplicateBinding",
     "SelfReference",
     "UnboundVariable",
+    "check_var_name",
     "env_from_bindings",
     "print_env",
     "parse_env",

@@ -16,9 +16,12 @@ types and terms is identity.  The parser refuses input nested deeper than
 
 from __future__ import annotations
 
+import re
 import threading
 import weakref
-from typing import Iterator, NamedTuple, Union
+from typing import Union
+
+from _weakref import _remove_dead_weakref
 
 from .errors import DsubError
 
@@ -29,35 +32,54 @@ from .errors import DsubError
 # hash-consing", 2006): constructing a structure that already has a live node
 # returns that node, so equality is identity, the structural hash is computed
 # once from the children's, and per-node facts (free variables, size,
-# canonical key) are cached on the node.  The table holds nodes weakly; a
-# node leaves it when the last reference to it goes.
+# canonical key) are cached on the node.  The table maps each key to a weak
+# reference; when a node goes, the reference's callback removes its entry, so
+# the table holds live nodes only.
 
 
-_TABLE: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """A table entry: a weak reference to a node, knowing the node's key."""
+
+    __slots__ = ("key",)
+
+
+_TABLE: dict = {}
 _TABLE_LOCK = threading.Lock()
+
+
+def _drop(ref: _Ref, table: dict = _TABLE, remove=_remove_dead_weakref) -> None:
+    # ``remove`` deletes the entry only while it is this dead reference
+    remove(table, ref.key)
+
+
+def _absent() -> None:
+    """What a lookup calls for a key with no entry: there is no node."""
+    return None
+
+
 _SET = object.__setattr__  # nodes refuse plain assignment
 
 
-def _build(cls, key: tuple, fields: tuple, names: tuple = (), labels: tuple = ()):
-    """The node for ``key`` once a lookup has missed: under the lock, look
-    again, then validate ``names`` and ``labels`` and build it.  A key holds
-    its child nodes by id: they are live, as the new node holds them."""
+def _build(cls, key, fields: tuple, size: int, names: tuple = (), labels: tuple = ()):
+    """The node for ``key``, of ``size`` nodes, once a lookup has missed:
+    under the lock, look again, then check ``names`` and ``labels`` and
+    build it.  A key holds its child nodes by id: they are live, as the new
+    node holds them."""
     with _TABLE_LOCK:  # one thread builds a structure's node, the others find it
-        node = _TABLE.get(key)
+        node = _TABLE.get(key, _absent)()
         if node is None:
             for name in names:
                 _check_var(name)
             for label in labels:
                 _check_label(label)
             node = object.__new__(cls)
-            size = 1
             for attr, value in zip(cls.__match_args__, fields):
                 _SET(node, attr, value)
-                if isinstance(value, _Node):
-                    size += value._size
             _SET(node, "_size", size)
             _SET(node, "_hash", hash((cls.__name__, *fields)))
-            _TABLE[key] = node
+            ref = _Ref(node, _drop)
+            ref.key = key
+            _TABLE[key] = ref
     return node
 
 
@@ -97,7 +119,7 @@ class Top(_Node):
     __slots__ = ()
 
     def __new__(cls):
-        return _TABLE.get(cls) or _build(cls, cls, ())
+        return _TABLE.get(cls, _absent)() or _build(cls, cls, (), 1)
 
 
 class Bot(_Node):
@@ -106,7 +128,7 @@ class Bot(_Node):
     __slots__ = ()
 
     def __new__(cls):
-        return _TABLE.get(cls) or _build(cls, cls, ())
+        return _TABLE.get(cls, _absent)() or _build(cls, cls, (), 1)
 
 
 class Decl(_Node):
@@ -116,7 +138,9 @@ class Decl(_Node):
 
     def __new__(cls, label: str, lower: "Type", upper: "Type"):
         key = (cls, label, id(lower), id(upper))
-        return _TABLE.get(key) or _build(cls, key, (label, lower, upper), labels=(label,))
+        return _TABLE.get(key, _absent)() or _build(
+            cls, key, (label, lower, upper), 1 + lower._size + upper._size, labels=(label,)
+        )
 
 
 class Path(_Node):
@@ -126,7 +150,7 @@ class Path(_Node):
 
     def __new__(cls, var: str, label: str):
         key = (cls, var, label)
-        return _TABLE.get(key) or _build(cls, key, key[1:], (var,), (label,))
+        return _TABLE.get(key, _absent)() or _build(cls, key, key[1:], 1, (var,), (label,))
 
 
 class All(_Node):
@@ -139,7 +163,9 @@ class All(_Node):
 
     def __new__(cls, param: str, param_type: "Type", result: "Type"):
         key = (cls, param, id(param_type), id(result))
-        return _TABLE.get(key) or _build(cls, key, (param, param_type, result), (param,))
+        return _TABLE.get(key, _absent)() or _build(
+            cls, key, (param, param_type, result), 1 + param_type._size + result._size, (param,)
+        )
 
 
 Type = Union[Top, Bot, Decl, Path, All]
@@ -153,7 +179,7 @@ class Var(_Node):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        return _TABLE.get(key) or _build(cls, key, key[1:], key[1:])
+        return _TABLE.get(key, _absent)() or _build(cls, key, key[1:], 1, key[1:])
 
 
 class Tag(_Node):
@@ -163,7 +189,9 @@ class Tag(_Node):
 
     def __new__(cls, label: str, alias: Type):
         key = (cls, label, id(alias))
-        return _TABLE.get(key) or _build(cls, key, (label, alias), labels=(label,))
+        return _TABLE.get(key, _absent)() or _build(
+            cls, key, (label, alias), 1 + alias._size, labels=(label,)
+        )
 
 
 class Lam(_Node):
@@ -173,7 +201,9 @@ class Lam(_Node):
 
     def __new__(cls, param: str, param_type: Type, body: "Term"):
         key = (cls, param, id(param_type), id(body))
-        return _TABLE.get(key) or _build(cls, key, (param, param_type, body), (param,))
+        return _TABLE.get(key, _absent)() or _build(
+            cls, key, (param, param_type, body), 1 + param_type._size + body._size, (param,)
+        )
 
 
 class App(_Node):
@@ -183,7 +213,7 @@ class App(_Node):
 
     def __new__(cls, fun: str, arg: str):
         key = (cls, fun, arg)
-        return _TABLE.get(key) or _build(cls, key, key[1:], key[1:])
+        return _TABLE.get(key, _absent)() or _build(cls, key, key[1:], 1, key[1:])
 
 
 class Let(_Node):
@@ -193,7 +223,9 @@ class Let(_Node):
 
     def __new__(cls, bound: str, rhs: "Term", body: "Term"):
         key = (cls, bound, id(rhs), id(body))
-        return _TABLE.get(key) or _build(cls, key, (bound, rhs, body), (bound,))
+        return _TABLE.get(key, _absent)() or _build(
+            cls, key, (bound, rhs, body), 1 + rhs._size + body._size, (bound,)
+        )
 
 
 Term = Union[Var, Tag, Lam, App, Let]
@@ -470,210 +502,254 @@ class ParseError(DsubError):
 MAX_NESTING = 400
 
 _KEYWORDS = frozenset(("Top", "Bot", "all", "lam", "let", "in"))
-_PUNCT = frozenset("{}():=.;")  # and "..", read where "." starts it
+_PUNCT = frozenset(("{", "}", "(", ")", ":", "=", ".", "..", ";"))
 
-
-class _Token(NamedTuple):
-    kind: str  # "ident", "label", "punct", "keyword", "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _word_kind(word: str) -> str:
-    """A word's token kind: a keyword, else a label when it starts
-    upper-case, else a variable ("ident")."""
-    if word in _KEYWORDS:
-        return "keyword"
-    return "label" if word[0].isupper() else "ident"
+# One match per token: the whitespace and comments before it, then the token
+# (group 1): punctuation, a run of word characters, any other character, or
+# "" at the end of the input.  ``\s`` and ``\w`` are exactly ``str.isspace``
+# and ``str.isalnum`` or ``_``.  A token that is neither punctuation nor a
+# word (a letter or ``_`` first) is a character the grammar has no use for;
+# the parser never accepts one, and reports the first when it fails.
+_TOKEN = re.compile(r"(?:\s+|//[^\n]*)*(\.\.|[{}():=.;]|\w+|.|\Z)", re.S)
 
 
 def _reads_as(text: str) -> str | None:
-    """The one rule for names: the kind of ``text`` when it is one word as
-    the tokenizer scans words (a letter or ``_`` followed by letters, digits
-    and ``_``), else None."""
+    """The one rule for names: the kind of ``text`` ("keyword", "label" when
+    it starts upper-case, else "ident") when it is one word as the scanner
+    reads words (a letter or ``_`` followed by letters, digits and ``_``),
+    else None."""
     if not (text[:1] == "_" or text[:1].isalpha()) or not text.replace("_", "a").isalnum():
         return None
-    return _word_kind(text)
+    if text in _KEYWORDS:
+        return "keyword"
+    return "label" if text[0].isupper() else "ident"
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif c.isspace():
-            i += 1
-            col += 1
-        elif c == "/" and text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in _PUNCT:
-            p = ".." if text.startswith("..", i) else c
-            yield _Token("punct", p, line, col)
-            i += len(p)
-            col += len(p)
-        elif c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            yield _Token(_word_kind(word), word, line, col)
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    yield _Token("eof", "", line, col)
+# Names known to read as a variable or a label.  The parser and the node
+# constructors test these first, so each distinct name is checked once.
+_VARS: set = set()
+_LABELS: set = set()
+
+
+def _is_var(text: str) -> bool:
+    if _reads_as(text) != "ident":
+        return False
+    _VARS.add(text)
+    return True
+
+
+def _is_label(text: str) -> bool:
+    if _reads_as(text) != "label":
+        return False
+    _LABELS.add(text)
+    return True
 
 
 def is_ident(text: str) -> bool:
     """True when ``text`` reads as exactly one variable name."""
-    return _reads_as(text) == "ident"
+    return text in _VARS or _is_var(text)
 
 
 def _check_var(name: str) -> None:
-    if _reads_as(name) != "ident":
+    if not (name in _VARS or _is_var(name)):
         raise ValueError(f"invalid variable name: {name!r}")
 
 
 def _check_label(name: str) -> None:
-    if _reads_as(name) != "label":
+    if not (name in _LABELS or _is_label(name)):
         raise ValueError(f"invalid type label: {name!r}")
 
 
+def _parse_error(text: str, index: int, message: str) -> ParseError:
+    """The error ``message`` at token ``index`` of ``text``, unless the
+    input holds a character the grammar has no use for: then the first of
+    those, wherever it is.  Line and column come from the offset; at the end
+    of input after a comment on the last line, the column is where the
+    ``//`` starts."""
+    at = None
+    for k, match in enumerate(_TOKEN.finditer(text)):
+        tok = match[1]
+        if tok and tok not in _PUNCT and not (tok[0] == "_" or tok[0].isalpha()):
+            message, at = f"unexpected character {tok[0]!r}", match.start(1)
+            break
+        if k == index:
+            at = match.start(1)
+    if at == len(text):
+        comment = text.find("//", text.rfind("\n") + 1)
+        if comment >= 0:
+            at = comment
+    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+
 class _Parser:
+    """Recursive descent over the token texts of ``text``, compared as
+    strings; ``pos`` is the index of the current token."""
+
+    __slots__ = ("text", "toks", "pos")
+
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.text = text
+        self.toks = _TOKEN.findall(text)
         self.pos = 0
-        self.depth = 0  # compound forms enclosing the component being parsed
 
-    def descend(self) -> None:
-        """Enter the components of a compound form, one level deeper than
-        the form; refuse to go past :data:`MAX_NESTING` levels.  The caller
-        leaves with ``self.depth -= 1``."""
-        if self.depth == MAX_NESTING:
-            self.fail(f"input is nested more than {MAX_NESTING} levels deep")
-        self.depth += 1
+    def fail(self, message: str, index: int | None = None):
+        raise _parse_error(self.text, self.pos if index is None else index, message)
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def expected(self, want: str, index: int):
+        got = self.toks[index]
+        self.fail(f"expected {want!r}, found {got if got else 'end of input'!r}", index)
 
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        raise ParseError(message, self.cur.line, self.cur.col)
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.cur
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = tok.text if tok.text else "end of input"
-            self.fail(f"expected {want!r}, found {got!r}")
-        return self.advance()
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        return self.cur.kind == kind and (text is None or self.cur.text == text)
+    def too_deep(self):
+        self.fail(f"input is nested more than {MAX_NESTING} levels deep")
 
     # type ::= "Top" | "Bot" | "{" LABEL ":" type ".." type "}"
     #        | IDENT "." LABEL | "all" "(" IDENT ":" type ")" type
-    def type_(self) -> Type:
-        if self.at("keyword", "Top"):
-            self.advance()
-            return Top()
-        if self.at("keyword", "Bot"):
-            self.advance()
-            return Bot()
-        if self.at("punct", "{"):
-            self.advance()
-            label = self.expect("label").text
-            self.expect("punct", ":")
-            self.descend()
-            lo = self.type_()
-            self.expect("punct", "..")
-            hi = self.type_()
-            self.depth -= 1
-            self.expect("punct", "}")
+    # ``depth`` is the number of compound forms enclosing this one.
+    def type_(self, depth: int) -> Type:
+        if depth > MAX_NESTING:
+            self.too_deep()
+        toks, i = self.toks, self.pos
+        tok = toks[i]
+        if tok == "{":
+            label = toks[i + 1]
+            if not (label in _LABELS or _is_label(label)):
+                self.expected("label", i + 1)
+            if toks[i + 2] != ":":
+                self.expected(":", i + 2)
+            self.pos = i + 3
+            lo = self.type_(depth + 1)
+            i = self.pos
+            if toks[i] != "..":
+                self.expected("..", i)
+            self.pos = i + 1
+            hi = self.type_(depth + 1)
+            i = self.pos
+            if toks[i] != "}":
+                self.expected("}", i)
+            self.pos = i + 1
             return Decl(label, lo, hi)
-        if self.at("keyword", "all"):
-            self.advance()
-            self.expect("punct", "(")
-            param = self.expect("ident").text
-            self.expect("punct", ":")
-            self.descend()
-            s = self.type_()
-            self.expect("punct", ")")
-            u = self.type_()
-            self.depth -= 1
-            return All(param, s, u)
-        if self.at("ident"):
-            var = self.advance().text
-            self.expect("punct", ".")
-            label = self.expect("label").text
-            return Path(var, label)
+        if tok == "Top":
+            self.pos = i + 1
+            return Top()
+        if tok == "Bot":
+            self.pos = i + 1
+            return Bot()
+        if tok == "all":
+            if toks[i + 1] != "(":
+                self.expected("(", i + 1)
+            param = toks[i + 2]
+            if not (param in _VARS or _is_var(param)):
+                self.expected("ident", i + 2)
+            if toks[i + 3] != ":":
+                self.expected(":", i + 3)
+            self.pos = i + 4
+            s = self.type_(depth + 1)
+            i = self.pos
+            if toks[i] != ")":
+                self.expected(")", i)
+            self.pos = i + 1
+            return All(param, s, self.type_(depth + 1))
+        if tok in _VARS or _is_var(tok):
+            if toks[i + 1] != ".":
+                self.expected(".", i + 1)
+            label = toks[i + 2]
+            if not (label in _LABELS or _is_label(label)):
+                self.expected("label", i + 2)
+            self.pos = i + 3
+            return Path(tok, label)
         self.fail("expected a type")
 
     # term ::= IDENT | IDENT IDENT | "{" LABEL "=" type "}"
     #        | "lam" "(" IDENT ":" type ")" term | "let" IDENT "=" term "in" term
-    def term(self) -> Term:
-        if self.at("punct", "{"):
-            self.advance()
-            label = self.expect("label").text
-            self.expect("punct", "=")
-            self.descend()
-            ty = self.type_()
-            self.depth -= 1
-            self.expect("punct", "}")
+    def term(self, depth: int) -> Term:
+        if depth > MAX_NESTING:
+            self.too_deep()
+        toks, i = self.toks, self.pos
+        tok = toks[i]
+        if tok == "let":
+            bound = toks[i + 1]
+            if not (bound in _VARS or _is_var(bound)):
+                self.expected("ident", i + 1)
+            if toks[i + 2] != "=":
+                self.expected("=", i + 2)
+            self.pos = i + 3
+            rhs = self.term(depth + 1)
+            i = self.pos
+            if toks[i] != "in":
+                self.expected("in", i)
+            self.pos = i + 1
+            return Let(bound, rhs, self.term(depth + 1))
+        if tok == "{":
+            label = toks[i + 1]
+            if not (label in _LABELS or _is_label(label)):
+                self.expected("label", i + 1)
+            if toks[i + 2] != "=":
+                self.expected("=", i + 2)
+            self.pos = i + 3
+            ty = self.type_(depth + 1)
+            i = self.pos
+            if toks[i] != "}":
+                self.expected("}", i)
+            self.pos = i + 1
             return Tag(label, ty)
-        if self.at("keyword", "lam"):
-            self.advance()
-            self.expect("punct", "(")
-            param = self.expect("ident").text
-            self.expect("punct", ":")
-            self.descend()
-            ty = self.type_()
-            self.expect("punct", ")")
-            body = self.term()
-            self.depth -= 1
-            return Lam(param, ty, body)
-        if self.at("keyword", "let"):
-            self.advance()
-            bound = self.expect("ident").text
-            self.expect("punct", "=")
-            self.descend()
-            rhs = self.term()
-            self.expect("keyword", "in")
-            body = self.term()
-            self.depth -= 1
-            return Let(bound, rhs, body)
-        if self.at("ident"):
-            name = self.advance().text
-            if self.at("ident"):  # application binds tighter than binder bodies
-                return App(name, self.advance().text)
-            return Var(name)
+        if tok == "lam":
+            if toks[i + 1] != "(":
+                self.expected("(", i + 1)
+            param = toks[i + 2]
+            if not (param in _VARS or _is_var(param)):
+                self.expected("ident", i + 2)
+            if toks[i + 3] != ":":
+                self.expected(":", i + 3)
+            self.pos = i + 4
+            ty = self.type_(depth + 1)
+            i = self.pos
+            if toks[i] != ")":
+                self.expected(")", i)
+            self.pos = i + 1
+            return Lam(param, ty, self.term(depth + 1))
+        if tok in _VARS or _is_var(tok):
+            arg = toks[i + 1]
+            if arg in _VARS or _is_var(arg):  # application binds tighter than binder bodies
+                self.pos = i + 2
+                return App(tok, arg)
+            self.pos = i + 1
+            return Var(tok)
         self.fail("expected a term")
 
+    # env ::= (IDENT ":" type ";")*, oldest binding first
+    def bindings(self) -> list:
+        toks, pairs = self.toks, []
+        while toks[self.pos]:
+            i = self.pos
+            x = toks[i]
+            if not (x in _VARS or _is_var(x)):
+                self.expected("ident", i)
+            if toks[i + 1] != ":":
+                self.expected(":", i + 1)
+            self.pos = i + 2
+            t = self.type_(0)
+            i = self.pos
+            if toks[i] != ";":
+                self.expected(";", i)
+            self.pos = i + 1
+            pairs.append((x, t))
+        return pairs
+
     def eof(self) -> None:
-        if self.cur.kind != "eof":
-            self.fail(f"unexpected trailing input {self.cur.text!r}")
+        tok = self.toks[self.pos]
+        if tok:
+            self.fail(f"unexpected trailing input {tok!r}")
 
 
 def parse_type(text: str) -> Type:
     p = _Parser(text)
-    t = p.type_()
+    t = p.type_(0)
     p.eof()
     return t
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    t = p.term()
+    t = p.term(0)
     p.eof()
     return t

@@ -25,8 +25,7 @@ fields in surface syntax); :func:`derivation_to_json` is the one tree writer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from collections import namedtuple
 
 from .environment import TypeEnv
 from .syntax import Term, Type, canon_term, canon_type, fv_term, fv_type, print_term, print_type
@@ -61,18 +60,30 @@ def _env_json(env: TypeEnv) -> list:
     return [[x, print_type(t)] for x, t in env]
 
 
-@dataclass(frozen=True)
-class SubJ:
-    """``env |- lhs <: rhs``"""
+class _Record(tuple):
+    """Judgments, tree nodes and outcomes are tuples of their fields, read
+    by name.  As frozen dataclasses do, they refuse assignment, hash as the
+    tuple of their fields, and equal only records of their own class."""
 
-    env: TypeEnv
-    lhs: Type
-    rhs: Type
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        loose = self.env.unbound(fv_type(self.lhs) | fv_type(self.rhs))
-        if loose:
-            raise ValueError(f"judgment mentions unbound variable(s): {', '.join(sorted(loose))}")
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class SubJ(_Record, namedtuple("SubJ", "env lhs rhs")):
+    """``env |- lhs <: rhs``; ``env`` must bind the types' free variables."""
+
+    __slots__ = ()
+
+    def __new__(cls, env: TypeEnv, lhs: Type, rhs: Type):
+        env.check_scope("judgment", fv_type(lhs), fv_type(rhs), ValueError)
+        return tuple.__new__(cls, (env, lhs, rhs))
 
     def key(self) -> str:
         return f"sub[{self.env.key}]{canon_type(self.lhs)}<:{canon_type(self.rhs)}"
@@ -86,18 +97,14 @@ class SubJ:
         }
 
 
-@dataclass(frozen=True)
-class TypJ:
-    """``env |- term : ty``"""
+class TypJ(_Record, namedtuple("TypJ", "env term ty")):
+    """``env |- term : ty``; ``env`` must bind their free variables."""
 
-    env: TypeEnv
-    term: Term
-    ty: Type
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        loose = self.env.unbound(fv_term(self.term) | fv_type(self.ty))
-        if loose:
-            raise ValueError(f"judgment mentions unbound variable(s): {', '.join(sorted(loose))}")
+    def __new__(cls, env: TypeEnv, term: Term, ty: Type):
+        env.check_scope("judgment", fv_term(term), fv_type(ty), ValueError)
+        return tuple.__new__(cls, (env, term, ty))
 
     def key(self) -> str:
         return f"typ[{self.env.key}]{canon_term(self.term)}:{canon_type(self.ty)}"
@@ -111,13 +118,10 @@ class TypJ:
         }
 
 
-@dataclass(frozen=True)
-class ExposeJ:
+class ExposeJ(_Record, namedtuple("ExposeJ", "env src out")):
     """``env |- src`` exposes to ``out``; written as ``from``/``to``."""
 
-    env: TypeEnv
-    src: Type
-    out: Type
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -128,16 +132,11 @@ class ExposeJ:
         }
 
 
-@dataclass(frozen=True)
-class ShiftJ:
+class ShiftJ(_Record, namedtuple("ShiftJ", "env src var out up")):
     """``env |- src`` promotes (``up``) or demotes away from ``var`` to
     ``out``; written as ``from``/``var``/``to``."""
 
-    env: TypeEnv
-    src: Type
-    var: str
-    out: Type
-    up: bool
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -153,29 +152,25 @@ class ShiftJ:
 # Derivation trees
 
 
-@dataclass(frozen=True)
-class DerivationTree:
-    rule: str
-    conclusion: Union[SubJ, TypJ, ExposeJ, ShiftJ]
-    premises: tuple = field(default=())
+class DerivationTree(_Record, namedtuple("DerivationTree", "rule conclusion premises", defaults=((),))):
+    """A node: the ``rule`` applied, its ``conclusion`` (a judgment), and
+    the derivations of its ``premises``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Derived:
+class Derived(_Record, namedtuple("Derived", "ty trace")):
     """An algorithmic relation computed ``ty``; ``trace`` derives it.
-    Truthy, as objects are by default; :class:`Failed` is falsy."""
+    Truthy, as a tuple of two fields is; :class:`Failed` is falsy."""
 
-    ty: Type
-    trace: DerivationTree
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Failed:
+class Failed(_Record, namedtuple("Failed", "reason location", defaults=("",))):
     """No algorithmic rule applies, for ``reason``; ``location`` is the
     dotted path into the term at fault ("" for the root, or no term)."""
 
-    reason: str
-    location: str = ""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return False

@@ -265,29 +265,48 @@ def test_stuck_selection_diagnostics(capsys, tmp_path, argv, want):
     assert run(capsys, verb, "--env", str(env), *rest) == want
 
 
-# a type that mentions an unbound variable is a usage error (exit 2), never
-# a negative answer (exit 1) nor an answer echoed back (exit 0)
+# a type that mentions an unbound variable, or a --var that is no variable
+# name, is a usage error (exit 2), never a negative answer (exit 1) nor an
+# answer echoed back (exit 0); ENV stands for the environment file
 _ILL_SCOPED = "all(w: q.A) {C: y.C .. Top}"
+_UNBOUND_Q = "type mentions unbound variable(s): q"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     (
-        pytest.param(("sub", _ILL_SCOPED, "{C: y.B .. y.A}"), id="sub"),
-        pytest.param(("expose", _ILL_SCOPED), id="expose"),
-        pytest.param(("promote", "--var", "y", _ILL_SCOPED), id="promote"),
-        pytest.param(("demote", "--var", "y", _ILL_SCOPED), id="demote"),
+        pytest.param(("sub", "--env", "ENV", _ILL_SCOPED, "{C: y.B .. y.A}"), _UNBOUND_Q, id="sub"),
+        pytest.param(("expose", "--env", "ENV", _ILL_SCOPED), _UNBOUND_Q, id="expose"),
+        pytest.param(("promote", "--env", "ENV", "--var", "y", _ILL_SCOPED), _UNBOUND_Q, id="promote"),
+        pytest.param(("demote", "--env", "ENV", "--var", "y", _ILL_SCOPED), _UNBOUND_Q, id="demote"),
+        pytest.param(
+            ("decl", "search", "--env", "ENV", "--fuel", "3", "--sub", _ILL_SCOPED, "y.A"),
+            _UNBOUND_Q,
+            id="decl-search-sub",
+        ),
+        pytest.param(
+            ("decl", "search", "--env", "ENV", "--fuel", "3", "--sub", "r.B", "{C: y.B .. p.A}"),
+            "type mentions unbound variable(s): p, r",
+            id="decl-search-sub-both",
+        ),
+        pytest.param(
+            ("decl", "search", "--env", "ENV", "--fuel", "3", "--typ", "TERM", _ILL_SCOPED),
+            _UNBOUND_Q,
+            id="decl-search-typ",
+        ),
+        pytest.param(("promote", "--env", "ENV", "--var", "a b", "y.A"), "'a b' is not a variable name", id="promote-var"),
+        pytest.param(("demote", "--env", "ENV", "--var", "Y", "y.A"), "'Y' is not a variable name", id="demote-var"),
+        pytest.param(("promote", "--env", "ENV", "--var", "in", "y.A"), "'in' is not a variable name", id="promote-kw"),
+        pytest.param(("demote", "--env", "ENV", "--var", "", "y.A"), "'' is not a variable name", id="demote-empty"),
     ),
 )
-def test_ill_scoped_type_is_a_usage_error(capsys, tmp_path, argv):
+def test_ill_scoped_type_is_a_usage_error(capsys, tmp_path, argv, message):
     env = tmp_path / "g.env"
     env.write_text("y : {A: Bot .. Top} ;\n")
-    verb, *rest = argv
-    assert run(capsys, verb, "--env", str(env), *rest) == (
-        2,
-        "",
-        "dsub: error: type mentions unbound variable(s): q\n",
-    )
+    term = tmp_path / "t.dsub"
+    term.write_text("y\n")
+    argv = [{"ENV": str(env), "TERM": str(term)}.get(a, a) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"dsub: error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,7 @@ def test_verify_rejects_misapplied_axiom():
 
 
 def test_verify_rejects_unknown_rule():
-    tree = DerivationTree.__new__(DerivationTree)
-    object.__setattr__(tree, "rule", "Guess")
-    object.__setattr__(tree, "conclusion", SubJ(EMPTY, Bot(), Top()))
-    object.__setattr__(tree, "premises", ())
+    tree = DerivationTree("Guess", SubJ(EMPTY, Bot(), Top()))
     assert not decl_verify(tree).ok
 
 
@@ -351,13 +348,14 @@ def _count_judgments(monkeypatch) -> list:
     """Patch both judgment forms to count their constructions."""
     built = []
     for form in (SubJ, TypJ):
-        check = form.__post_init__
+        new = form.__new__
 
-        def counting(self, check=check):
-            built.append(self)
-            check(self)
+        def counting(cls, *fields, new=new):
+            judgment = new(cls, *fields)
+            built.append(judgment)
+            return judgment
 
-        monkeypatch.setattr(form, "__post_init__", counting)
+        monkeypatch.setattr(form, "__new__", staticmethod(counting))
     return built
 
 

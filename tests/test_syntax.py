@@ -520,22 +520,22 @@ def test_concurrent_construction_yields_one_node_per_structure():
         assert all(node is column[0] for node in column)
 
 
-@given(st.text(max_size=6))
-def test_is_ident_agrees_with_the_tokenizer(text):
-    try:
-        tokens = list(syntax._tokenize(text))
-        reads = len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == text
-    except ParseError:
-        reads = False
-    assert syntax.is_ident(text) == reads
-
-
 def _reads_as(text: str, kind: str) -> bool:
+    """Whether the parser reads ``text``, all of it, as one variable name
+    (``kind`` "ident") or one type label ("label")."""
     try:
-        tokens = list(syntax._tokenize(text))
+        if kind == "ident":
+            node = parse_term(text)
+            return isinstance(node, Var) and node.name == text
+        node = parse_type(f"x.{text}")
+        return node.label == text
     except ParseError:
         return False
-    return len(tokens) == 2 and tokens[0].kind == kind and tokens[0].text == text
+
+
+@given(st.text(max_size=6))
+def test_is_ident_agrees_with_the_tokenizer(text):
+    assert syntax.is_ident(text) == _reads_as(text, "ident")
 
 
 def _builds(build) -> bool:

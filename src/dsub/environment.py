@@ -23,8 +23,6 @@ from itertools import islice
 from .errors import DsubError
 from .syntax import Type, _Parser, canon_type, fresh_name, fv_type, is_ident, print_type
 
-_NONE: frozenset = frozenset()
-
 
 class DuplicateBinding(DsubError):
     pass
@@ -89,7 +87,7 @@ class TypeEnv:
         return child
 
     def check_scope(
-        self, what: str, free: frozenset, more: frozenset = _NONE, error: type = UnboundVariable
+        self, what: str, free: frozenset, more: frozenset = frozenset(), error: type = UnboundVariable
     ) -> None:
         """Refuse ``what``, whose free variables are ``free`` and ``more``,
         unless this environment binds them all: raise ``error`` naming the

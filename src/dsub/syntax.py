@@ -526,7 +526,9 @@ def _reads_as(text: str) -> str | None:
 
 
 # Names known to read as a variable or a label.  The parser and the node
-# constructors test these first, so each distinct name is checked once.
+# constructors test these first, so each distinct name is checked once.  A
+# set that reaches _NAMES_KEPT names is emptied, so it never holds more.
+_NAMES_KEPT = 1024
 _VARS: set = set()
 _LABELS: set = set()
 
@@ -534,6 +536,8 @@ _LABELS: set = set()
 def _is_var(text: str) -> bool:
     if _reads_as(text) != "ident":
         return False
+    if len(_VARS) >= _NAMES_KEPT:
+        _VARS.clear()
     _VARS.add(text)
     return True
 
@@ -541,6 +545,8 @@ def _is_var(text: str) -> bool:
 def _is_label(text: str) -> bool:
     if _reads_as(text) != "label":
         return False
+    if len(_LABELS) >= _NAMES_KEPT:
+        _LABELS.clear()
     _LABELS.add(text)
     return True
 

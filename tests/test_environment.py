@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -144,6 +146,44 @@ def test_extensions_of_one_environment_stay_apart():
     assert (b.lookup("z"), c.lookup("z")) == (Top(), Bot())
     assert b.unbound({"x", "y", "z"}) == {"y"}
     assert c.binding("z") == (a, Bot())
+    for env, free, loose in ((g, {"x", "y"}, "y"), (a, {"z"}, "z"), (b, {"y", "w"}, "w, y")):
+        env.check_scope("type", frozenset(free - set(loose.split(", "))))
+        with pytest.raises(UnboundVariable, match=f"^type mentions unbound variable\\(s\\): {loose}$"):
+            env.check_scope("type", frozenset(free))
+
+
+def test_concurrent_extensions_keep_each_scope():
+    # threads extend one environment while checking scopes in it and in
+    # their extensions: a name bound only by an extension is never in scope
+    # of the environment it extends
+    base = env_from_bindings([("x", Top())])
+    barrier = threading.Barrier(8, timeout=60)
+    leaks, done = [], []
+
+    def work(k):
+        barrier.wait()
+        for i in range(200):
+            name = f"v{k}_{i}"
+            base.extend(name, Top()).check_scope("type", frozenset((name, "x")))
+            try:
+                base.check_scope("type", frozenset((name,)))
+                leaks.append(name)
+            except UnboundVariable:
+                pass
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(8)) and leaks == []
 
 
 def test_long_environments_take_linear_time_and_memory():

@@ -538,6 +538,16 @@ def test_is_ident_agrees_with_the_tokenizer(text):
     assert syntax.is_ident(text) == _reads_as(text, "ident")
 
 
+def test_checked_names_are_kept_boundedly():
+    # each distinct name is checked once while remembered; the memo of
+    # checked names never holds more than _NAMES_KEPT of them
+    names = [f"n{uuid.uuid4().hex}" for _ in range(2 * syntax._NAMES_KEPT + 1)]
+    assert all(syntax.is_ident(name) for name in names)
+    assert all(Path(name, "L_" + name).var == name for name in names)
+    assert not any(syntax.is_ident(name.upper()) for name in names)
+    assert len(syntax._VARS) <= syntax._NAMES_KEPT and len(syntax._LABELS) <= syntax._NAMES_KEPT
+
+
 def _builds(build) -> bool:
     try:
         build()

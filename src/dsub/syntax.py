@@ -533,36 +533,29 @@ _VARS: set = set()
 _LABELS: set = set()
 
 
-def _is_var(text: str) -> bool:
-    if _reads_as(text) != "ident":
+def _is_name(text: str, kind: str, kept: set) -> bool:
+    """Whether ``text`` reads as a name of ``kind`` ("ident" or "label");
+    if it does, ``kept`` (``_VARS`` or ``_LABELS``) keeps it."""
+    if _reads_as(text) != kind:
         return False
-    if len(_VARS) >= _NAMES_KEPT:
-        _VARS.clear()
-    _VARS.add(text)
-    return True
-
-
-def _is_label(text: str) -> bool:
-    if _reads_as(text) != "label":
-        return False
-    if len(_LABELS) >= _NAMES_KEPT:
-        _LABELS.clear()
-    _LABELS.add(text)
+    if len(kept) >= _NAMES_KEPT:
+        kept.clear()
+    kept.add(text)
     return True
 
 
 def is_ident(text: str) -> bool:
     """True when ``text`` reads as exactly one variable name."""
-    return text in _VARS or _is_var(text)
+    return text in _VARS or _is_name(text, "ident", _VARS)
 
 
 def _check_var(name: str) -> None:
-    if not (name in _VARS or _is_var(name)):
+    if not is_ident(name):
         raise ValueError(f"invalid variable name: {name!r}")
 
 
 def _check_label(name: str) -> None:
-    if not (name in _LABELS or _is_label(name)):
+    if not (name in _LABELS or _is_name(name, "label", _LABELS)):
         raise ValueError(f"invalid type label: {name!r}")
 
 
@@ -618,7 +611,7 @@ class _Parser:
         tok = toks[i]
         if tok == "{":
             label = toks[i + 1]
-            if not (label in _LABELS or _is_label(label)):
+            if not (label in _LABELS or _is_name(label, "label", _LABELS)):
                 self.expected("label", i + 1)
             if toks[i + 2] != ":":
                 self.expected(":", i + 2)
@@ -644,7 +637,7 @@ class _Parser:
             if toks[i + 1] != "(":
                 self.expected("(", i + 1)
             param = toks[i + 2]
-            if not (param in _VARS or _is_var(param)):
+            if not (param in _VARS or _is_name(param, "ident", _VARS)):
                 self.expected("ident", i + 2)
             if toks[i + 3] != ":":
                 self.expected(":", i + 3)
@@ -655,11 +648,11 @@ class _Parser:
                 self.expected(")", i)
             self.pos = i + 1
             return All(param, s, self.type_(depth + 1))
-        if tok in _VARS or _is_var(tok):
+        if tok in _VARS or _is_name(tok, "ident", _VARS):
             if toks[i + 1] != ".":
                 self.expected(".", i + 1)
             label = toks[i + 2]
-            if not (label in _LABELS or _is_label(label)):
+            if not (label in _LABELS or _is_name(label, "label", _LABELS)):
                 self.expected("label", i + 2)
             self.pos = i + 3
             return Path(tok, label)
@@ -674,7 +667,7 @@ class _Parser:
         tok = toks[i]
         if tok == "let":
             bound = toks[i + 1]
-            if not (bound in _VARS or _is_var(bound)):
+            if not (bound in _VARS or _is_name(bound, "ident", _VARS)):
                 self.expected("ident", i + 1)
             if toks[i + 2] != "=":
                 self.expected("=", i + 2)
@@ -687,7 +680,7 @@ class _Parser:
             return Let(bound, rhs, self.term(depth + 1))
         if tok == "{":
             label = toks[i + 1]
-            if not (label in _LABELS or _is_label(label)):
+            if not (label in _LABELS or _is_name(label, "label", _LABELS)):
                 self.expected("label", i + 1)
             if toks[i + 2] != "=":
                 self.expected("=", i + 2)
@@ -702,7 +695,7 @@ class _Parser:
             if toks[i + 1] != "(":
                 self.expected("(", i + 1)
             param = toks[i + 2]
-            if not (param in _VARS or _is_var(param)):
+            if not (param in _VARS or _is_name(param, "ident", _VARS)):
                 self.expected("ident", i + 2)
             if toks[i + 3] != ":":
                 self.expected(":", i + 3)
@@ -713,9 +706,9 @@ class _Parser:
                 self.expected(")", i)
             self.pos = i + 1
             return Lam(param, ty, self.term(depth + 1))
-        if tok in _VARS or _is_var(tok):
+        if tok in _VARS or _is_name(tok, "ident", _VARS):
             arg = toks[i + 1]
-            if arg in _VARS or _is_var(arg):  # application binds tighter than binder bodies
+            if arg in _VARS or _is_name(arg, "ident", _VARS):  # application binds tighter than binder bodies
                 self.pos = i + 2
                 return App(tok, arg)
             self.pos = i + 1
@@ -728,7 +721,7 @@ class _Parser:
         while toks[self.pos]:
             i = self.pos
             x = toks[i]
-            if not (x in _VARS or _is_var(x)):
+            if not (x in _VARS or _is_name(x, "ident", _VARS)):
                 self.expected("ident", i)
             if toks[i + 1] != ":":
                 self.expected(":", i + 1)

@@ -18,7 +18,6 @@ alpha-equivalence); ``==`` is identity, as for syntax nodes.
 from __future__ import annotations
 
 import threading
-from itertools import islice
 
 from .errors import DsubError
 from .syntax import Type, _Parser, canon_type, fresh_name, fv_type, is_ident, print_type
@@ -91,21 +90,27 @@ class TypeEnv:
     ) -> None:
         """Refuse ``what``, whose free variables are ``free`` and ``more``,
         unless this environment binds them all: raise ``error`` naming the
-        others, sorted.  The test is a set inclusion that allocates nothing
-        when it passes.  It reads the shared set of names while this
-        environment is the newest on its index (checking that no extension
-        added a name meanwhile), else this environment's :meth:`dom`."""
+        others, sorted.  While this environment is the newest on its index,
+        the test is a set inclusion in the index's names, which allocates
+        nothing when it passes (and checks that no extension added a name
+        meanwhile); otherwise each name's position is looked up."""
         n, names = self._len, self._names
         if len(names) == n:
             if free <= names and more <= names and len(names) == n:
                 return
-        else:
-            dom = self.dom()
-            if free <= dom and more <= dom:
-                return
+        elif self._binds(free) and self._binds(more):
+            return
         loose = self.unbound(free | more)
         if loose:
             raise error(f"{what} mentions unbound variable(s): {', '.join(sorted(loose))}")
+
+    def _binds(self, names) -> bool:
+        index, n = self._index, self._len
+        for x in names:
+            entry = index.get(x)
+            if entry is None or entry[0] >= n:
+                return False
+        return True
 
     def fresh(self, x: str, free=frozenset()) -> str:
         """The name at which to open a binder ``x`` in this environment:
@@ -178,8 +183,7 @@ class TypeEnv:
 
     def dom(self) -> frozenset:
         if self._dom is None:
-            with _INDEX_LOCK:  # the index holds this environment's names first, in order
-                self._dom = frozenset(islice(self._index, self._len))
+            self._dom = frozenset(x for x, _ in self.bindings)
         return self._dom
 
     def unbound(self, names) -> frozenset:

@@ -549,13 +549,18 @@ def is_ident(text: str) -> bool:
     return text in _VARS or _is_name(text, "ident", _VARS)
 
 
+def is_label(text: str) -> bool:
+    """True when ``text`` reads as exactly one type label."""
+    return text in _LABELS or _is_name(text, "label", _LABELS)
+
+
 def _check_var(name: str) -> None:
     if not is_ident(name):
         raise ValueError(f"invalid variable name: {name!r}")
 
 
 def _check_label(name: str) -> None:
-    if not (name in _LABELS or _is_name(name, "label", _LABELS)):
+    if not is_label(name):
         raise ValueError(f"invalid type label: {name!r}")
 
 
@@ -611,7 +616,7 @@ class _Parser:
         tok = toks[i]
         if tok == "{":
             label = toks[i + 1]
-            if not (label in _LABELS or _is_name(label, "label", _LABELS)):
+            if not is_label(label):
                 self.expected("label", i + 1)
             if toks[i + 2] != ":":
                 self.expected(":", i + 2)
@@ -637,7 +642,7 @@ class _Parser:
             if toks[i + 1] != "(":
                 self.expected("(", i + 1)
             param = toks[i + 2]
-            if not (param in _VARS or _is_name(param, "ident", _VARS)):
+            if not is_ident(param):
                 self.expected("ident", i + 2)
             if toks[i + 3] != ":":
                 self.expected(":", i + 3)
@@ -648,11 +653,11 @@ class _Parser:
                 self.expected(")", i)
             self.pos = i + 1
             return All(param, s, self.type_(depth + 1))
-        if tok in _VARS or _is_name(tok, "ident", _VARS):
+        if is_ident(tok):
             if toks[i + 1] != ".":
                 self.expected(".", i + 1)
             label = toks[i + 2]
-            if not (label in _LABELS or _is_name(label, "label", _LABELS)):
+            if not is_label(label):
                 self.expected("label", i + 2)
             self.pos = i + 3
             return Path(tok, label)
@@ -667,7 +672,7 @@ class _Parser:
         tok = toks[i]
         if tok == "let":
             bound = toks[i + 1]
-            if not (bound in _VARS or _is_name(bound, "ident", _VARS)):
+            if not is_ident(bound):
                 self.expected("ident", i + 1)
             if toks[i + 2] != "=":
                 self.expected("=", i + 2)
@@ -680,7 +685,7 @@ class _Parser:
             return Let(bound, rhs, self.term(depth + 1))
         if tok == "{":
             label = toks[i + 1]
-            if not (label in _LABELS or _is_name(label, "label", _LABELS)):
+            if not is_label(label):
                 self.expected("label", i + 1)
             if toks[i + 2] != "=":
                 self.expected("=", i + 2)
@@ -695,7 +700,7 @@ class _Parser:
             if toks[i + 1] != "(":
                 self.expected("(", i + 1)
             param = toks[i + 2]
-            if not (param in _VARS or _is_name(param, "ident", _VARS)):
+            if not is_ident(param):
                 self.expected("ident", i + 2)
             if toks[i + 3] != ":":
                 self.expected(":", i + 3)
@@ -706,9 +711,9 @@ class _Parser:
                 self.expected(")", i)
             self.pos = i + 1
             return Lam(param, ty, self.term(depth + 1))
-        if tok in _VARS or _is_name(tok, "ident", _VARS):
+        if is_ident(tok):
             arg = toks[i + 1]
-            if arg in _VARS or _is_name(arg, "ident", _VARS):  # application binds tighter than binder bodies
+            if is_ident(arg):  # application binds tighter than binder bodies
                 self.pos = i + 2
                 return App(tok, arg)
             self.pos = i + 1
@@ -721,7 +726,7 @@ class _Parser:
         while toks[self.pos]:
             i = self.pos
             x = toks[i]
-            if not (x in _VARS or _is_name(x, "ident", _VARS)):
+            if not is_ident(x):
                 self.expected("ident", i)
             if toks[i + 1] != ":":
                 self.expected(":", i + 1)

@@ -538,6 +538,11 @@ def test_is_ident_agrees_with_the_tokenizer(text):
     assert syntax.is_ident(text) == _reads_as(text, "ident")
 
 
+@given(st.text(max_size=6))
+def test_is_label_agrees_with_the_parser(text):
+    assert syntax.is_label(text) == _reads_as(text, "label")
+
+
 def test_checked_names_are_kept_boundedly():
     # each distinct name is checked once while remembered; the memo of
     # checked names never holds more than _NAMES_KEPT of them

@@ -45,19 +45,19 @@ class TypeEnv:
     extends (``parent``), so an extension shares its prefixes instead of
     copying them.  The environments along a chain of extensions share one
     index from each bound name to its position, its type and the
-    environment before its binding, and the set of the index's names; an
-    environment sees only the entries below its own length.  ``lookup``,
-    ``in``, :meth:`binding` and :meth:`unbound` take constant time per
-    name.  Extending an environment a second time starts a new index, a
-    copy of the entries it sees.
+    environment before its binding; an environment sees only the entries
+    below its own length.  ``lookup``, ``in``, :meth:`binding`,
+    :meth:`unbound` and :meth:`check_scope` take constant time per name.
+    Extending an environment a second time starts a new index, a copy of
+    the entries it sees.
     """
 
-    __slots__ = ("_parent", "_last", "_len", "_index", "_names", "_dom", "_key", "_memo")
+    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "_memo")
 
     def __init__(self) -> None:
         """The empty environment; :meth:`extend` adds checked bindings."""
         self._parent = self._last = None
-        self._len, self._index, self._names = 0, {}, set()
+        self._len, self._index = 0, {}
         self._dom = self._key = self._memo = None
 
     @staticmethod
@@ -73,15 +73,13 @@ class TypeEnv:
             raise SelfReference(f"variable {x!r} occurs free in its own type")
         self.check_scope("type", free)
         with _INDEX_LOCK:
-            index, names = self._index, self._names
+            index = self._index
             if len(index) != self._len or x in index:  # this environment was extended before
                 index = {y: e for y, e in index.items() if e[0] < self._len}
-                names = set(index)
             index[x] = (self._len, self, t)
-            names.add(x)  # after the index: see check_scope
         child = object.__new__(TypeEnv)
         child._parent, child._last = self, (x, t)
-        child._len, child._index, child._names = self._len + 1, index, names
+        child._len, child._index = self._len + 1, index
         child._dom = child._key = child._memo = None
         return child
 
@@ -90,18 +88,10 @@ class TypeEnv:
     ) -> None:
         """Refuse ``what``, whose free variables are ``free`` and ``more``,
         unless this environment binds them all: raise ``error`` naming the
-        others, sorted.  While this environment is the newest on its index,
-        the test is a set inclusion in the index's names, which allocates
-        nothing when it passes (and checks that no extension added a name
-        meanwhile); otherwise each name's position is looked up."""
-        n, names = self._len, self._names
-        if len(names) == n:
-            if free <= names and more <= names and len(names) == n:
-                return
-        elif self._binds(free) and self._binds(more):
-            return
-        loose = self.unbound(free | more)
-        if loose:
+        others, sorted.  Each name's position is looked up in the index,
+        which allocates nothing when the check passes."""
+        if not (self._binds(free) and self._binds(more)):
+            loose = self.unbound(free | more)
             raise error(f"{what} mentions unbound variable(s): {', '.join(sorted(loose))}")
 
     def _binds(self, names) -> bool:

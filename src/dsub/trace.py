@@ -25,8 +25,6 @@ fields in surface syntax); :func:`derivation_to_json` is the one tree writer.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .environment import TypeEnv
 from .syntax import Term, Type, canon_term, canon_type, fv_term, fv_type, print_term, print_type
 
@@ -60,30 +58,55 @@ def _env_json(env: TypeEnv) -> list:
     return [[x, print_type(t)] for x, t in env]
 
 
-class _Record(tuple):
-    """Judgments, tree nodes and outcomes are tuples of their fields, read
-    by name.  As frozen dataclasses do, they refuse assignment, hash as the
-    tuple of their fields, and equal only records of their own class."""
+class _Record:
+    """Judgments, tree nodes and outcomes: records of named fields.  As
+    frozen dataclasses do, they refuse assignment, equal only records of
+    their own class with equal fields, and hash as the tuple of their
+    fields.  A class's ``__init__`` sets its fields through the setters
+    :func:`_setters` gives it."""
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
 
     def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
+        return type(other) is type(self) and self._fields() == other._fields()
 
-    def __ne__(self, other):
-        return not self == other
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
-    __hash__ = tuple.__hash__
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} records are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} records are immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
-class SubJ(_Record, namedtuple("SubJ", "env lhs rhs")):
+def _setters(cls) -> tuple:
+    """The slot setters of ``cls``'s fields, in order; they bypass its
+    refusing ``__setattr__``."""
+    return tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
+
+
+class SubJ(_Record):
     """``env |- lhs <: rhs``; ``env`` must bind the types' free variables."""
 
-    __slots__ = ()
+    __slots__ = ("env", "lhs", "rhs")
 
-    def __new__(cls, env: TypeEnv, lhs: Type, rhs: Type):
+    def __init__(self, env: TypeEnv, lhs: Type, rhs: Type):
         env.check_scope("judgment", fv_type(lhs), fv_type(rhs), ValueError)
-        return tuple.__new__(cls, (env, lhs, rhs))
+        set_env, set_lhs, set_rhs = _SUBJ
+        set_env(self, env)
+        set_lhs(self, lhs)
+        set_rhs(self, rhs)
 
     def key(self) -> str:
         return f"sub[{self.env.key}]{canon_type(self.lhs)}<:{canon_type(self.rhs)}"
@@ -97,14 +120,17 @@ class SubJ(_Record, namedtuple("SubJ", "env lhs rhs")):
         }
 
 
-class TypJ(_Record, namedtuple("TypJ", "env term ty")):
+class TypJ(_Record):
     """``env |- term : ty``; ``env`` must bind their free variables."""
 
-    __slots__ = ()
+    __slots__ = ("env", "term", "ty")
 
-    def __new__(cls, env: TypeEnv, term: Term, ty: Type):
+    def __init__(self, env: TypeEnv, term: Term, ty: Type):
         env.check_scope("judgment", fv_term(term), fv_type(ty), ValueError)
-        return tuple.__new__(cls, (env, term, ty))
+        set_env, set_term, set_ty = _TYPJ
+        set_env(self, env)
+        set_term(self, term)
+        set_ty(self, ty)
 
     def key(self) -> str:
         return f"typ[{self.env.key}]{canon_term(self.term)}:{canon_type(self.ty)}"
@@ -118,10 +144,16 @@ class TypJ(_Record, namedtuple("TypJ", "env term ty")):
         }
 
 
-class ExposeJ(_Record, namedtuple("ExposeJ", "env src out")):
+class ExposeJ(_Record):
     """``env |- src`` exposes to ``out``; written as ``from``/``to``."""
 
-    __slots__ = ()
+    __slots__ = ("env", "src", "out")
+
+    def __init__(self, env: TypeEnv, src: Type, out: Type):
+        set_env, set_src, set_out = _EXPOSEJ
+        set_env(self, env)
+        set_src(self, src)
+        set_out(self, out)
 
     def to_json(self) -> dict:
         return {
@@ -132,11 +164,19 @@ class ExposeJ(_Record, namedtuple("ExposeJ", "env src out")):
         }
 
 
-class ShiftJ(_Record, namedtuple("ShiftJ", "env src var out up")):
+class ShiftJ(_Record):
     """``env |- src`` promotes (``up``) or demotes away from ``var`` to
     ``out``; written as ``from``/``var``/``to``."""
 
-    __slots__ = ()
+    __slots__ = ("env", "src", "var", "out", "up")
+
+    def __init__(self, env: TypeEnv, src: Type, var: str, out: Type, up: bool):
+        set_env, set_src, set_var, set_out, set_up = _SHIFTJ
+        set_env(self, env)
+        set_src(self, src)
+        set_var(self, var)
+        set_out(self, out)
+        set_up(self, up)
 
     def to_json(self) -> dict:
         return {
@@ -152,25 +192,41 @@ class ShiftJ(_Record, namedtuple("ShiftJ", "env src var out up")):
 # Derivation trees
 
 
-class DerivationTree(_Record, namedtuple("DerivationTree", "rule conclusion premises", defaults=((),))):
+class DerivationTree(_Record):
     """A node: the ``rule`` applied, its ``conclusion`` (a judgment), and
     the derivations of its ``premises``."""
 
-    __slots__ = ()
+    __slots__ = ("rule", "conclusion", "premises")
+
+    def __init__(self, rule: str, conclusion, premises: tuple = ()):
+        set_rule, set_conclusion, set_premises = _TREE
+        set_rule(self, rule)
+        set_conclusion(self, conclusion)
+        set_premises(self, premises)
 
 
-class Derived(_Record, namedtuple("Derived", "ty trace")):
+class Derived(_Record):
     """An algorithmic relation computed ``ty``; ``trace`` derives it.
-    Truthy, as a tuple of two fields is; :class:`Failed` is falsy."""
+    Truthy, as objects are by default; :class:`Failed` is falsy."""
 
-    __slots__ = ()
+    __slots__ = ("ty", "trace")
+
+    def __init__(self, ty: Type, trace: DerivationTree):
+        set_ty, set_trace = _DERIVED
+        set_ty(self, ty)
+        set_trace(self, trace)
 
 
-class Failed(_Record, namedtuple("Failed", "reason location", defaults=("",))):
+class Failed(_Record):
     """No algorithmic rule applies, for ``reason``; ``location`` is the
     dotted path into the term at fault ("" for the root, or no term)."""
 
-    __slots__ = ()
+    __slots__ = ("reason", "location")
+
+    def __init__(self, reason: str, location: str = ""):
+        set_reason, set_location = _FAILED
+        set_reason(self, reason)
+        set_location(self, location)
 
     def __bool__(self) -> bool:
         return False
@@ -178,6 +234,11 @@ class Failed(_Record, namedtuple("Failed", "reason location", defaults=("",))):
     def describe(self) -> str:
         where = self.location or "term"
         return f"{where}: {self.reason}"
+
+
+_SUBJ, _TYPJ, _EXPOSEJ, _SHIFTJ, _TREE, _DERIVED, _FAILED = map(
+    _setters, (SubJ, TypJ, ExposeJ, ShiftJ, DerivationTree, Derived, Failed)
+)
 
 
 def step_node(rule: str, conclusion, premises: tuple = ()) -> DerivationTree:

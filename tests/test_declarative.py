@@ -1,3 +1,4 @@
+import copy
 import json
 import time
 
@@ -46,7 +47,7 @@ from dsub.syntax import (
     subst_var_in_type,
     type_size,
 )
-from dsub.trace import TRACE_RULES, Derived
+from dsub.trace import TRACE_RULES, Derived, ExposeJ
 
 EMPTY = TypeEnv.empty()
 
@@ -348,14 +349,13 @@ def _count_judgments(monkeypatch) -> list:
     """Patch both judgment forms to count their constructions."""
     built = []
     for form in (SubJ, TypJ):
-        new = form.__new__
+        init = form.__init__
 
-        def counting(cls, *fields, new=new):
-            judgment = new(cls, *fields)
-            built.append(judgment)
-            return judgment
+        def counting(self, *fields, init=init):
+            init(self, *fields)
+            built.append(self)
 
-        monkeypatch.setattr(form, "__new__", staticmethod(counting))
+        monkeypatch.setattr(form, "__init__", counting)
     return built
 
 
@@ -576,3 +576,18 @@ def test_json_rejects_unknown_rule():
 def test_judgment_validation_rejects_unbound():
     with pytest.raises(ValueError):
         SubJ(EMPTY, Path("x", "A"), Top())
+
+
+def test_judgments_are_immutable_records():
+    # a judgment's scope is checked when it is built, so nothing may change
+    # its fields afterwards; records equal and hash by form and fields
+    g = env_from_bindings([("x", Decl("A", Bot(), Top()))])
+    j = SubJ(g, Path("x", "A"), Top())
+    for attempt in (lambda: setattr(j, "env", EMPTY), lambda: delattr(j, "env")):
+        with pytest.raises(AttributeError, match="^SubJ records are immutable$"):
+            attempt()
+    assert j.env is g and not isinstance(j, tuple) and not hasattr(j, "_replace")
+    twin = SubJ(g, Path("x", "A"), Top())
+    assert twin == j and hash(twin) == hash(j) and copy.copy(j) == j
+    assert ExposeJ(g, Path("x", "A"), Top()) != j
+    assert DerivationTree("S-Top", j) == DerivationTree("S-Top", twin, ())

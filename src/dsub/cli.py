@@ -16,6 +16,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path as FsPath
@@ -31,7 +32,7 @@ from .declarative import (
     derivation_from_json,
     derivation_to_json,
 )
-from .dotty import bench_pn
+from .dotty import MAX_N, bench_pn
 from .environment import TypeEnv, check_var_name, parse_env
 from .errors import DsubError
 from .exposure import expose
@@ -40,7 +41,10 @@ from .step import step_subtype, step_type
 from .syntax import Term, Type, alpha_eq_type, fv_type, parse_term, parse_type, print_type
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every call of :func:`main` can share it."""
     parser = argparse.ArgumentParser(prog="dsub", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dsub {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -93,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verb("bench", help="worst-case benchmarks")
     bench_sub = p.add_subparsers(dest="bench_verb", required=True)
     pb = bench_sub.add_parser("pn", help="two-chain exponential family")
-    pb.add_argument("--min", type=int, default=1)
-    pb.add_argument("--max", type=int, default=16)
+    pb.add_argument("--min", type=_model_size, default=1)
+    pb.add_argument("--max", type=_model_size, default=16)
     pb.add_argument(
         "--metric", choices=("calls", "nanos"), default="calls",
         help="calls the plain recursion makes, or nanos the memoised model counting them takes "
@@ -127,6 +131,15 @@ def _fuel(text: str) -> int:
     if fuel > MAX_FUEL:
         raise argparse.ArgumentTypeError(f"fuel {fuel} is more than the maximum, {MAX_FUEL}")
     return fuel
+
+
+def _model_size(text: str) -> int:
+    """An argparse type: N of the worst-case family, 1 to
+    :data:`~dsub.dotty.MAX_N`."""
+    n = _positive(text)
+    if n > MAX_N:
+        raise argparse.ArgumentTypeError(f"N {n} is more than the maximum, {MAX_N}")
+    return n
 
 
 def _load_env(path) -> TypeEnv:

@@ -647,11 +647,27 @@ def elaborate_step(node: DerivationTree) -> DerivationTree:
     exposure of ``src`` to ``out`` to one of ``src <: out``; a promotion to
     one of ``src <: out`` and a demotion to one of ``out <: src``.  Raises
     :class:`ElaborationGap` on a node this function cannot map; that never
-    happens for traces produced by this package."""
-    handler = _ELABORATORS.get(node.rule)
-    if handler is None:
-        raise ElaborationGap(f"no declarative mapping for trace rule {node.rule!r}")
-    return handler(node)
+    happens for traces produced by this package.
+
+    Each trace node is elaborated once per call, so a node the trace shares
+    elaborates to one shared derivation, and each variable is typed at its
+    stored type by one Var node per environment.  Every node built is part
+    of the result."""
+    return _elab(node, {})
+
+
+def _elab(node: DerivationTree, memo: dict) -> DerivationTree:
+    """``node``'s derivation, built once per call.  ``memo`` maps a trace
+    node's id to its derivation (the root of the call holds every trace node)
+    and ``(environment id, variable)`` to the variable's Var node (which
+    holds the environment)."""
+    tree = memo.get(id(node))
+    if tree is None:
+        handler = _ELABORATORS.get(node.rule)
+        if handler is None:
+            raise ElaborationGap(f"no declarative mapping for trace rule {node.rule!r}")
+        tree = memo[id(node)] = handler(node, memo)
+    return tree
 
 
 def _sub_tree(rule: str, g: TypeEnv, lhs: Type, rhs: Type, premises: tuple = ()) -> DerivationTree:
@@ -666,39 +682,55 @@ def _trans(g: TypeEnv, first: DerivationTree, second: DerivationTree) -> Derivat
     return _sub_tree("Trans", g, first.conclusion.lhs, second.conclusion.rhs, (first, second))
 
 
-def _var_at(g: TypeEnv, x: str, ty: Type, stored_deriv: DerivationTree) -> DerivationTree:
-    """x : ty via Var at the stored type then one subsumption step."""
-    stored = g.lookup(x)
-    var_node = _typ_tree("Var", g, Var(x), stored)
-    if alpha_eq_type(stored, ty):
+def _var_node(g: TypeEnv, x: str, memo: dict, conclusion: Optional[TypJ] = None) -> DerivationTree:
+    """The one Var node typing ``x`` at its stored type in ``g``; its
+    judgment is ``conclusion`` when one is given."""
+    key = (id(g), x)
+    tree = memo.get(key)
+    if tree is None:
+        tree = memo[key] = DerivationTree("Var", conclusion or TypJ(g, Var(x), g.lookup(x)))
+    return tree
+
+
+def _var_at(g: TypeEnv, x: str, ty: Type, memo: dict, widening) -> DerivationTree:
+    """x : ty via Var at the stored type, then, when ``ty`` differs from it,
+    one subsumption step by ``widening()``, a derivation of stored <: ty."""
+    var_node = _var_node(g, x, memo)
+    if alpha_eq_type(var_node.conclusion.ty, ty):
         return var_node
-    return _typ_tree("Sub", g, Var(x), ty, (var_node, stored_deriv))
+    return _typ_tree("Sub", g, Var(x), ty, (var_node, widening()))
 
 
-def _bot_bridge(g: TypeEnv, x: str, head_deriv: DerivationTree, ty: Type) -> DerivationTree:
-    """From ``stored <: Bot`` (``head_deriv``) build ``x : ty`` for any
-    type, by widening through Bot."""
-    bot_to_ty = _sub_tree("Bot", g, Bot(), ty)
-    return _var_at(g, x, ty, _trans(g, head_deriv, bot_to_ty))
+def _bot_bridge(g: TypeEnv, x: str, head: DerivationTree, ty: Type, memo: dict) -> DerivationTree:
+    """From ``head``, which exposes ``x``'s stored type to Bot, build
+    ``x : ty`` for any type, by widening through Bot."""
+    return _var_at(g, x, ty, memo, lambda: _trans(g, _elab(head, memo), _sub_tree("Bot", g, Bot(), ty)))
 
 
 def _elab_same(rule: str):
     """A step rule that concludes the same judgment as ``rule`` and whose
     premises elaborate, in order, to ``rule``'s premises."""
 
-    def handler(node: DerivationTree) -> DerivationTree:
-        return DerivationTree(rule, node.conclusion, tuple(map(elaborate_step, node.premises)))
+    def handler(node: DerivationTree, memo: dict) -> DerivationTree:
+        return DerivationTree(rule, node.conclusion, tuple(_elab(p, memo) for p in node.premises))
 
     return handler
 
 
-def _elab_identity(node: DerivationTree) -> DerivationTree:
+def _elab_t_var(node: DerivationTree, memo: dict) -> DerivationTree:
+    c = node.conclusion
+    return _var_node(c.env, c.term.name, memo, c)
+
+
+def _elab_identity(node: DerivationTree, memo: dict) -> DerivationTree:
     # X-Other and the shifts that leave the type unchanged
     c = node.conclusion
     return _sub_tree("Refl", c.env, c.src, c.out)
 
 
-def _select(goal: SubJ, left: bool, head: DerivationTree, rest: Optional[DerivationTree] = None) -> DerivationTree:
+def _select(
+    goal: SubJ, left: bool, memo: dict, head: DerivationTree, rest: Optional[DerivationTree] = None
+) -> DerivationTree:
     """Derive ``goal``, ``x.A <: other`` by Sel-<: when ``left`` and ``other
     <: x.A`` by <:-Sel otherwise, from ``head``, the exposure of ``x``'s
     stored type.  A head exposing to Bot types ``x``, through Bot, at a
@@ -710,23 +742,23 @@ def _select(goal: SubJ, left: bool, head: DerivationTree, rest: Optional[Derivat
     decl = head.conclusion.out
     if isinstance(decl, Bot):
         decl = Decl(path.label, Top(), other) if left else Decl(path.label, other, Top())
-        typing = _bot_bridge(g, path.var, elaborate_step(head), decl)
+        typing = _bot_bridge(g, path.var, head, decl, memo)
     else:
-        typing = _var_at(g, path.var, decl, elaborate_step(head))
+        typing = _var_at(g, path.var, decl, memo, lambda: _elab(head, memo))
     rule, bound = ("Sel-<:", decl.upper) if left else ("<:-Sel", decl.lower)
     if alpha_eq_type(bound, other):
         return DerivationTree(rule, goal, (typing,))
     if left:
         to_bound = _sub_tree(rule, g, path, bound, (typing,))
-        return DerivationTree("Trans", goal, (to_bound, elaborate_step(rest)))  # bound <: other
+        return DerivationTree("Trans", goal, (to_bound, _elab(rest, memo)))  # bound <: other
     from_bound = _sub_tree(rule, g, bound, path, (typing,))
-    return DerivationTree("Trans", goal, (elaborate_step(rest), from_bound))  # other <: bound
+    return DerivationTree("Trans", goal, (_elab(rest, memo), from_bound))  # other <: bound
 
 
-def _elab_expose_path(node: DerivationTree) -> DerivationTree:
+def _elab_expose_path(node: DerivationTree, memo: dict) -> DerivationTree:
     # X-Bot / X-Path: x.A <: out
     c = node.conclusion
-    return _select(SubJ(c.env, c.src, c.out), True, *node.premises)
+    return _select(SubJ(c.env, c.src, c.out), True, memo, *node.premises)
 
 
 def _shift_goal(c: ShiftJ) -> SubJ:
@@ -734,65 +766,65 @@ def _shift_goal(c: ShiftJ) -> SubJ:
     return SubJ(c.env, c.src, c.out) if c.up else SubJ(c.env, c.out, c.src)
 
 
-def _elab_shift_path(node: DerivationTree) -> DerivationTree:
+def _elab_shift_path(node: DerivationTree, memo: dict) -> DerivationTree:
     # P-Up / P-Up-Bot and D-Down / D-Down-Bot: x.A to its bound
-    return _select(_shift_goal(node.conclusion), node.conclusion.up, *node.premises)
+    return _select(_shift_goal(node.conclusion), node.conclusion.up, memo, *node.premises)
 
 
-def _elab_shift_congruence(node: DerivationTree) -> DerivationTree:
+def _elab_shift_congruence(node: DerivationTree, memo: dict) -> DerivationTree:
     # P-Decl / D-Decl and P-Lam / D-Lam: the first premise shifts the lower
     # bound (parameter type) the other way, the second the upper bound
     # (result) this way; they elaborate, in order, to the premises of
     # Typ-<:-Typ / All-<:-All
     rule = "Typ-<:-Typ" if isinstance(node.conclusion.src, Decl) else "All-<:-All"
-    return DerivationTree(rule, _shift_goal(node.conclusion), tuple(map(elaborate_step, node.premises)))
+    return DerivationTree(rule, _shift_goal(node.conclusion), tuple(_elab(p, memo) for p in node.premises))
 
 
-def _elab_s_all(node: DerivationTree) -> DerivationTree:
+def _elab_s_all(node: DerivationTree, memo: dict) -> DerivationTree:
     c = node.conclusion
-    inner = elaborate_step(node.premises[0])
+    inner = _elab(node.premises[0], memo)
     # parameter types agree up to alpha in a step trace
     params = _sub_tree("Refl", c.env, c.rhs.param_type, c.lhs.param_type)
     return DerivationTree("All-<:-All", c, (params, inner))
 
 
-def _elab_s_select(node: DerivationTree) -> DerivationTree:
+def _elab_s_select(node: DerivationTree, memo: dict) -> DerivationTree:
     # S-<:-Sel / S-<:-Bot: x.A <: U; S-Sel-<: / S-Bot-<:: U <: x.A
-    return _select(node.conclusion, node.rule in ("S-<:-Sel", "S-<:-Bot"), *node.premises)
+    return _select(node.conclusion, node.rule in ("S-<:-Sel", "S-<:-Bot"), memo, *node.premises)
 
 
-def _elab_t_all_e(node: DerivationTree) -> DerivationTree:
+def _elab_t_all_e(node: DerivationTree, memo: dict) -> DerivationTree:
     c = node.conclusion
     g, term = c.env, c.term
     fun_node, head_node, arg_node, sub_node = node.premises
     fun_ty = head_node.conclusion.out
-    fun_deriv = elaborate_step(fun_node)
+    fun_deriv = _elab(fun_node, memo)
     if not alpha_eq_type(fun_deriv.conclusion.ty, fun_ty):
-        fun_deriv = _typ_tree("Sub", g, Var(term.fun), fun_ty, (fun_deriv, elaborate_step(head_node)))
-    arg_deriv = elaborate_step(arg_node)
+        fun_deriv = _typ_tree("Sub", g, Var(term.fun), fun_ty, (fun_deriv, _elab(head_node, memo)))
+    arg_deriv = _elab(arg_node, memo)
     param_ty = fun_ty.param_type
     if not alpha_eq_type(arg_deriv.conclusion.ty, param_ty):
-        arg_deriv = _typ_tree("Sub", g, Var(term.arg), param_ty, (arg_deriv, elaborate_step(sub_node)))
+        arg_deriv = _typ_tree("Sub", g, Var(term.arg), param_ty, (arg_deriv, _elab(sub_node, memo)))
     return DerivationTree("All-E", c, (fun_deriv, arg_deriv))
 
 
-def _elab_t_app_bot(node: DerivationTree) -> DerivationTree:
+def _elab_t_app_bot(node: DerivationTree, memo: dict) -> DerivationTree:
     c = node.conclusion
     g = c.env
     _, head_node, arg_node = node.premises  # the first types the function at its stored type
-    arg_deriv = elaborate_step(arg_node)
+    arg_deriv = _elab(arg_node, memo)
     fun_ty = All(g.fresh("z"), arg_deriv.conclusion.ty, Bot())
-    fun_at = _bot_bridge(g, c.term.fun, elaborate_step(head_node), fun_ty)
+    fun_at = _bot_bridge(g, c.term.fun, head_node, fun_ty, memo)
     return DerivationTree("All-E", c, (fun_at, arg_deriv))
 
 
-def _elab_t_let(node: DerivationTree) -> DerivationTree:
+def _elab_t_let(node: DerivationTree, memo: dict) -> DerivationTree:
     c = node.conclusion
     rhs_node, body_node, promote_node = node.premises
-    rhs_deriv = elaborate_step(rhs_node)
-    body_deriv = elaborate_step(body_node)
+    rhs_deriv = _elab(rhs_node, memo)
+    body_deriv = _elab(body_node, memo)
     if not alpha_eq_type(body_deriv.conclusion.ty, c.ty):
-        widening = elaborate_step(promote_node)  # body type <: promoted type
+        widening = _elab(promote_node, memo)  # body type <: promoted type
         body = body_node.conclusion
         body_deriv = _typ_tree("Sub", body.env, body.term, c.ty, (body_deriv, widening))
     return DerivationTree("Let", c, (rhs_deriv, body_deriv))
@@ -827,7 +859,7 @@ _ELABORATORS = {
     "S-Sel-<:": _elab_s_select,
     "S-<:-Bot": _elab_s_select,
     "S-Bot-<:": _elab_s_select,
-    "T-Var": _elab_same("Var"),
+    "T-Var": _elab_t_var,
     "T-Typ-I": _elab_same("Typ-I"),
     "T-All-I": _elab_same("All-I"),
     "T-All-E": _elab_t_all_e,

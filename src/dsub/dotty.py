@@ -26,6 +26,12 @@ from .errors import DsubError, InternalLimit
 
 DEPTH_LIMIT = 10_000
 
+#: The largest N of :func:`make_pn` that ``dsub bench pn`` takes.  The model
+#: recurses one Python frame per member along the two chains, 2N deep, and
+#: decides N = 494 within the default recursion limit of 1000; 400 leaves
+#: room for its callers' frames.
+MAX_N = 400
+
 
 class UnknownMember(DsubError):
     pass
@@ -70,12 +76,20 @@ class BoundsUniverse:
     """Finite map from member names to their (optional) bounds."""
 
     members: tuple = field(default=())  # of (name, Bounds)
+    # name -> Bounds, the first entry of each name; built once
+    index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index: dict = {}
+        for name, b in self.members:
+            index.setdefault(name, b)
+        object.__setattr__(self, "index", index)
 
     def bounds(self, name: str) -> Bounds:
-        for n, b in self.members:
-            if n == name:
-                return b
-        raise UnknownMember(f"unknown type member {name!r}")
+        try:
+            return self.index[name]
+        except KeyError:
+            raise UnknownMember(f"unknown type member {name!r}") from None
 
     @staticmethod
     def of(entries: dict) -> "BoundsUniverse":
@@ -95,13 +109,34 @@ def scala_sub(u: BoundsUniverse, t1: SType, t2: SType) -> SubStats:
     Raises :class:`InternalLimit` if the uncached recursion would nest beyond
     :data:`DEPTH_LIMIT` (a cyclic bound chain).
     """
+    bounds = u.bounds
+    numbers: dict = {}  # id of a type met -> its number, from 1
+    shapes: dict = {}  # (class name, name or component numbers) -> number
+    met: list = []  # the types numbered, so that no id is reused
     cache: dict = {}
     in_progress: set = set()
 
+    def number(t: SType) -> int:
+        """``t``'s number, the same for equal types; found by identity, so
+        a query's key is hashed in C rather than by the dataclasses."""
+        n = numbers.get(id(t))
+        if n is None:
+            match t:
+                case Fun(param=p, result=r):
+                    shape = ("Fun", number(p), number(r))
+                case Base(name=a) | Member(name=a):
+                    shape = (type(t).__name__, a)
+                case _:
+                    raise TypeError(f"not a type: {t!r}")
+            n = numbers[id(t)] = shapes.setdefault(shape, len(shapes) + 1)
+            met.append(t)
+        return n
+
     def go(t1: SType, t2: SType) -> tuple:
-        key = (t1, t2)
-        if key in cache:
-            return cache[key]
+        key = (numbers.get(id(t1)) or number(t1), numbers.get(id(t2)) or number(t2))
+        outcome = cache.get(key)
+        if outcome is not None:
+            return outcome
         if key in in_progress:
             # the plain recursion would re-enter the same query forever
             raise InternalLimit(f"subtype recursion exceeded depth {DEPTH_LIMIT}")
@@ -112,7 +147,7 @@ def scala_sub(u: BoundsUniverse, t1: SType, t2: SType) -> SubStats:
             result = None
 
             if isinstance(t2, Member):
-                lower = u.bounds(t2.name).lower
+                lower = bounds(t2.name).lower
                 if lower is not None:
                     sub_result, sub_calls, sub_depth = go(t1, lower)
                     calls += sub_calls
@@ -120,7 +155,7 @@ def scala_sub(u: BoundsUniverse, t1: SType, t2: SType) -> SubStats:
                     if sub_result:
                         result = True
             if result is None and isinstance(t1, Member):
-                upper = u.bounds(t1.name).upper
+                upper = bounds(t1.name).upper
                 if upper is not None:
                     sub_result, sub_calls, sub_depth = go(upper, t2)
                     calls += sub_calls
@@ -135,8 +170,7 @@ def scala_sub(u: BoundsUniverse, t1: SType, t2: SType) -> SubStats:
 
             if depth > DEPTH_LIMIT:
                 raise InternalLimit(f"subtype recursion exceeded depth {DEPTH_LIMIT}")
-            outcome = (result, calls, depth)
-            cache[key] = outcome
+            outcome = cache[key] = (result, calls, depth)
             return outcome
         finally:
             in_progress.discard(key)

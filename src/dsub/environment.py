@@ -50,15 +50,21 @@ class TypeEnv:
     :meth:`unbound` and :meth:`check_scope` take constant time per name.
     Extending an environment a second time starts a new index, a copy of
     the entries it sees.
+
+    ``memo`` caches what this environment computes once: ``weight`` keys it
+    by the type node, ``expose`` by ``("expose", node)``, and the
+    declarative search keeps its share of every goal's candidates under
+    ``"candidates"``.
     """
 
-    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "_memo")
+    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "memo")
 
     def __init__(self) -> None:
         """The empty environment; :meth:`extend` adds checked bindings."""
         self._parent = self._last = None
         self._len, self._index = 0, {}
-        self._dom = self._key = self._memo = None
+        self._dom = self._key = None
+        self.memo = {}
 
     @staticmethod
     def empty() -> "TypeEnv":
@@ -80,7 +86,8 @@ class TypeEnv:
         child = object.__new__(TypeEnv)
         child._parent, child._last = self, (x, t)
         child._len, child._index = self._len + 1, index
-        child._dom = child._key = child._memo = None
+        child._dom = child._key = None
+        child.memo = {}
         return child
 
     def check_scope(
@@ -89,8 +96,9 @@ class TypeEnv:
         """Refuse ``what``, whose free variables are ``free`` and ``more``,
         unless this environment binds them all: raise ``error`` naming the
         others, sorted.  Each name's position is looked up in the index,
-        which allocates nothing when the check passes."""
-        if not (self._binds(free) and self._binds(more)):
+        which allocates nothing when the check passes; with no free names
+        there is nothing to look up."""
+        if (free or more) and not (self._binds(free) and self._binds(more)):
             loose = self.unbound(free | more)
             raise error(f"{what} mentions unbound variable(s): {', '.join(sorted(loose))}")
 
@@ -160,16 +168,6 @@ class TypeEnv:
                     head = ";".join(f"{y}:{canon_type(u)}" for y, u in parent.bindings)
                 self._key = f"{head};{x}:{canon_type(t)}" if head else f"{x}:{canon_type(t)}"
         return self._key
-
-    @property
-    def memo(self) -> dict:
-        """A cache of what this environment computes once: ``weight`` keys
-        it by the type node, ``expose`` by ``("expose", node)``, and the
-        declarative search keeps its share of every goal's candidates under
-        ``"candidates"``."""
-        if self._memo is None:
-            self._memo = {}
-        return self._memo
 
     def dom(self) -> frozenset:
         if self._dom is None:

@@ -107,8 +107,14 @@ class SubtypeResult:
 def step_subtype(g: TypeEnv, s: Type, t: Type) -> SubtypeResult:
     """Decide the step subtype relation; on success the result carries the
     full rule trace.  The root call weighs both sides, so a variable ``g``
-    does not bind raises :class:`UnboundVariable` before any rule is tried."""
-    trace = _sub(g, s, t, None, 0)
+    does not bind raises :class:`UnboundVariable` before any rule is tried.
+
+    A subgoal met again within one call is answered from a memo keyed by
+    the identities of its environment and nodes (hash-consed, so identity
+    is structure), so a repeated premise is one shared trace node, and a
+    failing goal builds no subtree twice.  Each entry holds the objects
+    whose ids make its key, so no id is reused while the memo lives."""
+    trace = _sub(g, s, t, None, 0, {})
     return SubtypeResult(trace is not None, trace)
 
 
@@ -124,12 +130,21 @@ def _measure_entry(g: TypeEnv, s: Type, t: Type, parent: Optional[int]) -> int:
 
 
 def _sub(
-    g: TypeEnv, s: Type, t: Type, parent: Optional[int], depth: int
+    g: TypeEnv, s: Type, t: Type, parent: Optional[int], depth: int, memo: dict
 ) -> Optional[DerivationTree]:
     if depth > DEPTH_LIMIT:
         raise InternalLimit(f"subtype recursion exceeded depth {DEPTH_LIMIT}")
-    measure = _measure_entry(g, s, t, parent)
+    measure = _measure_entry(g, s, t, parent)  # asserted on every call, memo hits included
+    key = (id(g), id(s), id(t))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (_sub_rules(g, s, t, measure, depth, memo), g, s, t)
+    return entry[0]
 
+
+def _sub_rules(
+    g: TypeEnv, s: Type, t: Type, measure: int, depth: int, memo: dict
+) -> Optional[DerivationTree]:
     if isinstance(s, Bot):
         return step_node("S-Bot", SubJ(g, s, t))
     if isinstance(t, Top):
@@ -138,9 +153,9 @@ def _sub(
         return step_node("S-Refl", SubJ(g, s, t))
 
     if isinstance(s, Decl) and isinstance(t, Decl) and s.label == t.label:
-        lower = _sub(g, t.lower, s.lower, measure, depth + 1)
+        lower = _sub(g, t.lower, s.lower, measure, depth + 1, memo)
         if lower is not None:
-            upper = _sub(g, s.upper, t.upper, measure, depth + 1)
+            upper = _sub(g, s.upper, t.upper, measure, depth + 1, memo)
             if upper is not None:
                 return step_node("S-Typ-<:-Typ", SubJ(g, s, t), (lower, upper))
 
@@ -149,16 +164,16 @@ def _sub(
         inner_env = g.extend(z, s.param_type)
         lhs_body = subst_var_in_type(s.result, s.param, z)
         rhs_body = subst_var_in_type(t.result, t.param, z)
-        inner = _sub(inner_env, lhs_body, rhs_body, measure, depth + 1)
+        inner = _sub(inner_env, lhs_body, rhs_body, measure, depth + 1, memo)
         if inner is not None:
             return step_node("S-All-<:-All", SubJ(g, s, t), (inner,))
 
     if isinstance(s, Path):
-        found = _path_attempt(g, s, t, left=True, parent=measure, depth=depth)
+        found = _path_attempt(g, s, t, left=True, parent=measure, depth=depth, memo=memo)
         if found is not None:
             return found
     if isinstance(t, Path):
-        found = _path_attempt(g, s, t, left=False, parent=measure, depth=depth)
+        found = _path_attempt(g, s, t, left=False, parent=measure, depth=depth, memo=memo)
         if found is not None:
             return found
     return None
@@ -171,6 +186,7 @@ def _path_attempt(
     left: bool,
     parent: Optional[int],
     depth: int,
+    memo: dict,
 ) -> Optional[DerivationTree]:
     head = select(g, s if left else t)
     if not head:
@@ -179,11 +195,11 @@ def _path_attempt(
         rule = "S-<:-Bot" if left else "S-Bot-<:"
         return step_node(rule, SubJ(g, s, t), (head.trace,))
     if left:
-        inner = _sub(g, head.ty.upper, t, parent, depth + 1)
+        inner = _sub(g, head.ty.upper, t, parent, depth + 1, memo)
         if inner is not None:
             return step_node("S-<:-Sel", SubJ(g, s, t), (head.trace, inner))
     else:
-        inner = _sub(g, s, head.ty.lower, parent, depth + 1)
+        inner = _sub(g, s, head.ty.lower, parent, depth + 1, memo)
         if inner is not None:
             return step_node("S-Sel-<:", SubJ(g, s, t), (head.trace, inner))
     return None

@@ -57,14 +57,13 @@ def _absent() -> None:
     return None
 
 
-_SET = object.__setattr__  # nodes refuse plain assignment
-
-
-def _build(cls, key, fields: tuple, size: int, names: tuple = (), labels: tuple = ()):
+def _build(cls, key, fields: tuple, size: int, shape: tuple, names: tuple = (), labels: tuple = ()):
     """The node for ``key``, of ``size`` nodes, once a lookup has missed:
     under the lock, look again, then check ``names`` and ``labels`` and
-    build it.  A key holds its child nodes by id: they are live, as the new
-    node holds them."""
+    build it.  Its hash is that of ``shape``: the class name and the fields,
+    a child node standing as its own cached hash, so it depends on the
+    structure alone.  A key holds its child nodes by id: they are live, as
+    the new node holds them."""
     with _TABLE_LOCK:  # one thread builds a structure's node, the others find it
         node = _TABLE.get(key, _absent)()
         if node is None:
@@ -73,10 +72,10 @@ def _build(cls, key, fields: tuple, size: int, names: tuple = (), labels: tuple 
             for label in labels:
                 _check_label(label)
             node = object.__new__(cls)
-            for attr, value in zip(cls.__match_args__, fields):
-                _SET(node, attr, value)
-            _SET(node, "_size", size)
-            _SET(node, "_hash", hash((cls.__name__, *fields)))
+            for set_field, value in zip(cls._setters, fields):
+                set_field(node, value)
+            _set_size(node, size)
+            _set_hash(node, hash(shape))
             ref = _Ref(node, _drop)
             ref.key = key
             _TABLE[key] = ref
@@ -89,6 +88,10 @@ class _Node:
     # _fv and _canon are set when first computed
     __slots__ = ("_hash", "_size", "_fv", "_canon", "__weakref__")
     __match_args__: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        # the slot setters of the fields, which bypass the refusing __setattr__
+        cls._setters = tuple(cls.__dict__[f].__set__ for f in cls.__match_args__)
 
     def __hash__(self) -> int:
         return self._hash
@@ -113,13 +116,18 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
+_set_size, _set_hash, _set_fv, _set_canon = (
+    _Node.__dict__[f].__set__ for f in ("_size", "_hash", "_fv", "_canon")
+)
+
+
 class Top(_Node):
     """The top type."""
 
     __slots__ = ()
 
     def __new__(cls):
-        return _TABLE.get(cls, _absent)() or _build(cls, cls, (), 1)
+        return _TABLE.get(cls, _absent)() or _build(cls, cls, (), 1, (cls.__name__,))
 
 
 class Bot(_Node):
@@ -128,7 +136,7 @@ class Bot(_Node):
     __slots__ = ()
 
     def __new__(cls):
-        return _TABLE.get(cls, _absent)() or _build(cls, cls, (), 1)
+        return _TABLE.get(cls, _absent)() or _build(cls, cls, (), 1, (cls.__name__,))
 
 
 class Decl(_Node):
@@ -139,7 +147,8 @@ class Decl(_Node):
     def __new__(cls, label: str, lower: "Type", upper: "Type"):
         key = (cls, label, id(lower), id(upper))
         return _TABLE.get(key, _absent)() or _build(
-            cls, key, (label, lower, upper), 1 + lower._size + upper._size, labels=(label,)
+            cls, key, (label, lower, upper), 1 + lower._size + upper._size,
+            ("Decl", label, lower._hash, upper._hash), labels=(label,),
         )
 
 
@@ -150,7 +159,7 @@ class Path(_Node):
 
     def __new__(cls, var: str, label: str):
         key = (cls, var, label)
-        return _TABLE.get(key, _absent)() or _build(cls, key, key[1:], 1, (var,), (label,))
+        return _TABLE.get(key, _absent)() or _build(cls, key, key[1:], 1, ("Path", var, label), (var,), (label,))
 
 
 class All(_Node):
@@ -164,7 +173,8 @@ class All(_Node):
     def __new__(cls, param: str, param_type: "Type", result: "Type"):
         key = (cls, param, id(param_type), id(result))
         return _TABLE.get(key, _absent)() or _build(
-            cls, key, (param, param_type, result), 1 + param_type._size + result._size, (param,)
+            cls, key, (param, param_type, result), 1 + param_type._size + result._size,
+            ("All", param, param_type._hash, result._hash), (param,),
         )
 
 
@@ -179,7 +189,7 @@ class Var(_Node):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        return _TABLE.get(key, _absent)() or _build(cls, key, key[1:], 1, key[1:])
+        return _TABLE.get(key, _absent)() or _build(cls, key, key[1:], 1, ("Var", name), key[1:])
 
 
 class Tag(_Node):
@@ -190,7 +200,7 @@ class Tag(_Node):
     def __new__(cls, label: str, alias: Type):
         key = (cls, label, id(alias))
         return _TABLE.get(key, _absent)() or _build(
-            cls, key, (label, alias), 1 + alias._size, labels=(label,)
+            cls, key, (label, alias), 1 + alias._size, ("Tag", label, alias._hash), labels=(label,)
         )
 
 
@@ -202,7 +212,8 @@ class Lam(_Node):
     def __new__(cls, param: str, param_type: Type, body: "Term"):
         key = (cls, param, id(param_type), id(body))
         return _TABLE.get(key, _absent)() or _build(
-            cls, key, (param, param_type, body), 1 + param_type._size + body._size, (param,)
+            cls, key, (param, param_type, body), 1 + param_type._size + body._size,
+            ("Lam", param, param_type._hash, body._hash), (param,),
         )
 
 
@@ -213,7 +224,7 @@ class App(_Node):
 
     def __new__(cls, fun: str, arg: str):
         key = (cls, fun, arg)
-        return _TABLE.get(key, _absent)() or _build(cls, key, key[1:], 1, key[1:])
+        return _TABLE.get(key, _absent)() or _build(cls, key, key[1:], 1, ("App", fun, arg), key[1:])
 
 
 class Let(_Node):
@@ -224,7 +235,8 @@ class Let(_Node):
     def __new__(cls, bound: str, rhs: "Term", body: "Term"):
         key = (cls, bound, id(rhs), id(body))
         return _TABLE.get(key, _absent)() or _build(
-            cls, key, (bound, rhs, body), 1 + rhs._size + body._size, (bound,)
+            cls, key, (bound, rhs, body), 1 + rhs._size + body._size,
+            ("Let", bound, rhs._hash, body._hash), (bound,),
         )
 
 
@@ -234,11 +246,6 @@ _TERM_CLASSES = (Var, Tag, Lam, App, Let)
 
 # ---------------------------------------------------------------------------
 # Free variables and sizes
-
-
-def _cache(node: _Node, attr: str, value):
-    _SET(node, attr, value)
-    return value
 
 
 def fv_type(t: Type) -> frozenset:
@@ -257,7 +264,8 @@ def fv_type(t: Type) -> frozenset:
             free = fv_type(lo) | fv_type(hi)
         case All(param=x, param_type=s, result=u):
             free = fv_type(s) | (fv_type(u) - {x})
-    return _cache(t, "_fv", free)
+    _set_fv(t, free)
+    return free
 
 
 def fv_term(t: Term) -> frozenset:
@@ -278,7 +286,8 @@ def fv_term(t: Term) -> frozenset:
             free = frozenset((f, a))
         case Let(bound=x, rhs=r, body=b):
             free = fv_term(r) | (fv_term(b) - {x})
-    return _cache(t, "_fv", free)
+    _set_fv(t, free)
+    return free
 
 
 def type_size(t: Type) -> int:
@@ -397,7 +406,9 @@ def _canon_type(t: Type, bound: tuple) -> str:
             key = f"A({_canon_type(s, bound)}){_canon_type(u, bound + (x,))}"
         case _:
             raise TypeError(f"not a type: {t!r}")
-    return _cache(t, "_canon", key) if closed else key
+    if closed:
+        _set_canon(t, key)
+    return key
 
 
 def canon_type(t: Type) -> str:
@@ -429,7 +440,9 @@ def _canon_term(t: Term, bound: tuple) -> str:
             key = f"let({_canon_term(r, bound)}){_canon_term(b, bound + (x,))}"
         case _:
             raise TypeError(f"not a term: {t!r}")
-    return _cache(t, "_canon", key) if closed else key
+    if closed:
+        _set_canon(t, key)
+    return key
 
 
 def canon_term(t: Term) -> str:

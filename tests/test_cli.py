@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import random
 import re
@@ -14,6 +16,7 @@ import dsub.bounds_shift
 import dsub.step
 from dsub.cli import main
 from dsub.declarative import MAX_FUEL, elaborate_step
+from dsub.dotty import MAX_N
 from dsub.environment import parse_env
 from dsub.lab import Enumerator
 from dsub.step import step_type
@@ -477,6 +480,16 @@ def test_bench_pn_out_file(capsys, tmp_path):
     assert out_file.read_text().splitlines()[1] == "2,5"
 
 
+def test_bench_pn_decides_at_max_n_and_refuses_more(capsys):
+    code, out, err = run(capsys, "bench", "pn", "--min", str(MAX_N), "--max", str(MAX_N))
+    assert code == 0 and err == ""
+    assert out == f"n,calls\n{MAX_N},{math.comb(2 * MAX_N, MAX_N) - 1}\n"
+    for flag in ("--min", "--max"):
+        code, out, err = run(capsys, "bench", "pn", flag, str(MAX_N + 1))
+        assert code == 2 and out == ""
+        assert f"argument {flag}: N {MAX_N + 1} is more than the maximum, {MAX_N}" in err
+
+
 # ---------------------------------------------------------------------------
 # corpus
 
@@ -756,3 +769,36 @@ def test_cli_subprocess_never_prints_a_traceback(tmp_path):
             assert any(line.startswith(("dsub: error:", "usage:")) for line in done.stderr.splitlines()), where
         seen.add(done.returncode)
     assert seen == {0, 1, 2}
+
+
+def test_main_answers_several_verbs_in_one_process(capsys, monkeypatch):
+    # the parser is built once per process; each call answers as a fresh
+    # process would, whatever was parsed before, a usage error included
+    src = str(Path(dsub.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    calls = [
+        ["check", str(CORPUS / "minimality_body.dsub"), "--env", ENV],
+        ["sub", "--env", ENV, "{V: Top .. Top}", "{Z: Top .. Top}"],
+        ["bench", "pn", "--min", "1", "--max", "5"],
+        ["decl", "search", "--fuel", "0", "--sub", "Top", "Top"],
+        ["corpus", "run", "--dir", str(CORPUS)],
+        ["expose", "--env", ENV, "e.E"],
+        ["--version"],
+    ]
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "dsub.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert built[0] == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import dsub.step
 import dsub.syntax
+import dsub.trace
 from dsub.declarative import decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.errors import InternalLimit
@@ -177,8 +178,7 @@ def _chain_query(n: int):
     return _env(*pairs), Path(f"x{n - 1}", "A"), Path("x0", "A")
 
 
-def _nest(depth: int):
-    t = Top()
+def _nest(depth: int, t=Top()):
     for _ in range(depth):
         t = Decl("A", Bot(), t)
     return t
@@ -211,6 +211,50 @@ def test_nest_subtyping_and_verification_work_is_linear(monkeypatch):
     small = _count_calls(monkeypatch, lambda: _checked_subtype(TypeEnv.empty(), _nest(100), _nest(100)))
     large = _count_calls(monkeypatch, lambda: _checked_subtype(TypeEnv.empty(), _nest(200), _nest(200)))
     assert 0 < large <= 2.5 * small
+
+
+def _tree_nodes(tree, seen: set) -> set:
+    if id(tree) not in seen:
+        seen.add(id(tree))
+        for premise in tree.premises:
+            _tree_nodes(premise, seen)
+    return seen
+
+
+def _counting(monkeypatch, owner, name: str) -> list:
+    """Count the calls of ``owner.name`` until the test ends."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_a_repeated_premise_is_one_shared_node(monkeypatch):
+    # nest-150 against itself: 150 S-Typ-<:-Typ nodes share one Bot <: Bot
+    # premise, and one Top <: Top ends the chain; every call is still measured
+    measured = _counting(monkeypatch, dsub.step, "_measure_entry")
+    t = _nest(150)
+    result = step_subtype(TypeEnv.empty(), t, t)
+    assert measured[0] == 301
+    assert len(_tree_nodes(result.trace, set())) == 152
+    tree = elaborate_step(result.trace)
+    assert len(_tree_nodes(tree, set())) == 152
+    assert decl_verify(tree).ok
+
+
+def test_a_failing_query_builds_no_premise_twice(monkeypatch):
+    # the innermost labels differ, so every level fails after proving its
+    # lower bounds Bot <: Bot: the one tree built
+    built = _counting(monkeypatch, dsub.trace.DerivationTree, "__init__")
+    t = _nest(149, Decl("A", Bot(), Top()))
+    result = step_subtype(TypeEnv.empty(), t, _nest(149, Decl("B", Bot(), Top())))
+    assert not result.holds
+    assert built[0] <= 1
 
 
 # ---------------------------------------------------------------------------

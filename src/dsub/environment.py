@@ -52,9 +52,9 @@ class TypeEnv:
     the entries it sees.
 
     ``memo`` caches what this environment computes once: ``weight`` keys it
-    by the type node, ``expose`` by ``("expose", node)``, and the
-    declarative search keeps its share of every goal's candidates under
-    ``"candidates"``.
+    by the type node's id, ``expose`` by ``("expose", id)``, each entry
+    holding the node, and the declarative search keeps its share of every
+    goal's candidates under ``"candidates"``.
     """
 
     __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "memo")

@@ -48,12 +48,12 @@ class Stuck:
 
 
 def expose(g: TypeEnv, t: Type) -> Derived | Stuck:
-    key = ("expose", t)  # a tuple, so it cannot collide with weight's node keys
+    key = ("expose", id(t))  # a tuple, so it cannot collide with weight's id keys
     memo = g.memo
-    result = memo.get(key)
-    if result is None:  # not falsy: a Stuck outcome is cached too
-        result = memo[key] = _expose(g, t)
-    return result
+    entry = memo.get(key)
+    if entry is None:  # the entry holds t, so its id is not reused while it lives
+        entry = memo[key] = _expose(g, t), t
+    return entry[0]
 
 
 def _expose(g: TypeEnv, t: Type) -> Derived | Stuck:

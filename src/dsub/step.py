@@ -66,11 +66,12 @@ def weight(g: TypeEnv, t: Type) -> int:
     than its heavier bound; a path weighs one more than its head's stored
     type measured in the strict prefix; a function type weighs one more than
     its result measured under the extended environment.  Each environment
-    measures each node once."""
+    measures each node once, keeping the weight under the node's id with
+    the node itself, so that no id is reused while the entry lives."""
     memo = g.memo
-    w = memo.get(t)
-    if w is not None:
-        return w
+    entry = memo.get(id(t))
+    if entry is not None:
+        return entry[0]
     match t:
         case Top() | Bot():
             w = 1
@@ -87,7 +88,7 @@ def weight(g: TypeEnv, t: Type) -> int:
             w = 1 + weight(g.extend(z, s), subst_var_in_type(u, x, z))
         case _:
             raise TypeError(f"not a type: {t!r}")
-    memo[t] = w
+    memo[id(t)] = w, t
     return w
 
 

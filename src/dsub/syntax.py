@@ -52,9 +52,9 @@ def _drop(ref: _Ref, table: dict = _TABLE, remove=_remove_dead_weakref) -> None:
     remove(table, ref.key)
 
 
-def _absent() -> None:
-    """What a lookup calls for a key with no entry: there is no node."""
-    return None
+# What a lookup calls for a key with no entry: NoneType() is None, and the
+# call runs no Python frame.
+_absent = type(None)
 
 
 def _build(cls, key, fields: tuple, size: int, shape: tuple, names: tuple = (), labels: tuple = ()):
@@ -68,9 +68,11 @@ def _build(cls, key, fields: tuple, size: int, shape: tuple, names: tuple = (), 
         node = _TABLE.get(key, _absent)()
         if node is None:
             for name in names:
-                _check_var(name)
+                if not is_ident(name):
+                    raise ValueError(f"invalid variable name: {name!r}")
             for label in labels:
-                _check_label(label)
+                if not is_label(label):
+                    raise ValueError(f"invalid type label: {label!r}")
             node = object.__new__(cls)
             for set_field, value in zip(cls._setters, fields):
                 set_field(node, value)
@@ -565,16 +567,6 @@ def is_ident(text: str) -> bool:
 def is_label(text: str) -> bool:
     """True when ``text`` reads as exactly one type label."""
     return text in _LABELS or _is_name(text, "label", _LABELS)
-
-
-def _check_var(name: str) -> None:
-    if not is_ident(name):
-        raise ValueError(f"invalid variable name: {name!r}")
-
-
-def _check_label(name: str) -> None:
-    if not is_label(name):
-        raise ValueError(f"invalid type label: {name!r}")
 
 
 def _parse_error(text: str, index: int, message: str) -> ParseError:

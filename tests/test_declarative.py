@@ -1,12 +1,10 @@
 import copy
 import json
 import time
-from pathlib import Path as FsPath
 
 import pytest
 
-from dsub import declarative, trace
-from dsub.cli import _decide_case
+from dsub import declarative
 from dsub.declarative import (
     DeclSearcher,
     DerivationTree,
@@ -549,55 +547,6 @@ def test_elaborate_typing_traces():
         assert alpha_eq_type(tree.conclusion.ty, outcome.ty)
         verdict = decl_verify(tree)
         assert verdict.ok, f"{text}: {verdict.path}: {verdict.message}"
-
-
-def _distinct(tree: DerivationTree, seen: set) -> set:
-    if id(tree) not in seen:
-        seen.add(id(tree))
-        for premise in tree.premises:
-            _distinct(premise, seen)
-    return seen
-
-
-def _elaborated_counting_builds(monkeypatch, step_trace) -> tuple:
-    """``elaborate_step(step_trace)``, and the tree nodes it constructed."""
-    built = [0]
-    init = DerivationTree.__init__
-
-    def counting(self, *args):
-        built[0] += 1
-        init(self, *args)
-
-    with monkeypatch.context() as m:
-        m.setattr(trace.DerivationTree, "__init__", counting)
-        tree = elaborate_step(step_trace)
-    return tree, built[0]
-
-
-def _let_chain(n: int):
-    text = "".join(f"let v{i} = {{A = {f'v{i - 1}.A' if i else 'Top'}}} in " for i in range(n))
-    return step_type(EMPTY, parse_term(text + f"v{n - 1}"))
-
-
-def test_elaboration_builds_only_the_nodes_of_its_result(monkeypatch):
-    # each trace node elaborates once, a variable's Var typing is shared, and
-    # an exposure head is elaborated only when the typing uses it
-    tree, built = _elaborated_counting_builds(monkeypatch, _let_chain(100).trace)
-    assert decl_verify(tree).ok
-    assert built == len(_distinct(tree, set())) == 696
-
-
-CORPUS = FsPath(__file__).resolve().parent.parent / "corpus"
-
-
-@pytest.mark.parametrize("case", sorted(p.name for p in CORPUS.iterdir() if p.suffix in (".dsub", ".sub")))
-def test_elaboration_of_each_corpus_case_builds_only_the_nodes_of_its_result(monkeypatch, case):
-    (outcome, _, _), _ = _decide_case(CORPUS / case)
-    if not outcome:
-        return  # a negative answer has no trace
-    tree, built = _elaborated_counting_builds(monkeypatch, outcome.trace)
-    assert decl_verify(tree).ok
-    assert built == len(_distinct(tree, set()))
 
 
 def test_shipped_minimality_trees_verify():

@@ -1,5 +1,6 @@
 import gc
 import itertools
+from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import dsub.step
 import dsub.syntax
 import dsub.trace
+from dsub.cli import _decide_case
 from dsub.declarative import decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.errors import InternalLimit
@@ -189,10 +191,13 @@ def _checked_subtype(g, s, t) -> None:
     assert result.holds and decl_verify(elaborate_step(result.trace)).ok
 
 
-def _checked_let_chain(n: int) -> None:
+def _typed_let_chain(n: int):
     text = "".join(f"let v{i} = {{A = {f'v{i - 1}.A' if i else 'Top'}}} in " for i in range(n))
-    typed = step_type(TypeEnv.empty(), parse_term(text + f"v{n - 1}"))
-    assert decl_verify(elaborate_step(typed.trace)).ok
+    return step_type(TypeEnv.empty(), parse_term(text + f"v{n - 1}"))
+
+
+def _checked_let_chain(n: int) -> None:
+    assert decl_verify(elaborate_step(_typed_let_chain(n).trace)).ok
 
 
 def test_chain_subtyping_work_is_linear(monkeypatch):
@@ -255,6 +260,29 @@ def test_a_failing_query_builds_no_premise_twice(monkeypatch):
     result = step_subtype(TypeEnv.empty(), t, _nest(149, Decl("B", Bot(), Top())))
     assert not result.holds
     assert built[0] <= 1
+
+
+def test_elaboration_builds_only_the_nodes_of_its_result(monkeypatch):
+    # each trace node elaborates once, a variable's Var typing is shared, and
+    # an exposure head is elaborated only when the typing uses it
+    typed = _typed_let_chain(100)
+    built = _counting(monkeypatch, dsub.trace.DerivationTree, "__init__")
+    tree = elaborate_step(typed.trace)
+    assert built[0] == len(_tree_nodes(tree, set())) == 696
+    assert decl_verify(tree).ok
+
+
+CORPUS = FsPath(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in CORPUS.iterdir() if p.suffix in (".dsub", ".sub")))
+def test_elaboration_of_a_corpus_case_builds_only_the_nodes_of_its_result(monkeypatch, case):
+    (outcome, _, _), _ = _decide_case(CORPUS / case)
+    if outcome:  # a negative answer has no trace
+        built = _counting(monkeypatch, dsub.trace.DerivationTree, "__init__")
+        tree = elaborate_step(outcome.trace)
+        assert built[0] == len(_tree_nodes(tree, set()))
+        assert decl_verify(tree).ok
 
 
 # ---------------------------------------------------------------------------

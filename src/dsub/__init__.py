@@ -21,6 +21,11 @@ The package is organized bottom-up:
 - ``dotty``: a model of a production compiler's bounds-aware, non-transitive
   subtype check and its exponential worst case
 - ``cli``: the ``dsub`` command-line entry point
+
+A query's memo is made by its top-level call and passed down, so what a
+query builds is freed by reference counting when it returns.  No cache
+outside the package holds its classes: importing it again after dropping
+it from ``sys.modules`` frees the earlier import at the next collection.
 """
 
 __version__ = "0.1.0"

@@ -40,21 +40,22 @@ class ShiftInvariantError(AssertionError):
     """A termination-measure or erasure invariant was violated (a bug)."""
 
 
-def promote(g: TypeEnv, t: Type, x: str) -> Derived | Failed:
-    result = _shift(g, t, x, up=True)
+def promote(g: TypeEnv, t: Type, x: str, memo: dict | None = None) -> Derived | Failed:
+    """``memo`` is the query's memo for exposure (a fresh one when None)."""
+    result = _shift(g, t, x, True, {} if memo is None else memo)
     if result and x in fv_type(result.ty):
         raise ShiftInvariantError(f"promotion left {x!r} free in {print_type(result.ty)}")
     return result
 
 
-def demote(g: TypeEnv, t: Type, x: str) -> Derived | Failed:
-    result = _shift(g, t, x, up=False)
+def demote(g: TypeEnv, t: Type, x: str, memo: dict | None = None) -> Derived | Failed:
+    result = _shift(g, t, x, False, {} if memo is None else memo)
     if result and x in fv_type(result.ty):
         raise ShiftInvariantError(f"demotion left {x!r} free in {print_type(result.ty)}")
     return result
 
 
-def _shift(g: TypeEnv, t: Type, x: str, up: bool, parent: Type | None = None) -> Derived | Failed:
+def _shift(g: TypeEnv, t: Type, x: str, up: bool, memo: dict, parent: Type | None = None) -> Derived | Failed:
     """Shift ``t``; a component of ``parent`` asserts the structural-size
     termination measure first."""
     if parent is not None and not type_size(t) < type_size(parent):
@@ -70,7 +71,7 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, parent: Type | None = None) ->
         case Path(var=y):
             if y != x:
                 return Derived(t, step_node("P-Var" if up else "D-Var", ShiftJ(g, t, x, t, up)))
-            head = select(g, t)
+            head = select(g, t, memo)
             if not head:
                 why = f"head exposes to {print_type(head.blocker)}" if head.path is t else head.describe()
                 return Failed(f"cannot {direction} {print_type(t)}: {why}")
@@ -82,10 +83,10 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, parent: Type | None = None) ->
                 rule = "P-Up" if up else "D-Down"
             return Derived(out, step_node(rule, ShiftJ(g, t, x, out, up), (head.trace,)))
         case Decl(label=label, lower=lo, upper=hi):
-            lo_result = _shift(g, lo, x, not up, t)
+            lo_result = _shift(g, lo, x, not up, memo, t)
             if not lo_result:
                 return lo_result
-            hi_result = _shift(g, hi, x, up, t)
+            hi_result = _shift(g, hi, x, up, memo, t)
             if not hi_result:
                 return hi_result
             out = Decl(label, lo_result.ty, hi_result.ty)
@@ -94,14 +95,14 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, parent: Type | None = None) ->
         case All(param=y, param_type=s, result=u):
             if y == x:
                 return Derived(t, step_node("P-Cap" if up else "D-Cap", ShiftJ(g, t, x, t, up)))
-            s_result = _shift(g, s, x, not up, t)
+            s_result = _shift(g, s, x, not up, memo, t)
             if not s_result:
                 return s_result
             z = g.fresh(y, (fv_type(u) - {y}) | {x})
             # promotion recurses under the demoted parameter type, demotion
             # under the original one
             inner_env = g.extend(z, s_result.ty if up else s)
-            u_result = _shift(inner_env, subst_var_in_type(u, y, z), x, up, t)
+            u_result = _shift(inner_env, subst_var_in_type(u, y, z), x, up, memo, t)
             if not u_result:
                 return u_result
             out = All(z, s_result.ty, u_result.ty)

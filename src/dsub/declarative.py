@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .environment import TypeEnv, env_from_bindings
 from .errors import DsubError
@@ -57,7 +57,7 @@ from .syntax import (
 )
 from .trace import DerivationTree, ShiftJ, SubJ, TypJ, derivation_to_json
 
-Judgment = Union[SubJ, TypJ]
+Judgment = SubJ | TypJ
 
 
 class ElaborationGap(DsubError):
@@ -419,28 +419,29 @@ def _add_subterms(t: Type, scope: frozenset, seen: dict) -> None:
             _add_subterms(u, scope, seen)
 
 
-def _env_candidates(g: TypeEnv) -> dict:
-    """The environment's share of every goal's candidates, kept in
-    :attr:`TypeEnv.memo` under ``"candidates"``: canonical key -> the first
-    type met with it, over the stored types, their subterms and each
-    variable's own selection.  It holds every in-scope path's exposure too:
-    a path exposes to Bot or to an upper bound reached from a stored type
-    through upper bounds alone, never under a binder, so a stored subterm."""
-    memo = g.memo
-    share = memo.get("candidates")
-    if share is None:
+def _env_candidates(g: TypeEnv, memo: dict) -> dict:
+    """The environment's share of every goal's candidates, kept in the
+    searcher's ``memo`` under ``("candidates", id(g))`` with ``g``:
+    canonical key -> the first type met with it, over the stored types,
+    their subterms and each variable's own selection.  It holds every
+    in-scope path's exposure too: a path exposes to Bot or to an upper bound
+    reached from a stored type through upper bounds alone, never under a
+    binder, so a stored subterm."""
+    key = ("candidates", id(g))
+    entry = memo.get(key)
+    if entry is None:
         scope = g.dom()
         share = {}
         for x, t in g:
             _add_subterms(t, scope, share)
-            head = expose(g, t)
+            head = expose(g, t, memo)
             if head and isinstance(head.ty, Decl):
                 _add_candidate(Path(x, head.ty.label), scope, share)
-        memo["candidates"] = share
-    return share
+        entry = memo[key] = share, g
+    return entry[0]
 
 
-def _candidates(g: TypeEnv, own: tuple) -> list:
+def _candidates(g: TypeEnv, own: tuple, memo: dict) -> list:
     """A goal's candidates as (canonical key, type) pairs, ordered by size
     then key: Top, Bot, the subterms of the goal's types ``own`` and the
     environment's share, the first of each alpha class met standing for it."""
@@ -448,7 +449,7 @@ def _candidates(g: TypeEnv, own: tuple) -> list:
     seen: dict = {}
     for t in (Top(), Bot(), *own):
         _add_subterms(t, scope, seen)
-    return sorted({**_env_candidates(g), **seen}.items(), key=lambda kt: (type_size(kt[1]), kt[0]))
+    return sorted({**_env_candidates(g, memo), **seen}.items(), key=lambda kt: (type_size(kt[1]), kt[0]))
 
 
 def _tree(proof: tuple, built: dict) -> DerivationTree:
@@ -486,6 +487,7 @@ class DeclSearcher:
     def __init__(self) -> None:
         self._found: dict = {}  # goal + (fuel,) -> the proof found
         self._failed = defaultdict(dict)  # goal[:3] -> {goal[3]: highest fuel that found nothing}
+        self._memo: dict = {}  # each environment's exposures and share of the candidates
 
     def search(self, goal: Judgment, fuel: int) -> Optional[DerivationTree]:
         if fuel <= 0:
@@ -538,7 +540,7 @@ class DeclSearcher:
                 if bodies is not None:
                     return ("All-<:-All", SubJ, g, lhs, rhs, (params, bodies))
 
-        candidates = _candidates(g, (lhs, rhs))
+        candidates = _candidates(g, (lhs, rhs), self._memo)
         # Sel-<: x.A <: rhs from x : {A: S..rhs}, <:-Sel lhs <: x.A from x : {A: lhs..T}
         for rule, path in (("Sel-<:", lhs), ("<:-Sel", rhs)):
             if isinstance(path, Path):
@@ -593,7 +595,7 @@ class DeclSearcher:
                     if premise is not None:
                         return ("All-I", TypJ, g, term, ty, (premise,))
             case App(fun=f, arg=a):
-                candidates = _candidates(g, (ty,))
+                candidates = _candidates(g, (ty,), self._memo)
                 for _, fun_ty in candidates:
                     if not isinstance(fun_ty, All):
                         continue
@@ -607,7 +609,7 @@ class DeclSearcher:
                         return ("All-E", TypJ, g, term, ty, (fun_premise, arg_premise))
             case Let(bound=x, rhs=rhs, body=body):
                 if x not in fv_type(ty):
-                    candidates = _candidates(g, (ty,))
+                    candidates = _candidates(g, (ty,), self._memo)
                     for _, rhs_ty in candidates:
                         rhs_premise = self._typ(g, rhs, rhs_ty, fuel)
                         if rhs_premise is None:
@@ -617,7 +619,7 @@ class DeclSearcher:
                         if body_premise is not None:
                             return ("Let", TypJ, g, term, ty, (rhs_premise, body_premise))
 
-        for mk, mid in candidates or _candidates(g, (ty,)):
+        for mk, mid in candidates or _candidates(g, (ty,), self._memo):
             if mk == tk:
                 continue
             typing = self._typ(g, term, mid, fuel)

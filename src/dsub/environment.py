@@ -44,27 +44,25 @@ class TypeEnv:
     An environment is its newest binding on top of the environment it
     extends (``parent``), so an extension shares its prefixes instead of
     copying them.  The environments along a chain of extensions share one
-    index from each bound name to its position, its type and the
-    environment before its binding; an environment sees only the entries
-    below its own length.  ``lookup``, ``in``, :meth:`binding`,
-    :meth:`unbound` and :meth:`check_scope` take constant time per name.
-    Extending an environment a second time starts a new index, a copy of
-    the entries it sees.
+    index from each bound name to its position and its type; an
+    environment sees only the entries below its own length.  ``lookup``,
+    ``in``, :meth:`unbound` and :meth:`check_scope` take constant time per
+    name; :meth:`binding` walks up to the binding's prefix.  Extending an
+    environment a second time starts a new index, a copy of the entries it
+    sees.
 
-    ``memo`` caches what this environment computes once: ``weight`` keys it
-    by the type node's id, ``expose`` by ``("expose", id)``, each entry
-    holding the node, and the declarative search keeps its share of every
-    goal's candidates under ``"candidates"``.
+    Nothing an environment holds refers back to it, so it is freed by
+    reference counting.  What a query computes in an environment (weights,
+    exposures, the search's candidates) lives in that query's memo.
     """
 
-    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "memo")
+    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key")
 
     def __init__(self) -> None:
         """The empty environment; :meth:`extend` adds checked bindings."""
         self._parent = self._last = None
         self._len, self._index = 0, {}
         self._dom = self._key = None
-        self.memo = {}
 
     @staticmethod
     def empty() -> "TypeEnv":
@@ -82,12 +80,11 @@ class TypeEnv:
             index = self._index
             if len(index) != self._len or x in index:  # this environment was extended before
                 index = {y: e for y, e in index.items() if e[0] < self._len}
-            index[x] = (self._len, self, t)
+            index[x] = (self._len, t)
         child = object.__new__(TypeEnv)
         child._parent, child._last = self, (x, t)
         child._len, child._index = self._len + 1, index
         child._dom = child._key = None
-        child.memo = {}
         return child
 
     def check_scope(
@@ -144,12 +141,17 @@ class TypeEnv:
 
     def lookup(self, x: str):
         entry = self._entry(x)
-        return None if entry is None else entry[2]
+        return None if entry is None else entry[1]
 
     def binding(self, x: str):
         """``x``'s binding as (the environment before it, its type), or None."""
         entry = self._entry(x)
-        return None if entry is None else entry[1:]
+        if entry is None:
+            return None
+        prefix = self._parent
+        for _ in range(self._len - 1 - entry[0]):
+            prefix = prefix._parent
+        return prefix, entry[1]
 
     @property
     def key(self) -> str:

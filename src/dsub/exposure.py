@@ -3,8 +3,8 @@
 ``expose(g, t)`` rewrites a path-dependent type ``x.A`` to a supertype that
 is not a path, by exposing the head variable's stored type and following the
 matching declaration's upper bound.  Non-path types expose to themselves.
-Each environment exposes each node once: the outcome, stuck or not, is kept
-in :attr:`TypeEnv.memo`.
+A query exposes each node once per environment: the outcome, stuck or not,
+is kept in the memo the query passes down.
 
 The head variable's stored type can only mention strictly earlier bindings
 (environments are well-formed), so the recursion always terminates.
@@ -47,30 +47,34 @@ class Stuck:
         return f"{print_type(self.path)} blocked on {print_type(self.blocker)}"
 
 
-def expose(g: TypeEnv, t: Type) -> Derived | Stuck:
-    key = ("expose", id(t))  # a tuple, so it cannot collide with weight's id keys
-    memo = g.memo
+def expose(g: TypeEnv, t: Type, memo: dict | None = None) -> Derived | Stuck:
+    """Expose ``t`` in ``g``.  ``memo`` is the query's memo (a fresh one when
+    None): its entry under ``("expose", id(g), id(t))`` holds the outcome
+    with ``g`` and ``t``, so neither id is reused while the entry lives."""
+    if memo is None:
+        memo = {}
+    key = ("expose", id(g), id(t))
     entry = memo.get(key)
-    if entry is None:  # the entry holds t, so its id is not reused while it lives
-        entry = memo[key] = _expose(g, t), t
+    if entry is None:
+        entry = memo[key] = _expose(g, t, memo), g, t
     return entry[0]
 
 
-def _expose(g: TypeEnv, t: Type) -> Derived | Stuck:
+def _expose(g: TypeEnv, t: Type, memo: dict) -> Derived | Stuck:
     if not isinstance(t, Path):
         return Derived(t, step_node("X-Other", ExposeJ(g, t, t)))
-    head = select(g, t)
+    head = select(g, t, memo)
     if not head:
         return head
     if isinstance(head.ty, Bot):
         return Derived(Bot(), step_node("X-Bot", ExposeJ(g, t, Bot()), (head.trace,)))
-    tail = expose(g, head.ty.upper)
+    tail = expose(g, head.ty.upper, memo)
     if not tail:
         return tail
     return Derived(tail.ty, step_node("X-Path", ExposeJ(g, t, tail.ty), (head.trace, tail.trace)))
 
 
-def select(g: TypeEnv, path: Path) -> Derived | Stuck:
+def select(g: TypeEnv, path: Path, memo: dict) -> Derived | Stuck:
     """Expose the stored type of ``path``'s head variable; the result is
     Bot or a declaration with ``path``'s label, or else :class:`Stuck`: the
     head's own when the head is stuck, otherwise on ``path``, blocked on
@@ -78,7 +82,7 @@ def select(g: TypeEnv, path: Path) -> Derived | Stuck:
     stored = g.lookup(path.var)
     if stored is None:
         raise UnboundVariable(f"unbound variable {path.var!r} in {print_type(path)}")
-    head = expose(g, stored)
+    head = expose(g, stored, memo)
     if not head:
         return head
     match head.ty:

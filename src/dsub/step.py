@@ -61,34 +61,37 @@ class StepInvariantError(AssertionError):
 # Weight
 
 
-def weight(g: TypeEnv, t: Type) -> int:
+def weight(g: TypeEnv, t: Type, memo: dict | None = None) -> int:
     """Termination measure: Top/Bot weigh 1; a declaration weighs one more
     than its heavier bound; a path weighs one more than its head's stored
     type measured in the strict prefix; a function type weighs one more than
-    its result measured under the extended environment.  Each environment
-    measures each node once, keeping the weight under the node's id with
-    the node itself, so that no id is reused while the entry lives."""
-    memo = g.memo
-    entry = memo.get(id(t))
+    its result measured under the extended environment.  A query measures
+    each node once per environment: ``memo`` (a fresh one when None) keeps
+    the weight under ``(id(g), id(t))`` with both objects, so that no id is
+    reused while the entry lives."""
+    if memo is None:
+        memo = {}
+    key = (id(g), id(t))
+    entry = memo.get(key)
     if entry is not None:
         return entry[0]
     match t:
         case Top() | Bot():
             w = 1
         case Decl(lower=lo, upper=hi):
-            w = 1 + max(weight(g, lo), weight(g, hi))
+            w = 1 + max(weight(g, lo, memo), weight(g, hi, memo))
         case Path(var=x):
             found = g.binding(x)
             if found is None:
                 raise UnboundVariable(f"unbound variable {x!r} in {print_type(t)}")
             prefix, stored = found
-            w = 1 + weight(prefix, stored)
+            w = 1 + weight(prefix, stored, memo)
         case All(param=x, param_type=s, result=u):
             z = g.fresh(x, fv_type(u) - {x})
-            w = 1 + weight(g.extend(z, s), subst_var_in_type(u, x, z))
+            w = 1 + weight(g.extend(z, s), subst_var_in_type(u, x, z), memo)
         case _:
             raise TypeError(f"not a type: {t!r}")
-    memo[id(t)] = w, t
+    memo[key] = w, g, t
     return w
 
 
@@ -105,23 +108,25 @@ class SubtypeResult:
         return self.holds
 
 
-def step_subtype(g: TypeEnv, s: Type, t: Type) -> SubtypeResult:
+def step_subtype(g: TypeEnv, s: Type, t: Type, memo: dict | None = None) -> SubtypeResult:
     """Decide the step subtype relation; on success the result carries the
     full rule trace.  The root call weighs both sides, so a variable ``g``
     does not bind raises :class:`UnboundVariable` before any rule is tried.
 
-    A subgoal met again within one call is answered from a memo keyed by
-    the identities of its environment and nodes (hash-consed, so identity
-    is structure), so a repeated premise is one shared trace node, and a
-    failing goal builds no subtree twice.  Each entry holds the objects
-    whose ids make its key, so no id is reused while the memo lives."""
-    trace = _sub(g, s, t, None, 0, {})
+    A subgoal met again within one query is answered from the query's memo
+    (a fresh one when ``memo`` is None), keyed by the identities of its
+    environment and nodes (hash-consed, so identity is structure), so a
+    repeated premise is one shared trace node, and a failing goal builds no
+    subtree twice.  The weights and exposures the query computes live in
+    the same memo.  Each entry holds the objects whose ids make its key, so
+    no id is reused while the memo lives."""
+    trace = _sub(g, s, t, None, 0, {} if memo is None else memo)
     return SubtypeResult(trace is not None, trace)
 
 
-def _measure_entry(g: TypeEnv, s: Type, t: Type, parent: Optional[int]) -> int:
+def _measure_entry(g: TypeEnv, s: Type, t: Type, parent: Optional[int], memo: dict) -> int:
     """Assert the strict weight-sum decrease against the parent call."""
-    measure = weight(g, s) + weight(g, t)
+    measure = weight(g, s, memo) + weight(g, t, memo)
     if parent is not None and measure >= parent:
         raise StepInvariantError(
             f"weight did not decrease: {measure} >= {parent} "
@@ -135,7 +140,7 @@ def _sub(
 ) -> Optional[DerivationTree]:
     if depth > DEPTH_LIMIT:
         raise InternalLimit(f"subtype recursion exceeded depth {DEPTH_LIMIT}")
-    measure = _measure_entry(g, s, t, parent)  # asserted on every call, memo hits included
+    measure = _measure_entry(g, s, t, parent, memo)  # asserted on every call, memo hits included
     key = (id(g), id(s), id(t))
     entry = memo.get(key)
     if entry is None:
@@ -189,7 +194,7 @@ def _path_attempt(
     depth: int,
     memo: dict,
 ) -> Optional[DerivationTree]:
-    head = select(g, s if left else t)
+    head = select(g, s if left else t, memo)
     if not head:
         return None
     if isinstance(head.ty, Bot):
@@ -212,24 +217,23 @@ def _path_attempt(
 
 def step_type(g: TypeEnv, term: Term) -> Derived | Failed:
     """Compute the unique step type of ``term`` under ``g``, or explain why
-    there is none."""
-    return _typ(g, term, "")
+    there is none.  The exposures, promotions and subtype checks made on
+    the way share one memo."""
+    return _typ(g, term, {})
 
 
-def _typ(g: TypeEnv, term: Term, loc: str) -> Derived | Failed:
+def _typ(g: TypeEnv, term: Term, memo: dict) -> Derived | Failed:
     match term:
         case Var(name=x):
             stored = g.lookup(x)
             if stored is None:
-                return Failed(f"unbound variable {x!r}", loc)
+                return Failed(f"unbound variable {x!r}")
             return Derived(stored, step_node("T-Var", TypJ(g, term, stored)))
 
         case Tag(label=a, alias=ty):
             out_of_scope = g.unbound(fv_type(ty))
             if out_of_scope:
-                return Failed(
-                    f"tag type mentions unbound variable(s): {', '.join(sorted(out_of_scope))}", loc
-                )
+                return Failed(f"tag type mentions unbound variable(s): {', '.join(sorted(out_of_scope))}")
             result = Decl(a, ty, ty)
             return Derived(result, step_node("T-Typ-I", TypJ(g, term, result)))
 
@@ -237,84 +241,65 @@ def _typ(g: TypeEnv, term: Term, loc: str) -> Derived | Failed:
             out_of_scope = g.unbound(fv_type(ty))
             if out_of_scope:
                 return Failed(
-                    f"parameter type mentions unbound variable(s): "
-                    f"{', '.join(sorted(out_of_scope))}",
-                    loc,
+                    f"parameter type mentions unbound variable(s): {', '.join(sorted(out_of_scope))}"
                 )
             z = g.fresh(x, fv_term(body) - {x})
-            inner = _typ(g.extend(z, ty), subst_var_in_term(body, x, z), _at(loc, "body"))
+            inner = _typ(g.extend(z, ty), subst_var_in_term(body, x, z), memo)
             if not inner:
-                return inner
+                return _at("body", inner)
             result = All(z, ty, inner.ty)
             return Derived(result, step_node("T-All-I", TypJ(g, term, result), (inner.trace,)))
 
         case App(fun=f, arg=a):
-            fun_typed = _typ(g, Var(f), _at(loc, "fun"))
+            fun_typed = _typ(g, Var(f), memo)
             if not fun_typed:
-                return fun_typed
-            head = expose(g, fun_typed.ty)
+                return _at("fun", fun_typed)
+            head = expose(g, fun_typed.ty, memo)
             if not head:
-                return Failed(f"function position not exposable ({head.describe()})", loc)
-            arg_typed = _typ(g, Var(a), _at(loc, "arg"))
+                return Failed(f"function position not exposable ({head.describe()})")
+            arg_typed = _typ(g, Var(a), memo)
             if not arg_typed:
-                return arg_typed
+                return _at("arg", arg_typed)
             match head.ty:
                 case Bot():
-                    return Derived(
-                        Bot(),
-                        step_node(
-                            "T-App-Bot",
-                            TypJ(g, term, Bot()),
-                            (fun_typed.trace, head.trace, arg_typed.trace),
-                        ),
-                    )
+                    premises = (fun_typed.trace, head.trace, arg_typed.trace)
+                    return Derived(Bot(), step_node("T-App-Bot", TypJ(g, term, Bot()), premises))
                 case All(param=z, param_type=s, result=u):
-                    check = step_subtype(g, arg_typed.ty, s)
+                    check = step_subtype(g, arg_typed.ty, s, memo)
                     if not check.holds:
                         return Failed(
                             f"argument type {print_type(arg_typed.ty)} is not a step subtype "
-                            f"of parameter type {print_type(s)}",
-                            loc,
+                            f"of parameter type {print_type(s)}"
                         )
                     result = subst_var_in_type(u, z, a)
-                    return Derived(
-                        result,
-                        step_node(
-                            "T-All-E",
-                            TypJ(g, term, result),
-                            (fun_typed.trace, head.trace, arg_typed.trace, check.trace),
-                        ),
-                    )
+                    premises = (fun_typed.trace, head.trace, arg_typed.trace, check.trace)
+                    return Derived(result, step_node("T-All-E", TypJ(g, term, result), premises))
                 case other:
-                    return Failed(
-                        f"function position has non-function type {print_type(other)}", loc
-                    )
+                    return Failed(f"function position has non-function type {print_type(other)}")
 
         case Let(bound=x, rhs=rhs, body=body):
-            rhs_typed = _typ(g, rhs, _at(loc, "rhs"))
+            rhs_typed = _typ(g, rhs, memo)
             if not rhs_typed:
-                return rhs_typed
+                return _at("rhs", rhs_typed)
             z = g.fresh(x, fv_term(body) - {x})
             inner_env = g.extend(z, rhs_typed.ty)
-            body_typed = _typ(inner_env, subst_var_in_term(body, x, z), _at(loc, "body"))
+            body_typed = _typ(inner_env, subst_var_in_term(body, x, z), memo)
             if not body_typed:
-                return body_typed
-            promoted = promote(inner_env, body_typed.ty, z)
+                return _at("body", body_typed)
+            promoted = promote(inner_env, body_typed.ty, z, memo)
             if not promoted:
-                return Failed(f"let body type not promotable ({promoted.reason})", loc)
-            return Derived(
-                promoted.ty,
-                step_node(
-                    "T-Let",
-                    TypJ(g, term, promoted.ty),
-                    (rhs_typed.trace, body_typed.trace, promoted.trace),
-                ),
-            )
+                return Failed(f"let body type not promotable ({promoted.reason})")
+            premises = (rhs_typed.trace, body_typed.trace, promoted.trace)
+            return Derived(promoted.ty, step_node("T-Let", TypJ(g, term, promoted.ty), premises))
     raise TypeError(f"not a term: {term!r}")
 
 
-def _at(loc: str, field_name: str) -> str:
-    return f"{loc}.{field_name}" if loc else field_name
+def _at(field_name: str, failed: Failed) -> Failed:
+    """``failed``, the failure of the subterm in ``field_name``, located
+    from the term holding that subterm; so a dotted location is built only
+    on failure, on the way out."""
+    loc = failed.location
+    return Failed(failed.reason, f"{field_name}.{loc}" if loc else field_name)
 
 
 __all__ = [

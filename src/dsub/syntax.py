@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 import threading
 import weakref
-from typing import Union
 
 from _weakref import _remove_dead_weakref
 
@@ -180,7 +179,7 @@ class All(_Node):
         )
 
 
-Type = Union[Top, Bot, Decl, Path, All]
+Type = Top | Bot | Decl | Path | All
 _TYPE_CLASSES = (Top, Bot, Decl, Path, All)
 
 
@@ -242,7 +241,7 @@ class Let(_Node):
         )
 
 
-Term = Union[Var, Tag, Lam, App, Let]
+Term = Var | Tag | Lam | App | Let
 _TERM_CLASSES = (Var, Tag, Lam, App, Let)
 
 

@@ -167,7 +167,7 @@ def test_criterion_3_termination_instrumentation(monkeypatch):
     # the measure checks are live: a measure that never decreases trips them
     decl = Decl("A", Bot(), Top())
     with monkeypatch.context() as m:
-        m.setattr(dsub.step, "weight", lambda g, t: 1)
+        m.setattr(dsub.step, "weight", lambda g, t, memo: 1)
         with pytest.raises(StepInvariantError):
             step_subtype(TypeEnv.empty(), decl, decl)
     with monkeypatch.context() as m:

@@ -648,7 +648,7 @@ _DECL = "{A: Bot .. Top}"
 @pytest.mark.parametrize(
     "module, name, stub, argv, error",
     [
-        (dsub.step, "weight", lambda g, t: 1, ["sub", "--env", "ENV", _DECL, _DECL], "StepInvariantError"),
+        (dsub.step, "weight", lambda g, t, memo: 1, ["sub", "--env", "ENV", _DECL, _DECL], "StepInvariantError"),
         (dsub.bounds_shift, "type_size", lambda t: 1, ["promote", "--env", "ENV", "--var", "x", _DECL], "ShiftInvariantError"),
         (dsub.step, "DEPTH_LIMIT", 0, ["sub", "--env", "ENV", _DECL, _DECL], "InternalLimit"),
     ],

@@ -460,9 +460,10 @@ def test_candidates_match_the_reference(env):
     types = list(dict.fromkeys([*enum.types(3, scope), *enum.types(3), *stored, *renamed]))
     goals = [SubJ(env, s, t) for s in types for t in types[::7]]
     goals += [TypJ(env, Tag("A", Top()), t) for t in types]
+    memo = {}  # shared by the goals, as a searcher shares its memo
     for goal in goals:
         own = (goal.lhs, goal.rhs) if isinstance(goal, SubJ) else (goal.ty,)
-        got, want = declarative._candidates(goal.env, own), _reference_candidates(goal)
+        got, want = declarative._candidates(goal.env, own, memo), _reference_candidates(goal)
         assert len(got) == len(want) and all(a is b for (_, a), b in zip(got, want)), goal
         assert all(key == canon_type(t) for key, t in got), goal
 

@@ -63,14 +63,17 @@ def test_expose_stuck_on_label_mismatch():
 
 
 def test_expose_is_computed_once_per_environment():
+    # within one query's memo, each environment exposes each node once
     bindings = (("x", Decl("A", Bot(), Top())), ("y", Top()))
     g = env_from_bindings(bindings)
-    exposed, stuck = expose(g, Path("x", "A")), expose(g, Path("y", "A"))
+    memo = {}
+    exposed, stuck = expose(g, Path("x", "A"), memo), expose(g, Path("y", "A"), memo)
     assert isinstance(exposed, Derived) and isinstance(stuck, Stuck)
-    assert expose(g, Path("x", "A")) is exposed and expose(g, Path("y", "A")) is stuck
+    assert expose(g, Path("x", "A"), memo) is exposed and expose(g, Path("y", "A"), memo) is stuck
     other = env_from_bindings(bindings)
-    assert expose(other, Path("x", "A")) is not exposed
-    assert expose(other, Path("x", "A")).ty is exposed.ty
+    assert expose(other, Path("x", "A"), memo) is not exposed
+    assert expose(other, Path("x", "A"), memo).ty is exposed.ty
+    assert expose(g, Path("x", "A")) is not exposed  # a fresh memo
 
 
 def test_expose_unbound_head():

@@ -134,10 +134,12 @@ def _env_and_type(draw):
 def test_memoised_weight_is_the_measure(env_and_type):
     g, t = env_and_type
     expected = _reference_weight(g.bindings, t)
-    assert weight(g, t) == expected
-    assert weight(g, t) == expected  # from the memo
-    for x, stored in g:  # paths share their prefix's memo
-        assert weight(g, Path(x, "A")) == _reference_weight(g.bindings, Path(x, "A"))
+    memo = {}  # one query's
+    assert weight(g, t, memo) == expected
+    assert weight(g, t, memo) == expected  # from the memo
+    for x, stored in g:  # paths share their prefix's entries
+        assert weight(g, Path(x, "A"), memo) == _reference_weight(g.bindings, Path(x, "A"))
+    assert weight(g, t) == expected  # a fresh memo
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +440,19 @@ def test_untypable_application_of_top():
     assert isinstance(out, Failed)
     assert "function position" in out.reason
     assert out.location == "body"
+
+
+def test_a_location_is_formatted_only_on_failure(monkeypatch):
+    # typing a 399-let chain formats no location; a failure at its innermost
+    # variable is located there, one field per level on the way out
+    located = _counting(monkeypatch, dsub.step, "_at")
+    assert _typed_let_chain(399)
+    assert located[0] == 0
+    text = "".join(f"let v{i} = {{A = {f'v{i - 1}.A' if i else 'Top'}}} in " for i in range(399))
+    out = step_type(TypeEnv.empty(), parse_term(text + "w"))
+    assert isinstance(out, Failed) and out.reason == "unbound variable 'w'"
+    assert out.location == ".".join(["body"] * 399)
+    assert located[0] == 399
 
 
 def test_untypable_argument_mismatch():

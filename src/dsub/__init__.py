@@ -22,10 +22,8 @@ The package is organized bottom-up:
   subtype check and its exponential worst case
 - ``cli``: the ``dsub`` command-line entry point
 
-A query's memo is made by its top-level call and passed down, so what a
-query builds is freed by reference counting when it returns.  No cache
-outside the package holds its classes: importing it again after dropping
-it from ``sys.modules`` frees the earlier import at the next collection.
+What a query builds is freed by reference counting when it returns, and an
+earlier import of the package is freed once ``sys.modules`` drops it.
 """
 
 __version__ = "0.1.0"

@@ -48,8 +48,8 @@ def promote(g: TypeEnv, t: Type, x: str, memo: dict | None = None) -> Derived | 
     return result
 
 
-def demote(g: TypeEnv, t: Type, x: str, memo: dict | None = None) -> Derived | Failed:
-    result = _shift(g, t, x, False, {} if memo is None else memo)
+def demote(g: TypeEnv, t: Type, x: str) -> Derived | Failed:
+    result = _shift(g, t, x, False, {})
     if result and x in fv_type(result.ty):
         raise ShiftInvariantError(f"demotion left {x!r} free in {print_type(result.ty)}")
     return result

@@ -487,16 +487,25 @@ class DeclSearcher:
     def __init__(self) -> None:
         self._found: dict = {}  # goal + (fuel,) -> the proof found
         self._failed = defaultdict(dict)  # goal[:3] -> {goal[3]: highest fuel that found nothing}
-        self._memo: dict = {}  # each environment's exposures and share of the candidates
+        self._memo: dict = {}  # each root environment's exposures and share of the candidates
+        self._root = self._local = None  # the search's environment; the same for those it extends
 
     def search(self, goal: Judgment, fuel: int) -> Optional[DerivationTree]:
         if fuel <= 0:
             return None
-        if isinstance(goal, SubJ):
-            proof = self._sub(goal.env, goal.lhs, goal.rhs, fuel)
-        else:
-            proof = self._typ(goal.env, goal.term, goal.ty, fuel)
+        self._root, self._local = goal.env, {}
+        try:
+            if isinstance(goal, SubJ):
+                proof = self._sub(goal.env, goal.lhs, goal.rhs, fuel)
+            else:
+                proof = self._typ(goal.env, goal.term, goal.ty, fuel)
+        finally:
+            self._root = self._local = None
         return None if proof is None else _tree(proof, {})
+
+    def _candidates(self, g: TypeEnv, own: tuple) -> list:
+        """A goal's candidates; an extended environment's share lasts one search."""
+        return _candidates(g, own, self._memo if g is self._root else self._local)
 
     def _keep(self, key: tuple, failed: dict, proof: Optional[tuple]) -> Optional[tuple]:
         if proof is None:
@@ -540,7 +549,7 @@ class DeclSearcher:
                 if bodies is not None:
                     return ("All-<:-All", SubJ, g, lhs, rhs, (params, bodies))
 
-        candidates = _candidates(g, (lhs, rhs), self._memo)
+        candidates = self._candidates(g, (lhs, rhs))
         # Sel-<: x.A <: rhs from x : {A: S..rhs}, <:-Sel lhs <: x.A from x : {A: lhs..T}
         for rule, path in (("Sel-<:", lhs), ("<:-Sel", rhs)):
             if isinstance(path, Path):
@@ -595,7 +604,7 @@ class DeclSearcher:
                     if premise is not None:
                         return ("All-I", TypJ, g, term, ty, (premise,))
             case App(fun=f, arg=a):
-                candidates = _candidates(g, (ty,), self._memo)
+                candidates = self._candidates(g, (ty,))
                 for _, fun_ty in candidates:
                     if not isinstance(fun_ty, All):
                         continue
@@ -609,7 +618,7 @@ class DeclSearcher:
                         return ("All-E", TypJ, g, term, ty, (fun_premise, arg_premise))
             case Let(bound=x, rhs=rhs, body=body):
                 if x not in fv_type(ty):
-                    candidates = _candidates(g, (ty,), self._memo)
+                    candidates = self._candidates(g, (ty,))
                     for _, rhs_ty in candidates:
                         rhs_premise = self._typ(g, rhs, rhs_ty, fuel)
                         if rhs_premise is None:
@@ -619,7 +628,7 @@ class DeclSearcher:
                         if body_premise is not None:
                             return ("Let", TypJ, g, term, ty, (rhs_premise, body_premise))
 
-        for mk, mid in candidates or _candidates(g, (ty,), self._memo):
+        for mk, mid in candidates or self._candidates(g, (ty,)):
             if mk == tk:
                 continue
             typing = self._typ(g, term, mid, fuel)

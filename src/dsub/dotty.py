@@ -109,94 +109,95 @@ def scala_sub(u: BoundsUniverse, t1: SType, t2: SType) -> SubStats:
     Raises :class:`InternalLimit` if the uncached recursion would nest beyond
     :data:`DEPTH_LIMIT` (a cyclic bound chain).
     """
-    # (bounds, id of a type met -> its number from 1, (class name, name or
-    # component numbers) -> number, the types numbered so that no id is
-    # reused, (number, number) -> outcome, the queries in progress)
-    query = (u.bounds, {}, {}, [], {}, set())
-    result, calls, depth = _go(query, t1, t2)
-    return SubStats(result, calls, depth)
+    bounds = u.bounds
+    numbers: dict = {}  # id of a type met -> its number, from 1
+    shapes: dict = {}  # (class name, name or component numbers) -> number
+    met: list = []  # the types numbered, so that no id is reused
+    cache: dict = {}
+    in_progress: set = set()
 
+    def number(t: SType) -> int:
+        """``t``'s number, the same for equal types; found by identity, so
+        a query's key is hashed in C rather than by the dataclasses."""
+        n = numbers.get(id(t))
+        if n is None:
+            match t:
+                case Fun(param=p, result=r):
+                    shape = ("Fun", number(p), number(r))
+                case Base(name=a) | Member(name=a):
+                    shape = (type(t).__name__, a)
+                case _:
+                    raise TypeError(f"not a type: {t!r}")
+            n = numbers[id(t)] = shapes.setdefault(shape, len(shapes) + 1)
+            met.append(t)
+        return n
 
-def _number(query: tuple, t: SType) -> int:
-    """``t``'s number, the same for equal types; found by identity, so a
-    query's key is hashed in C rather than by the dataclasses."""
-    _, numbers, shapes, met, _, _ = query
-    n = numbers.get(id(t))
-    if n is None:
-        match t:
-            case Fun(param=p, result=r):
-                shape = ("Fun", _number(query, p), _number(query, r))
-            case Base(name=a) | Member(name=a):
-                shape = (type(t).__name__, a)
-            case _:
-                raise TypeError(f"not a type: {t!r}")
-        n = numbers[id(t)] = shapes.setdefault(shape, len(shapes) + 1)
-        met.append(t)
-    return n
-
-
-def _go(query: tuple, t1: SType, t2: SType) -> tuple:
-    bounds, numbers, _, _, cache, in_progress = query
-    key = (numbers.get(id(t1)) or _number(query, t1), numbers.get(id(t2)) or _number(query, t2))
-    outcome = cache.get(key)
-    if outcome is not None:
-        return outcome
-    if key in in_progress:
-        # the plain recursion would re-enter the same query forever
-        raise InternalLimit(f"subtype recursion exceeded depth {DEPTH_LIMIT}")
-    in_progress.add(key)
-    try:
-        calls = 1
-        depth = 1
-        result = None
-
-        if isinstance(t2, Member):
-            lower = bounds(t2.name).lower
-            if lower is not None:
-                sub_result, sub_calls, sub_depth = _go(query, t1, lower)
-                calls += sub_calls
-                depth = max(depth, 1 + sub_depth)
-                if sub_result:
-                    result = True
-        if result is None and isinstance(t1, Member):
-            upper = bounds(t1.name).upper
-            if upper is not None:
-                sub_result, sub_calls, sub_depth = _go(query, upper, t2)
-                calls += sub_calls
-                depth = max(depth, 1 + sub_depth)
-                if sub_result:
-                    result = True
-        if result is None:
-            structural, s_calls, s_depth = _structural(query, t1, t2)
-            calls += s_calls
-            depth = max(depth, 1 + s_depth) if s_calls else depth
-            result = structural
-
-        if depth > DEPTH_LIMIT:
+    def go(t1: SType, t2: SType) -> tuple:
+        key = (numbers.get(id(t1)) or number(t1), numbers.get(id(t2)) or number(t2))
+        outcome = cache.get(key)
+        if outcome is not None:
+            return outcome
+        if key in in_progress:
+            # the plain recursion would re-enter the same query forever
             raise InternalLimit(f"subtype recursion exceeded depth {DEPTH_LIMIT}")
-        outcome = cache[key] = (result, calls, depth)
-        return outcome
+        in_progress.add(key)
+        try:
+            calls = 1
+            depth = 1
+            result = None
+
+            if isinstance(t2, Member):
+                lower = bounds(t2.name).lower
+                if lower is not None:
+                    sub_result, sub_calls, sub_depth = go(t1, lower)
+                    calls += sub_calls
+                    depth = max(depth, 1 + sub_depth)
+                    if sub_result:
+                        result = True
+            if result is None and isinstance(t1, Member):
+                upper = bounds(t1.name).upper
+                if upper is not None:
+                    sub_result, sub_calls, sub_depth = go(upper, t2)
+                    calls += sub_calls
+                    depth = max(depth, 1 + sub_depth)
+                    if sub_result:
+                        result = True
+            if result is None:
+                structural, s_calls, s_depth = _structural(t1, t2)
+                calls += s_calls
+                depth = max(depth, 1 + s_depth) if s_calls else depth
+                result = structural
+
+            if depth > DEPTH_LIMIT:
+                raise InternalLimit(f"subtype recursion exceeded depth {DEPTH_LIMIT}")
+            outcome = cache[key] = (result, calls, depth)
+            return outcome
+        finally:
+            in_progress.discard(key)
+
+    def _structural(t1: SType, t2: SType) -> tuple:
+        match t1, t2:
+            case Base(name=a), Base(name=b):
+                return a == b, 0, 0
+            case Member(name=a), Member(name=b):
+                return a == b, 0, 0
+            case Fun(param=p1, result=r1), Fun(param=p2, result=r2):
+                param_ok, p_calls, p_depth = go(p2, p1)
+                calls, depth = p_calls, p_depth
+                if not param_ok:
+                    return False, calls, depth
+                result_ok, r_calls, r_depth = go(r1, r2)
+                calls += r_calls
+                depth = max(depth, r_depth)
+                return result_ok, calls, depth
+            case _:
+                return False, 0, 0
+
+    try:
+        result, calls, depth = go(t1, t2)
     finally:
-        in_progress.discard(key)
-
-
-def _structural(query: tuple, t1: SType, t2: SType) -> tuple:
-    match t1, t2:
-        case Base(name=a), Base(name=b):
-            return a == b, 0, 0
-        case Member(name=a), Member(name=b):
-            return a == b, 0, 0
-        case Fun(param=p1, result=r1), Fun(param=p2, result=r2):
-            param_ok, p_calls, p_depth = _go(query, p2, p1)
-            calls, depth = p_calls, p_depth
-            if not param_ok:
-                return False, calls, depth
-            result_ok, r_calls, r_depth = _go(query, r1, r2)
-            calls += r_calls
-            depth = max(depth, r_depth)
-            return result_ok, calls, depth
-        case _:
-            return False, 0, 0
+        number = go = _structural = None  # each refers to itself through its closure
+    return SubStats(result, calls, depth)
 
 
 # ---------------------------------------------------------------------------

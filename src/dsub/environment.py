@@ -18,6 +18,7 @@ alpha-equivalence); ``==`` is identity, as for syntax nodes.
 from __future__ import annotations
 
 import threading
+from weakref import ref
 
 from .errors import DsubError
 from .syntax import Type, _Parser, canon_type, fresh_name, fv_type, is_ident, print_type
@@ -44,19 +45,18 @@ class TypeEnv:
     An environment is its newest binding on top of the environment it
     extends (``parent``), so an extension shares its prefixes instead of
     copying them.  The environments along a chain of extensions share one
-    index from each bound name to its position and its type; an
-    environment sees only the entries below its own length.  ``lookup``,
-    ``in``, :meth:`unbound` and :meth:`check_scope` take constant time per
-    name; :meth:`binding` walks up to the binding's prefix.  Extending an
+    index from each bound name to its position, a weak reference to the
+    environment before its binding (alive while any environment that sees
+    the entry is) and its type; an environment sees only the entries below
+    its own length.  ``lookup``, ``in``, :meth:`binding`, :meth:`unbound`
+    and :meth:`check_scope` take constant time per name.  Extending an
     environment a second time starts a new index, a copy of the entries it
-    sees.
-
-    Nothing an environment holds refers back to it, so it is freed by
-    reference counting.  What a query computes in an environment (weights,
-    exposures, the search's candidates) lives in that query's memo.
+    sees.  Nothing an environment holds refers back to it strongly, so it is
+    freed by reference counting; what a query computes in an environment
+    (weights, exposures, the search's candidates) lives in that query's memo.
     """
 
-    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key")
+    __slots__ = ("_parent", "_last", "_len", "_index", "_dom", "_key", "__weakref__")
 
     def __init__(self) -> None:
         """The empty environment; :meth:`extend` adds checked bindings."""
@@ -80,7 +80,7 @@ class TypeEnv:
             index = self._index
             if len(index) != self._len or x in index:  # this environment was extended before
                 index = {y: e for y, e in index.items() if e[0] < self._len}
-            index[x] = (self._len, t)
+            index[x] = (self._len, ref(self), t)
         child = object.__new__(TypeEnv)
         child._parent, child._last = self, (x, t)
         child._len, child._index = self._len + 1, index
@@ -141,17 +141,12 @@ class TypeEnv:
 
     def lookup(self, x: str):
         entry = self._entry(x)
-        return None if entry is None else entry[1]
+        return None if entry is None else entry[2]
 
     def binding(self, x: str):
         """``x``'s binding as (the environment before it, its type), or None."""
         entry = self._entry(x)
-        if entry is None:
-            return None
-        prefix = self._parent
-        for _ in range(self._len - 1 - entry[0]):
-            prefix = prefix._parent
-        return prefix, entry[1]
+        return None if entry is None else (entry[1](), entry[2])
 
     @property
     def key(self) -> str:

@@ -117,9 +117,8 @@ def step_subtype(g: TypeEnv, s: Type, t: Type, memo: dict | None = None) -> Subt
     (a fresh one when ``memo`` is None), keyed by the identities of its
     environment and nodes (hash-consed, so identity is structure), so a
     repeated premise is one shared trace node, and a failing goal builds no
-    subtree twice.  The weights and exposures the query computes live in
-    the same memo.  Each entry holds the objects whose ids make its key, so
-    no id is reused while the memo lives."""
+    subtree twice.  The memo keeps the query's weights and exposures too;
+    each entry holds the objects whose ids make its key, so no id is reused."""
     trace = _sub(g, s, t, None, 0, {} if memo is None else memo)
     return SubtypeResult(trace is not None, trace)
 
@@ -295,9 +294,7 @@ def _typ(g: TypeEnv, term: Term, memo: dict) -> Derived | Failed:
 
 
 def _at(field_name: str, failed: Failed) -> Failed:
-    """``failed``, the failure of the subterm in ``field_name``, located
-    from the term holding that subterm; so a dotted location is built only
-    on failure, on the way out."""
+    """The failure of the subterm in ``field_name``, located from its parent."""
     loc = failed.location
     return Failed(failed.reason, f"{field_name}.{loc}" if loc else field_name)
 

@@ -498,6 +498,23 @@ def test_shared_searcher_answers_as_fresh_ones():
                 assert (tree and derivation_to_json(tree)) == fresh[goal, fuel], (goal, fuel, fuels)
 
 
+def test_shared_searcher_keeps_only_its_goal_environments_memo():
+    # over a sweep in one environment the searcher keeps that environment's
+    # exposures and share of the candidates; what a search computes in an
+    # environment it extends (All-<:-All) goes when that search returns
+    env = bad_bounds_env()
+    universe = list(Enumerator(variables=("e",), labels=("E", "V", "Z")).types(3, ("e",)))
+    searcher = DeclSearcher()
+    for s in universe:
+        for t in universe:
+            searcher.search(SubJ(env, s, t), 4)
+    prefixes, g = set(), env
+    while g is not None:
+        prefixes.add(id(g))
+        g = g.parent
+    assert searcher._memo and {key[1] for key in searcher._memo} <= prefixes
+
+
 # ---------------------------------------------------------------------------
 # Elaboration
 

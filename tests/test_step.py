@@ -1,11 +1,13 @@
 import gc
 import itertools
+import sys
 from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dsub.environment
 import dsub.step
 import dsub.syntax
 import dsub.trace
@@ -217,6 +219,42 @@ def test_let_chain_verification_work_is_linear(monkeypatch):
 def test_nest_subtyping_and_verification_work_is_linear(monkeypatch):
     small = _count_calls(monkeypatch, lambda: _checked_subtype(TypeEnv.empty(), _nest(100), _nest(100)))
     large = _count_calls(monkeypatch, lambda: _checked_subtype(TypeEnv.empty(), _nest(200), _nest(200)))
+    assert 0 < large <= 2.5 * small
+
+
+def _environment_lines(run) -> int:
+    """The lines of ``dsub.environment`` that ``run`` executes."""
+    lines = [0]
+
+    def local(frame, event, arg):
+        lines[0] += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == dsub.environment.__file__ else None
+
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return lines[0]
+
+
+def _far_paths(n: int):
+    """``x0: {A: Bot..Top}`` and ``xi: {A: x0.A .. x0.A}``: each ``xi.A``
+    is weighed through ``x0``'s binding, seen from ``xi``'s prefix."""
+    far = Path("x0", "A")
+    g = _env(("x0", Decl("A", Bot(), Top())), *((f"x{i}", Decl("A", far, far)) for i in range(1, n)))
+    memo = {}
+    return lambda: [weight(g, Path(f"x{i}", "A"), memo) for i in range(n)]
+
+
+def test_weighing_far_paths_is_linear():
+    # a binding far below the environment asking for it is found without
+    # walking the bindings in between
+    small = _environment_lines(_far_paths(200))
+    large = _environment_lines(_far_paths(400))
     assert 0 < large <= 2.5 * small
 
 

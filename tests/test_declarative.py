@@ -56,6 +56,21 @@ def _env(*pairs):
     return env_from_bindings(pairs)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EMPTY.extend("x", Var("y")), "not a type: Var(name='y')"),
+        (lambda: SubJ(EMPTY, Var("y"), Top()), "not a type: Var(name='y')"),
+        (lambda: TypJ(EMPTY, Top(), Top()), "not a term: Top()"),
+        (lambda: TypJ(EMPTY, Var("y"), Var("y")), "not a type: Var(name='y')"),
+    ],
+)
+def test_bindings_and_judgments_refuse_nodes_of_the_wrong_sort(build, message):
+    with pytest.raises(TypeError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # decl_verify
 

@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import os
 import pickle
 import subprocess
@@ -125,6 +126,65 @@ def test_alpha_eq_shadowing():
     c = All("y", Top(), All("z", Top(), Path("y", "A")))
     assert alpha_eq_type(a, b)
     assert not alpha_eq_type(a, c)
+
+
+# ---------------------------------------------------------------------------
+# Pinned keys, free variables and substitutions
+#
+# Candidate order in the declarative search sorts by (size, key), so a
+# changed key changes which derivation is found first.
+
+_OPS = {
+    parse_type: (canon_type, fv_type, subst_var_in_type),
+    parse_term: (canon_term, fv_term, subst_var_in_term),
+}
+
+
+@pytest.mark.parametrize(
+    "parse, text, key, free",
+    [
+        (parse_type, "Top", "T", ""),
+        (parse_type, "Bot", "B", ""),
+        (parse_type, "x.A", "x.A", "x"),
+        (parse_type, "{A: Bot .. Top}", "{A:B..T}", ""),
+        (parse_type, "all(x: {A: Bot .. Top}) x.A", "A({A:B..T})@0.A", ""),
+        (parse_type, "all(x: Top) all(y: x.A) {B: x.A .. y.B}", "A(T)A(@0.A){B:@1.A..@0.B}", ""),
+        (parse_type, "all(x: Top) all(x: x.A) x.B", "A(T)A(@0.A)@0.B", ""),
+        (parse_type, "all(x: x.A) x.A", "A(x.A)@0.A", "x"),
+        (parse_term, "x", "x", "x"),
+        (parse_term, "{A = Top}", "{A=T}", ""),
+        (parse_term, "x y", "(x y)", "x,y"),
+        (parse_term, "lam(x: Top) x", "L(T)@0", ""),
+        (parse_term, "let x = {A = Top} in lam(y: x.A) x", "let({A=T})L(@0.A)@1", ""),
+        (parse_term, "lam(x: Top) lam(y: x.A) x y", "L(T)L(@0.A)(@1 @0)", ""),
+        (parse_term, "let x = x in let x = x in x", "let(x)let(@0)@0", "x"),
+        (parse_term, "lam(x: x.A) x", "L(x.A)@0", "x"),
+        (parse_term, "let y = y in lam(x: y.A) y x", "let(y)L(@0.A)(@1 @0)", "y"),
+    ],
+)
+def test_canonical_keys_are_pinned(parse, text, key, free):
+    canon, fv, _ = _OPS[parse]
+    t = parse(text)
+    assert canon(t) == key
+    assert ",".join(sorted(fv(t))) == free
+
+
+def test_enumerated_keys_free_variables_and_substitutions_are_pinned():
+    # every type of size <= 5 and term of size <= 4 over x, y and A, B; the
+    # enumerated binders are named z, so x -> z renames one in 1,356 nodes
+    enum = Enumerator(("x", "y"), ("A", "B"))
+    types = list(enum.types(5, ("x", "y")))
+    terms = list(enum.terms(4, ("x", "y")))
+    assert (len(types), len(terms)) == (5214, 738)
+    digest, renamed = hashlib.sha256(), 0
+    for nodes, parse, show in ((types, parse_type, print_type), (terms, parse_term, print_term)):
+        canon, fv, subst_var = _OPS[parse]
+        for t in nodes:
+            to_y, to_z = show(subst_var(t, "x", "y")), show(subst_var(t, "x", "z"))
+            renamed += "z1" in to_z
+            digest.update(f"{canon(t)}|{','.join(sorted(fv(t)))}|{to_y}|{to_z}\n".encode())
+    assert renamed == 1356
+    assert digest.hexdigest() == "702c680f32b231c884baea99fb0d6167bea5e8425637190dea765abed643933e"
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ from .syntax import (
     Path,
     Top,
     Type,
-    fv_type,
+    fv,
     print_type,
-    subst_var_in_type,
-    type_size,
+    size,
+    subst_var,
 )
 from .trace import Derived, Failed, ShiftJ, step_node
 
@@ -43,14 +43,14 @@ class ShiftInvariantError(AssertionError):
 def promote(g: TypeEnv, t: Type, x: str, memo: dict | None = None) -> Derived | Failed:
     """``memo`` is the query's memo for exposure (a fresh one when None)."""
     result = _shift(g, t, x, True, {} if memo is None else memo)
-    if result and x in fv_type(result.ty):
+    if result and x in fv(result.ty):
         raise ShiftInvariantError(f"promotion left {x!r} free in {print_type(result.ty)}")
     return result
 
 
 def demote(g: TypeEnv, t: Type, x: str) -> Derived | Failed:
     result = _shift(g, t, x, False, {})
-    if result and x in fv_type(result.ty):
+    if result and x in fv(result.ty):
         raise ShiftInvariantError(f"demotion left {x!r} free in {print_type(result.ty)}")
     return result
 
@@ -58,7 +58,7 @@ def demote(g: TypeEnv, t: Type, x: str) -> Derived | Failed:
 def _shift(g: TypeEnv, t: Type, x: str, up: bool, memo: dict, parent: Type | None = None) -> Derived | Failed:
     """Shift ``t``; a component of ``parent`` asserts the structural-size
     termination measure first."""
-    if parent is not None and not type_size(t) < type_size(parent):
+    if parent is not None and not size(t) < size(parent):
         raise ShiftInvariantError(
             f"size did not decrease: {print_type(t)} inside {print_type(parent)}"
         )
@@ -98,11 +98,11 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, memo: dict, parent: Type | Non
             s_result = _shift(g, s, x, not up, memo, t)
             if not s_result:
                 return s_result
-            z = g.fresh(y, (fv_type(u) - {y}) | {x})
+            z = g.fresh(y, (fv(u) - {y}) | {x})
             # promotion recurses under the demoted parameter type, demotion
             # under the original one
             inner_env = g.extend(z, s_result.ty if up else s)
-            u_result = _shift(inner_env, subst_var_in_type(u, y, z), x, up, memo, t)
+            u_result = _shift(inner_env, subst_var(u, y, z), x, up, memo, t)
             if not u_result:
                 return u_result
             out = All(z, s_result.ty, u_result.ty)

@@ -36,9 +36,9 @@ from .dotty import MAX_N, bench_pn
 from .environment import TypeEnv, check_var_name, parse_env
 from .errors import DsubError
 from .exposure import expose
-from .lab import check_no_tag_switch, check_wellbehaved, run_minimality_counterexample
+from .lab import MAX_SIZE, check_no_tag_switch, check_wellbehaved, run_minimality_counterexample
 from .step import step_subtype, step_type
-from .syntax import Term, Type, alpha_eq_type, fv_type, parse_term, parse_type, print_type
+from .syntax import Term, Type, alpha_eq, fv, parse_term, parse_type, print_type
 
 
 @functools.cache
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("file")
     ps = decl_sub.add_parser("search", help="fuel-bounded derivation search")
     ps.add_argument("--env", help="environment file")
-    ps.add_argument("--fuel", type=_fuel, required=True, help=f"search depth, 1 to {MAX_FUEL}")
+    ps.add_argument("--fuel", type=_up_to(MAX_FUEL, "fuel"), required=True, help=f"search depth, 1 to {MAX_FUEL}")
     group = ps.add_mutually_exclusive_group(required=True)
     group.add_argument("--sub", nargs=2, metavar=("S", "T"), help="subtyping goal")
     group.add_argument("--typ", nargs=2, metavar=("FILE", "T"), help="typing goal: term file and type")
@@ -90,15 +90,17 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = lab_sub.add_parser("colours", help="well-behavedness falsification suite")
     pt = lab_sub.add_parser("tags", help="no-tag-switch falsification suite")
     for p in (pc, pt):
-        p.add_argument("--max-size", type=_positive, default=4, help="largest type in the universe, at least 1")
-        p.add_argument("--fuel", type=_fuel, default=6, help=f"search depth, 1 to {MAX_FUEL}")
+        p.add_argument(
+            "--max-size", type=_up_to(MAX_SIZE, "size"), default=4, help=f"largest type in the universe, 1 to {MAX_SIZE}"
+        )
+        p.add_argument("--fuel", type=_up_to(MAX_FUEL, "fuel"), default=6, help=f"search depth, 1 to {MAX_FUEL}")
     lab_sub.add_parser("minimality", help="minimal-typing counterexample report")
 
     p = verb("bench", help="worst-case benchmarks")
     bench_sub = p.add_subparsers(dest="bench_verb", required=True)
     pb = bench_sub.add_parser("pn", help="two-chain exponential family")
-    pb.add_argument("--min", type=_model_size, default=1)
-    pb.add_argument("--max", type=_model_size, default=16)
+    pb.add_argument("--min", type=_up_to(MAX_N, "N"), default=1)
+    pb.add_argument("--max", type=_up_to(MAX_N, "N"), default=16)
     pb.add_argument(
         "--metric", choices=("calls", "nanos"), default="calls",
         help="calls the plain recursion makes, or nanos the memoised model counting them takes "
@@ -114,32 +116,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive(text: str) -> int:
-    """An argparse type: a whole number of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} is less than 1")
-    return n
+def _up_to(maximum: int, what: str):
+    """An argparse type: a whole number from 1 to ``maximum``, the
+    ``what`` (fuel, N, size) an error names."""
 
+    def whole(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{n} is less than 1")
+        if n > maximum:
+            raise argparse.ArgumentTypeError(f"{what} {n} is more than the maximum, {maximum}")
+        return n
 
-def _fuel(text: str) -> int:
-    """An argparse type: fuel from 1 to :data:`~dsub.declarative.MAX_FUEL`."""
-    fuel = _positive(text)
-    if fuel > MAX_FUEL:
-        raise argparse.ArgumentTypeError(f"fuel {fuel} is more than the maximum, {MAX_FUEL}")
-    return fuel
-
-
-def _model_size(text: str) -> int:
-    """An argparse type: N of the worst-case family, 1 to
-    :data:`~dsub.dotty.MAX_N`."""
-    n = _positive(text)
-    if n > MAX_N:
-        raise argparse.ArgumentTypeError(f"N {n} is more than the maximum, {MAX_N}")
-    return n
+    return whole
 
 
 def _load_env(path) -> TypeEnv:
@@ -153,7 +145,7 @@ def _load_types(env: TypeEnv, *texts: str) -> tuple:
     :meth:`TypeEnv.extend` refuses them, when they mention a variable
     ``env`` does not bind: such a query has no answer to give."""
     types = tuple(map(parse_type, texts))
-    env.check_scope("type", frozenset().union(*map(fv_type, types)))
+    env.check_scope("type", frozenset().union(*map(fv, types)))
     return types
 
 
@@ -353,7 +345,7 @@ def _mismatch(decision: tuple, expect) -> str:
     if not expect:
         raise DsubError("case states no expectation")
     if expect.startswith("typed ") and answer.startswith("typed "):
-        agrees = alpha_eq_type(parse_type(expect[len("typed ") :]), outcome.ty)
+        agrees = alpha_eq(parse_type(expect[len("typed ") :]), outcome.ty)
     else:
         agrees = expect == answer
     return "" if agrees else f"expected {expect}, got {answer}" + (f": {why}" if why else "")

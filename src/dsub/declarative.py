@@ -43,17 +43,13 @@ from .syntax import (
     Top,
     Type,
     Var,
-    alpha_eq_term,
-    alpha_eq_type,
-    canon_term,
-    canon_type,
-    fv_term,
-    fv_type,
+    alpha_eq,
+    canon,
+    fv,
     parse_term,
     parse_type,
-    subst_var_in_term,
-    subst_var_in_type,
-    type_size,
+    size,
+    subst_var,
 )
 from .trace import DerivationTree, ShiftJ, SubJ, TypJ, derivation_to_json
 
@@ -145,7 +141,7 @@ def _check_bot(node: DerivationTree) -> Optional[str]:
 
 
 def _check_refl(node: DerivationTree) -> Optional[str]:
-    if not alpha_eq_type(node.conclusion.lhs, node.conclusion.rhs):
+    if not alpha_eq(node.conclusion.lhs, node.conclusion.rhs):
         return "sides are not alpha-equal"
     return _arity(node, 0)
 
@@ -160,11 +156,11 @@ def _check_trans(node: DerivationTree) -> Optional[str]:
     c = node.conclusion
     if not (_same_env(left.env, c.env) and _same_env(right.env, c.env)):
         return "premise environments differ from the conclusion's"
-    if not alpha_eq_type(left.lhs, c.lhs):
+    if not alpha_eq(left.lhs, c.lhs):
         return "first premise does not start at the conclusion's left side"
-    if not alpha_eq_type(right.rhs, c.rhs):
+    if not alpha_eq(right.rhs, c.rhs):
         return "second premise does not end at the conclusion's right side"
-    if not alpha_eq_type(left.rhs, right.lhs):
+    if not alpha_eq(left.rhs, right.lhs):
         return "premises do not agree on a midpoint"
     return None
 
@@ -195,9 +191,9 @@ def _check_sel(node: DerivationTree) -> Optional[str]:
     if bad:
         return bad
     decl = node.premises[0].conclusion.ty
-    if left and not alpha_eq_type(decl.upper, c.rhs):
+    if left and not alpha_eq(decl.upper, c.rhs):
         return "declaration's upper bound differs from the conclusion's right side"
-    if not left and not alpha_eq_type(decl.lower, c.lhs):
+    if not left and not alpha_eq(decl.lower, c.lhs):
         return "declaration's lower bound differs from the conclusion's left side"
     return None
 
@@ -214,17 +210,17 @@ def _check_all_sub(node: DerivationTree) -> Optional[str]:
         return "premises must be subtyping judgments"
     if not _same_env(params.env, c.env):
         return "parameter premise environment differs from the conclusion's"
-    if not (alpha_eq_type(params.lhs, c.rhs.param_type) and alpha_eq_type(params.rhs, c.lhs.param_type)):
+    if not (alpha_eq(params.lhs, c.rhs.param_type) and alpha_eq(params.rhs, c.lhs.param_type)):
         return "parameter premise is not the contravariant comparison"
     extra = _extends_by_one(bodies.env, c.env)
     if extra is None:
         return "body premise environment must extend the conclusion's by one binding"
     z, bound = extra
-    if not alpha_eq_type(bound, c.rhs.param_type):
+    if not alpha_eq(bound, c.rhs.param_type):
         return "body premise binds the variable at the wrong type"
-    if not alpha_eq_type(bodies.lhs, subst_var_in_type(c.lhs.result, c.lhs.param, z)):
+    if not alpha_eq(bodies.lhs, subst_var(c.lhs.result, c.lhs.param, z)):
         return "body premise left side does not match the conclusion's"
-    if not alpha_eq_type(bodies.rhs, subst_var_in_type(c.rhs.result, c.rhs.param, z)):
+    if not alpha_eq(bodies.rhs, subst_var(c.rhs.result, c.rhs.param, z)):
         return "body premise right side does not match the conclusion's"
     return None
 
@@ -241,9 +237,9 @@ def _check_typ_sub(node: DerivationTree) -> Optional[str]:
         return "premises must be subtyping judgments"
     if not (_same_env(lowers.env, c.env) and _same_env(uppers.env, c.env)):
         return "premise environments differ from the conclusion's"
-    if not (alpha_eq_type(lowers.lhs, c.rhs.lower) and alpha_eq_type(lowers.rhs, c.lhs.lower)):
+    if not (alpha_eq(lowers.lhs, c.rhs.lower) and alpha_eq(lowers.rhs, c.lhs.lower)):
         return "lower-bound premise is not the contravariant comparison"
-    if not (alpha_eq_type(uppers.lhs, c.lhs.upper) and alpha_eq_type(uppers.rhs, c.rhs.upper)):
+    if not (alpha_eq(uppers.lhs, c.lhs.upper) and alpha_eq(uppers.rhs, c.rhs.upper)):
         return "upper-bound premise is not the covariant comparison"
     return None
 
@@ -255,7 +251,7 @@ def _check_var(node: DerivationTree) -> Optional[str]:
     stored = c.env.lookup(c.term.name)
     if stored is None:
         return f"variable {c.term.name!r} is unbound"
-    if not alpha_eq_type(stored, c.ty):
+    if not alpha_eq(stored, c.ty):
         return "assigned type differs from the environment's"
     return _arity(node, 0)
 
@@ -267,8 +263,8 @@ def _check_typ_i(node: DerivationTree) -> Optional[str]:
     ok = (
         isinstance(c.ty, Decl)
         and c.ty.label == c.term.label
-        and alpha_eq_type(c.ty.lower, c.term.alias)
-        and alpha_eq_type(c.ty.upper, c.term.alias)
+        and alpha_eq(c.ty.lower, c.term.alias)
+        and alpha_eq(c.ty.upper, c.term.alias)
     )
     if not ok:
         return "assigned type must be the tag's label bounded by its alias on both sides"
@@ -284,7 +280,7 @@ def _check_all_i(node: DerivationTree) -> Optional[str]:
         return "term must be a lambda"
     if not isinstance(c.ty, All):
         return "assigned type must be a function type"
-    if not alpha_eq_type(c.ty.param_type, c.term.param_type):
+    if not alpha_eq(c.ty.param_type, c.term.param_type):
         return "function type's parameter differs from the lambda's annotation"
     body = node.premises[0].conclusion
     if not isinstance(body, TypJ):
@@ -293,11 +289,11 @@ def _check_all_i(node: DerivationTree) -> Optional[str]:
     if extra is None:
         return "premise environment must extend the conclusion's by one binding"
     z, bound = extra
-    if not alpha_eq_type(bound, c.term.param_type):
+    if not alpha_eq(bound, c.term.param_type):
         return "premise binds the parameter at the wrong type"
-    if not alpha_eq_term(body.term, subst_var_in_term(c.term.body, c.term.param, z)):
+    if not alpha_eq(body.term, subst_var(c.term.body, c.term.param, z)):
         return "premise does not type the lambda's body"
-    if not alpha_eq_type(body.ty, subst_var_in_type(c.ty.result, c.ty.param, z)):
+    if not alpha_eq(body.ty, subst_var(c.ty.result, c.ty.param, z)):
         return "premise type does not match the function type's result"
     return None
 
@@ -320,10 +316,10 @@ def _check_all_e(node: DerivationTree) -> Optional[str]:
         return "second premise must type the argument variable"
     if not isinstance(fun.ty, All):
         return "function premise must assign a function type"
-    if not alpha_eq_type(arg.ty, fun.ty.param_type):
+    if not alpha_eq(arg.ty, fun.ty.param_type):
         return "argument type differs from the parameter type"
-    expected = subst_var_in_type(fun.ty.result, fun.ty.param, c.term.arg)
-    if not alpha_eq_type(c.ty, expected):
+    expected = subst_var(fun.ty.result, fun.ty.param, c.term.arg)
+    if not alpha_eq(c.ty, expected):
         return "assigned type is not the instantiated result type"
     return None
 
@@ -340,19 +336,19 @@ def _check_let(node: DerivationTree) -> Optional[str]:
         return "premises must be typing judgments"
     if not _same_env(rhs.env, c.env):
         return "right-hand-side premise environment differs from the conclusion's"
-    if not alpha_eq_term(rhs.term, c.term.rhs):
+    if not alpha_eq(rhs.term, c.term.rhs):
         return "first premise does not type the bound expression"
     extra = _extends_by_one(body.env, c.env)
     if extra is None:
         return "body premise environment must extend the conclusion's by one binding"
     z, bound = extra
-    if not alpha_eq_type(bound, rhs.ty):
+    if not alpha_eq(bound, rhs.ty):
         return "body premise binds the variable at a different type"
-    if not alpha_eq_term(body.term, subst_var_in_term(c.term.body, c.term.bound, z)):
+    if not alpha_eq(body.term, subst_var(c.term.body, c.term.bound, z)):
         return "body premise does not type the let body"
-    if z in fv_type(body.ty):
+    if z in fv(body.ty):
         return "bound variable escapes in the body's type"
-    if not alpha_eq_type(body.ty, c.ty):
+    if not alpha_eq(body.ty, c.ty):
         return "assigned type differs from the body's type"
     return None
 
@@ -367,11 +363,11 @@ def _check_sub(node: DerivationTree) -> Optional[str]:
         return "premises must be a typing judgment then a subtyping judgment"
     if not (_same_env(typing.env, c.env) and _same_env(widening.env, c.env)):
         return "premise environments differ from the conclusion's"
-    if not alpha_eq_term(typing.term, c.term):
+    if not alpha_eq(typing.term, c.term):
         return "typing premise is about a different term"
-    if not alpha_eq_type(widening.lhs, typing.ty):
+    if not alpha_eq(widening.lhs, typing.ty):
         return "subtyping premise does not start at the premise type"
-    if not alpha_eq_type(widening.rhs, c.ty):
+    if not alpha_eq(widening.rhs, c.ty):
         return "subtyping premise does not end at the assigned type"
     return None
 
@@ -404,8 +400,8 @@ MAX_FUEL = 200
 
 
 def _add_candidate(t: Type, scope: frozenset, seen: dict) -> None:
-    if fv_type(t) <= scope:  # candidates must stay well-scoped in the goal's env
-        seen.setdefault(canon_type(t), t)
+    if fv(t) <= scope:  # candidates must stay well-scoped in the goal's env
+        seen.setdefault(canon(t), t)
 
 
 def _add_subterms(t: Type, scope: frozenset, seen: dict) -> None:
@@ -449,7 +445,7 @@ def _candidates(g: TypeEnv, own: tuple, memo: dict) -> list:
     seen: dict = {}
     for t in (Top(), Bot(), *own):
         _add_subterms(t, scope, seen)
-    return sorted({**_env_candidates(g, memo), **seen}.items(), key=lambda kt: (type_size(kt[1]), kt[0]))
+    return sorted({**_env_candidates(g, memo), **seen}.items(), key=lambda kt: (size(kt[1]), kt[0]))
 
 
 def _tree(proof: tuple, built: dict) -> DerivationTree:
@@ -517,7 +513,7 @@ class DeclSearcher:
     # -- subtyping goals
 
     def _sub(self, g: TypeEnv, lhs: Type, rhs: Type, fuel: int) -> Optional[tuple]:
-        lk, rk = canon_type(lhs), canon_type(rhs)
+        lk, rk = canon(lhs), canon(rhs)
         failed = self._failed["sub", g.key, lk]
         if failed.get(rk, 0) >= fuel:
             return None
@@ -542,9 +538,9 @@ class DeclSearcher:
         if isinstance(lhs, All) and isinstance(rhs, All):
             params = self._sub(g, rhs.param_type, lhs.param_type, fuel)
             if params is not None:
-                z = g.fresh(lhs.param, (fv_type(lhs.result) - {lhs.param}) | (fv_type(rhs.result) - {rhs.param}))
-                left = subst_var_in_type(lhs.result, lhs.param, z)
-                right = subst_var_in_type(rhs.result, rhs.param, z)
+                z = g.fresh(lhs.param, (fv(lhs.result) - {lhs.param}) | (fv(rhs.result) - {rhs.param}))
+                left = subst_var(lhs.result, lhs.param, z)
+                right = subst_var(rhs.result, rhs.param, z)
                 bodies = self._sub(g.extend(z, rhs.param_type), left, right, fuel)
                 if bodies is not None:
                     return ("All-<:-All", SubJ, g, lhs, rhs, (params, bodies))
@@ -574,7 +570,7 @@ class DeclSearcher:
     # -- typing goals
 
     def _typ(self, g: TypeEnv, term: Term, ty: Type, fuel: int) -> Optional[tuple]:
-        mk, tk = canon_term(term), canon_type(ty)
+        mk, tk = canon(term), canon(ty)
         failed = self._failed["typ", g.key, mk]
         if failed.get(tk, 0) >= fuel:
             return None
@@ -585,10 +581,10 @@ class DeclSearcher:
         match term:
             case Var(name=x):
                 stored = g.lookup(x)
-                if stored is not None and canon_type(stored) == tk:
+                if stored is not None and canon(stored) == tk:
                     return ("Var", TypJ, g, term, ty, ())
             case Tag(label=a, alias=alias):
-                if canon_type(Decl(a, alias, alias)) == tk:
+                if canon(Decl(a, alias, alias)) == tk:
                     return ("Typ-I", TypJ, g, term, ty, ())
         fuel -= 1  # every other rule has premises
         if fuel == 0:
@@ -597,9 +593,9 @@ class DeclSearcher:
 
         match term:
             case Lam(param=x, param_type=annot, body=body):
-                if isinstance(ty, All) and alpha_eq_type(ty.param_type, annot):
-                    z = g.fresh(x, (fv_term(body) - {x}) | (fv_type(ty.result) - {ty.param}))
-                    inner = subst_var_in_term(body, x, z), subst_var_in_type(ty.result, ty.param, z)
+                if isinstance(ty, All) and alpha_eq(ty.param_type, annot):
+                    z = g.fresh(x, (fv(body) - {x}) | (fv(ty.result) - {ty.param}))
+                    inner = subst_var(body, x, z), subst_var(ty.result, ty.param, z)
                     premise = self._typ(g.extend(z, annot), *inner, fuel)
                     if premise is not None:
                         return ("All-I", TypJ, g, term, ty, (premise,))
@@ -608,7 +604,7 @@ class DeclSearcher:
                 for _, fun_ty in candidates:
                     if not isinstance(fun_ty, All):
                         continue
-                    if canon_type(subst_var_in_type(fun_ty.result, fun_ty.param, a)) != tk:
+                    if canon(subst_var(fun_ty.result, fun_ty.param, a)) != tk:
                         continue
                     fun_premise = self._typ(g, Var(f), fun_ty, fuel)
                     if fun_premise is None:
@@ -617,14 +613,14 @@ class DeclSearcher:
                     if arg_premise is not None:
                         return ("All-E", TypJ, g, term, ty, (fun_premise, arg_premise))
             case Let(bound=x, rhs=rhs, body=body):
-                if x not in fv_type(ty):
+                if x not in fv(ty):
                     candidates = self._candidates(g, (ty,))
                     for _, rhs_ty in candidates:
                         rhs_premise = self._typ(g, rhs, rhs_ty, fuel)
                         if rhs_premise is None:
                             continue
-                        z = g.fresh(x, (fv_term(body) - {x}) | fv_type(ty))
-                        body_premise = self._typ(g.extend(z, rhs_ty), subst_var_in_term(body, x, z), ty, fuel)
+                        z = g.fresh(x, (fv(body) - {x}) | fv(ty))
+                        body_premise = self._typ(g.extend(z, rhs_ty), subst_var(body, x, z), ty, fuel)
                         if body_premise is not None:
                             return ("Let", TypJ, g, term, ty, (rhs_premise, body_premise))
 
@@ -707,7 +703,7 @@ def _var_at(g: TypeEnv, x: str, ty: Type, memo: dict, widening) -> DerivationTre
     """x : ty via Var at the stored type, then, when ``ty`` differs from it,
     one subsumption step by ``widening()``, a derivation of stored <: ty."""
     var_node = _var_node(g, x, memo)
-    if alpha_eq_type(var_node.conclusion.ty, ty):
+    if alpha_eq(var_node.conclusion.ty, ty):
         return var_node
     return _typ_tree("Sub", g, Var(x), ty, (var_node, widening()))
 
@@ -757,7 +753,7 @@ def _select(
     else:
         typing = _var_at(g, path.var, decl, memo, lambda: _elab(head, memo))
     rule, bound = ("Sel-<:", decl.upper) if left else ("<:-Sel", decl.lower)
-    if alpha_eq_type(bound, other):
+    if alpha_eq(bound, other):
         return DerivationTree(rule, goal, (typing,))
     if left:
         to_bound = _sub_tree(rule, g, path, bound, (typing,))
@@ -810,11 +806,11 @@ def _elab_t_all_e(node: DerivationTree, memo: dict) -> DerivationTree:
     fun_node, head_node, arg_node, sub_node = node.premises
     fun_ty = head_node.conclusion.out
     fun_deriv = _elab(fun_node, memo)
-    if not alpha_eq_type(fun_deriv.conclusion.ty, fun_ty):
+    if not alpha_eq(fun_deriv.conclusion.ty, fun_ty):
         fun_deriv = _typ_tree("Sub", g, Var(term.fun), fun_ty, (fun_deriv, _elab(head_node, memo)))
     arg_deriv = _elab(arg_node, memo)
     param_ty = fun_ty.param_type
-    if not alpha_eq_type(arg_deriv.conclusion.ty, param_ty):
+    if not alpha_eq(arg_deriv.conclusion.ty, param_ty):
         arg_deriv = _typ_tree("Sub", g, Var(term.arg), param_ty, (arg_deriv, _elab(sub_node, memo)))
     return DerivationTree("All-E", c, (fun_deriv, arg_deriv))
 
@@ -834,7 +830,7 @@ def _elab_t_let(node: DerivationTree, memo: dict) -> DerivationTree:
     rhs_node, body_node, promote_node = node.premises
     rhs_deriv = _elab(rhs_node, memo)
     body_deriv = _elab(body_node, memo)
-    if not alpha_eq_type(body_deriv.conclusion.ty, c.ty):
+    if not alpha_eq(body_deriv.conclusion.ty, c.ty):
         widening = _elab(promote_node, memo)  # body type <: promoted type
         body = body_node.conclusion
         body_deriv = _typ_tree("Sub", body.env, body.term, c.ty, (body_deriv, widening))

@@ -21,7 +21,7 @@ import threading
 from weakref import ref
 
 from .errors import DsubError
-from .syntax import Type, _Parser, canon_type, fresh_name, fv_type, is_ident, print_type
+from .syntax import Type, _Parser, canon, check_sort, fresh_name, fv, is_ident, print_type
 
 
 class DuplicateBinding(DsubError):
@@ -72,7 +72,8 @@ class TypeEnv:
         check_var_name(x)
         if x in self:
             raise DuplicateBinding(f"variable {x!r} is already bound")
-        free = fv_type(t)
+        check_sort(t, Type)
+        free = fv(t)
         if x in free:
             raise SelfReference(f"variable {x!r} occurs free in its own type")
         self.check_scope("type", free)
@@ -162,8 +163,8 @@ class TypeEnv:
                 x, t = self._last
                 head = parent._key
                 if head is None:
-                    head = ";".join(f"{y}:{canon_type(u)}" for y, u in parent.bindings)
-                self._key = f"{head};{x}:{canon_type(t)}" if head else f"{x}:{canon_type(t)}"
+                    head = ";".join(f"{y}:{canon(u)}" for y, u in parent.bindings)
+                self._key = f"{head};{x}:{canon(t)}" if head else f"{x}:{canon(t)}"
         return self._key
 
     def dom(self) -> frozenset:

@@ -42,7 +42,7 @@ from .syntax import (
     Top,
     Type,
     Var,
-    alpha_eq_type,
+    alpha_eq,
     print_type,
 )
 
@@ -170,6 +170,11 @@ def is_red(t: Type, *, var: str = PIVOT_VAR, label: str = PIVOT_LABEL) -> bool:
 # ---------------------------------------------------------------------------
 # Enumerators
 
+# Largest universe size the harnesses take from the command line.  Types of
+# this grammar have odd sizes, so 5 and 6 give the same 5,890 types; size 7
+# gives 400,305, with some 10^11 searches to run over them.
+MAX_SIZE = 5
+
 _BINDER_BASES = ("x", "y", "z")
 
 
@@ -201,6 +206,17 @@ class Enumerator:
         self._type_memo: dict = {}
         self._term_memo: dict = {}
 
+    @staticmethod
+    def _binders(cls, size: int, scope: tuple, outer, inner) -> Iterator:
+        """Every ``cls(z, s, u)`` of ``size`` nodes, ``z`` the binder for
+        ``scope``: ``s`` from ``outer(n, scope)``, ``u`` from ``inner(n,
+        scope + (z,))``, smaller ``s`` first."""
+        binder = _binder_for(scope)
+        for s_size in range(1, size - 1):
+            for s in outer(s_size, scope):
+                for u in inner(size - 1 - s_size, scope + (binder,)):
+                    yield cls(binder, s, u)
+
     def types_of_size(self, size: int, scope: tuple) -> tuple:
         key = (size, scope)
         if key in self._type_memo:
@@ -219,13 +235,7 @@ class Enumerator:
                     for lo in self.types_of_size(lo_size, scope):
                         for hi in self.types_of_size(hi_size, scope):
                             out.append(Decl(a, lo, hi))
-            binder = _binder_for(scope)
-            inner = scope + (binder,)
-            for s_size in range(1, size - 1):
-                u_size = size - 1 - s_size
-                for s in self.types_of_size(s_size, scope):
-                    for u in self.types_of_size(u_size, inner):
-                        out.append(All(binder, s, u))
+            out.extend(self._binders(All, size, scope, self.types_of_size, self.types_of_size))
         result = tuple(out)
         self._type_memo[key] = result
         return result
@@ -249,18 +259,8 @@ class Enumerator:
             for a in self.labels:
                 for ty in self.types_of_size(size - 1, scope):
                     out.append(Tag(a, ty))
-            binder = _binder_for(scope)
-            inner = scope + (binder,)
-            for ty_size in range(1, size - 1):
-                body_size = size - 1 - ty_size
-                for ty in self.types_of_size(ty_size, scope):
-                    for body in self.terms_of_size(body_size, inner):
-                        out.append(Lam(binder, ty, body))
-            for rhs_size in range(1, size - 1):
-                body_size = size - 1 - rhs_size
-                for rhs in self.terms_of_size(rhs_size, scope):
-                    for body in self.terms_of_size(body_size, inner):
-                        out.append(Let(binder, rhs, body))
+            out.extend(self._binders(Lam, size, scope, self.types_of_size, self.terms_of_size))
+            out.extend(self._binders(Let, size, scope, self.terms_of_size, self.terms_of_size))
         result = tuple(out)
         self._term_memo[key] = result
         return result
@@ -459,7 +459,7 @@ def run_minimality_counterexample() -> MinimalityReport:
     outcome = step_type(env, body)
     if outcome:
         report.step_result = print_type(outcome.ty)
-        report.step_result_ok = alpha_eq_type(outcome.ty, DECL_V)
+        report.step_result_ok = alpha_eq(outcome.ty, DECL_V)
     else:
         report.step_result = outcome.describe()
 

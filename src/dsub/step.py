@@ -41,12 +41,10 @@ from .syntax import (
     Top,
     Type,
     Var,
-    alpha_eq_type,
-    fv_term,
-    fv_type,
+    alpha_eq,
+    fv,
     print_type,
-    subst_var_in_term,
-    subst_var_in_type,
+    subst_var,
 )
 from .trace import DerivationTree, Derived, Failed, SubJ, TypJ, step_node
 
@@ -87,8 +85,8 @@ def weight(g: TypeEnv, t: Type, memo: dict | None = None) -> int:
             prefix, stored = found
             w = 1 + weight(prefix, stored, memo)
         case All(param=x, param_type=s, result=u):
-            z = g.fresh(x, fv_type(u) - {x})
-            w = 1 + weight(g.extend(z, s), subst_var_in_type(u, x, z), memo)
+            z = g.fresh(x, fv(u) - {x})
+            w = 1 + weight(g.extend(z, s), subst_var(u, x, z), memo)
         case _:
             raise TypeError(f"not a type: {t!r}")
     memo[key] = w, g, t
@@ -164,11 +162,11 @@ def _sub_rules(
             if upper is not None:
                 return step_node("S-Typ-<:-Typ", SubJ(g, s, t), (lower, upper))
 
-    if isinstance(s, All) and isinstance(t, All) and alpha_eq_type(s.param_type, t.param_type):
-        z = g.fresh(s.param, (fv_type(s.result) - {s.param}) | (fv_type(t.result) - {t.param}))
+    if isinstance(s, All) and isinstance(t, All) and alpha_eq(s.param_type, t.param_type):
+        z = g.fresh(s.param, (fv(s.result) - {s.param}) | (fv(t.result) - {t.param}))
         inner_env = g.extend(z, s.param_type)
-        lhs_body = subst_var_in_type(s.result, s.param, z)
-        rhs_body = subst_var_in_type(t.result, t.param, z)
+        lhs_body = subst_var(s.result, s.param, z)
+        rhs_body = subst_var(t.result, t.param, z)
         inner = _sub(inner_env, lhs_body, rhs_body, measure, depth + 1, memo)
         if inner is not None:
             return step_node("S-All-<:-All", SubJ(g, s, t), (inner,))
@@ -230,20 +228,20 @@ def _typ(g: TypeEnv, term: Term, memo: dict) -> Derived | Failed:
             return Derived(stored, step_node("T-Var", TypJ(g, term, stored)))
 
         case Tag(label=a, alias=ty):
-            out_of_scope = g.unbound(fv_type(ty))
+            out_of_scope = g.unbound(fv(ty))
             if out_of_scope:
                 return Failed(f"tag type mentions unbound variable(s): {', '.join(sorted(out_of_scope))}")
             result = Decl(a, ty, ty)
             return Derived(result, step_node("T-Typ-I", TypJ(g, term, result)))
 
         case Lam(param=x, param_type=ty, body=body):
-            out_of_scope = g.unbound(fv_type(ty))
+            out_of_scope = g.unbound(fv(ty))
             if out_of_scope:
                 return Failed(
                     f"parameter type mentions unbound variable(s): {', '.join(sorted(out_of_scope))}"
                 )
-            z = g.fresh(x, fv_term(body) - {x})
-            inner = _typ(g.extend(z, ty), subst_var_in_term(body, x, z), memo)
+            z = g.fresh(x, fv(body) - {x})
+            inner = _typ(g.extend(z, ty), subst_var(body, x, z), memo)
             if not inner:
                 return _at("body", inner)
             result = All(z, ty, inner.ty)
@@ -270,7 +268,7 @@ def _typ(g: TypeEnv, term: Term, memo: dict) -> Derived | Failed:
                             f"argument type {print_type(arg_typed.ty)} is not a step subtype "
                             f"of parameter type {print_type(s)}"
                         )
-                    result = subst_var_in_type(u, z, a)
+                    result = subst_var(u, z, a)
                     premises = (fun_typed.trace, head.trace, arg_typed.trace, check.trace)
                     return Derived(result, step_node("T-All-E", TypJ(g, term, result), premises))
                 case other:
@@ -280,9 +278,9 @@ def _typ(g: TypeEnv, term: Term, memo: dict) -> Derived | Failed:
             rhs_typed = _typ(g, rhs, memo)
             if not rhs_typed:
                 return _at("rhs", rhs_typed)
-            z = g.fresh(x, fv_term(body) - {x})
+            z = g.fresh(x, fv(body) - {x})
             inner_env = g.extend(z, rhs_typed.ty)
-            body_typed = _typ(inner_env, subst_var_in_term(body, x, z), memo)
+            body_typed = _typ(inner_env, subst_var(body, x, z), memo)
             if not body_typed:
                 return _at("body", body_typed)
             promoted = promote(inner_env, body_typed.ty, z, memo)

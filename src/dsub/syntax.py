@@ -5,9 +5,15 @@ selections ``x.A``, and dependent function types ``all(x: S) T``.  Terms are
 in administrative normal form: variables, type tags ``{A = T}``, lambdas,
 variable-to-variable applications, and lets.
 
-Binding uses concrete names.  ``all``/``lam``/``let`` bind their variable in
-the body only (never in the annotation), and every operation here is
-capture-avoiding; outputs are meaningful up to alpha-equivalence.
+Binding uses concrete names, and the three binders ``all(x: S) T``,
+``lam(x: S) t`` and ``let x = t in u`` follow one rule: the variable scopes
+over the last field only (never the annotation or right side), and a binder
+that would capture a substituted variable is renamed.  So free variables,
+size, substitution, canonical keys and alpha-equivalence are each one
+function over types and terms alike, with one case for the three binders;
+they refuse only what is not a node.  A sort is checked where one is
+required, by :func:`check_sort`: when a variable is bound and when a
+judgment is built.  Outputs are meaningful up to alpha-equivalence.
 
 Nodes are hash-consed: there is one live node per structure, so ``==`` on
 types and terms is identity.  The parser refuses input nested deeper than
@@ -180,7 +186,6 @@ class All(_Node):
 
 
 Type = Top | Bot | Decl | Path | All
-_TYPE_CLASSES = (Top, Bot, Decl, Path, All)
 
 
 class Var(_Node):
@@ -242,16 +247,24 @@ class Let(_Node):
 
 
 Term = Var | Tag | Lam | App | Let
-_TERM_CLASSES = (Var, Tag, Lam, App, Let)
+
+# The head of each binder's canonical key.
+_BINDER_HEADS = {All: "A", Lam: "L", Let: "let"}
+
+
+def check_sort(t, sort) -> None:
+    """Refuse ``t`` unless it is a node of ``sort``, :data:`Type` or
+    :data:`Term`: the check made where a sort is required (a binding, a
+    judgment); the operations below take a node of either sort."""
+    if not isinstance(t, sort):
+        raise TypeError(f"not a {'type' if sort is Type else 'term'}: {t!r}")
 
 
 # ---------------------------------------------------------------------------
 # Free variables and sizes
 
 
-def fv_type(t: Type) -> frozenset:
-    if not isinstance(t, _TYPE_CLASSES):
-        raise TypeError(f"not a type: {t!r}")
+def fv(t: Type | Term) -> frozenset:
     try:
         return t._fv
     except AttributeError:
@@ -259,47 +272,25 @@ def fv_type(t: Type) -> frozenset:
     match t:
         case Top() | Bot():
             free = frozenset()
-        case Path(var=x):
+        case Path(x) | Var(x):
             free = frozenset((x,))
-        case Decl(lower=lo, upper=hi):
-            free = fv_type(lo) | fv_type(hi)
-        case All(param=x, param_type=s, result=u):
-            free = fv_type(s) | (fv_type(u) - {x})
-    _set_fv(t, free)
-    return free
-
-
-def fv_term(t: Term) -> frozenset:
-    if not isinstance(t, _TERM_CLASSES):
-        raise TypeError(f"not a term: {t!r}")
-    try:
-        return t._fv
-    except AttributeError:
-        pass
-    match t:
-        case Var(name=x):
-            free = frozenset((x,))
-        case Tag(alias=ty):
-            free = fv_type(ty)
-        case Lam(param=x, param_type=ty, body=b):
-            free = fv_type(ty) | (fv_term(b) - {x})
-        case App(fun=f, arg=a):
+        case App(f, a):
             free = frozenset((f, a))
-        case Let(bound=x, rhs=r, body=b):
-            free = fv_term(r) | (fv_term(b) - {x})
+        case Decl(_, lo, hi):
+            free = fv(lo) | fv(hi)
+        case Tag(_, ty):
+            free = fv(ty)
+        case All(x, s, u) | Lam(x, s, u) | Let(x, s, u):
+            free = fv(s) | (fv(u) - {x})
+        case _:
+            raise TypeError(f"not a node: {t!r}")
     _set_fv(t, free)
     return free
 
 
-def type_size(t: Type) -> int:
-    if not isinstance(t, _TYPE_CLASSES):
-        raise TypeError(f"not a type: {t!r}")
-    return t._size
-
-
-def term_size(t: Term) -> int:
-    if not isinstance(t, _TERM_CLASSES):
-        raise TypeError(f"not a term: {t!r}")
+def size(t: Type | Term) -> int:
+    if not isinstance(t, _Node):
+        raise TypeError(f"not a node: {t!r}")
     return t._size
 
 
@@ -318,62 +309,34 @@ def fresh_name(base: str, avoid) -> str:
     return f"{base}{n}"
 
 
-def subst_var_in_type(t: Type, frm: str, to: str) -> Type:
-    """Replace free occurrences of variable ``frm`` with ``to``.
+def subst_var(t: Type | Term, frm: str, to: str) -> Type | Term:
+    """Replace free occurrences of variable ``frm`` with ``to``, through the
+    types embedded in a term too.
 
     Binders equal to ``to`` are renamed first so the substituted variable is
-    never captured.  A type in which ``frm`` is not free is returned as is.
+    never captured.  A node in which ``frm`` is not free is returned as is.
     """
-    if frm == to or frm not in fv_type(t):
+    if frm == to or frm not in fv(t):
         return t
     match t:
-        case Path(var=x, label=a):
-            return Path(to, a) if x == frm else t
-        case Decl(label=a, lower=lo, upper=hi):
-            return Decl(a, subst_var_in_type(lo, frm, to), subst_var_in_type(hi, frm, to))
-        case All(param=x, param_type=s, result=u):
-            s2 = subst_var_in_type(s, frm, to)
-            if x == frm:
-                return All(x, s2, u)
-            if x == to and frm in fv_type(u):
-                x2 = fresh_name(x, fv_type(u) | {frm, to})
-                u = subst_var_in_type(u, x, x2)
-                x = x2
-            return All(x, s2, subst_var_in_type(u, frm, to))
-    raise TypeError(f"not a type: {t!r}")
-
-
-def subst_var_in_term(t: Term, frm: str, to: str) -> Term:
-    """Variable-for-variable substitution through a term, including the types
-    embedded in it; capture-avoiding like :func:`subst_var_in_type`."""
-    if frm == to or frm not in fv_term(t):
-        return t
-    match t:
-        case Var(name=x):
-            return Var(to) if x == frm else t
-        case Tag(label=a, alias=ty):
-            return Tag(a, subst_var_in_type(ty, frm, to))
-        case App(fun=f, arg=a):
+        case Path(_, a):
+            return Path(to, a)
+        case Var():
+            return Var(to)
+        case App(f, a):
             return App(to if f == frm else f, to if a == frm else a)
-        case Lam(param=x, param_type=ty, body=b):
-            ty2 = subst_var_in_type(ty, frm, to)
-            if x == frm:
-                return Lam(x, ty2, b)
-            if x == to and frm in fv_term(b):
-                x2 = fresh_name(x, fv_term(b) | {frm, to})
-                b = subst_var_in_term(b, x, x2)
-                x = x2
-            return Lam(x, ty2, subst_var_in_term(b, frm, to))
-        case Let(bound=x, rhs=r, body=b):
-            r2 = subst_var_in_term(r, frm, to)
-            if x == frm:
-                return Let(x, r2, b)
-            if x == to and frm in fv_term(b):
-                x2 = fresh_name(x, fv_term(b) | {frm, to})
-                b = subst_var_in_term(b, x, x2)
-                x = x2
-            return Let(x, r2, subst_var_in_term(b, frm, to))
-    raise TypeError(f"not a term: {t!r}")
+        case Decl(a, lo, hi):
+            return Decl(a, subst_var(lo, frm, to), subst_var(hi, frm, to))
+        case Tag(a, ty):
+            return Tag(a, subst_var(ty, frm, to))
+        case All(x, s, u) | Lam(x, s, u) | Let(x, s, u):
+            s = subst_var(s, frm, to)
+            if x != frm:
+                if x == to and frm in fv(u):
+                    x2 = fresh_name(x, fv(u) | {frm, to})
+                    u, x = subst_var(u, x, x2), x2
+                u = subst_var(u, frm, to)
+            return type(t)(x, s, u)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +348,10 @@ def _canon_var(x: str, bound: tuple) -> str:
     return f"@{bound[::-1].index(x)}" if x in bound else x
 
 
-def _canon_type(t: Type, bound: tuple) -> str:
+def _canon(t: Type | Term, bound: tuple) -> str:
     """``t``'s key under the enclosing binders ``bound``, innermost last.  A
-    type that mentions none of them has its own key, cached on the node."""
-    closed = not bound or fv_type(t).isdisjoint(bound)
+    node that mentions none of them has its own key, cached on the node."""
+    closed = not bound or fv(t).isdisjoint(bound)
     if closed:
         try:
             return t._canon
@@ -399,67 +362,36 @@ def _canon_type(t: Type, bound: tuple) -> str:
             key = "T"
         case Bot():
             key = "B"
-        case Path(var=x, label=a):
+        case Path(x, a):
             key = f"{_canon_var(x, bound)}.{a}"
-        case Decl(label=a, lower=lo, upper=hi):
-            key = f"{{{a}:{_canon_type(lo, bound)}..{_canon_type(hi, bound)}}}"
-        case All(param=x, param_type=s, result=u):
-            key = f"A({_canon_type(s, bound)}){_canon_type(u, bound + (x,))}"
-        case _:
-            raise TypeError(f"not a type: {t!r}")
-    if closed:
-        _set_canon(t, key)
-    return key
-
-
-def canon_type(t: Type) -> str:
-    """A nameless key: bound variables are rendered by binder position (de
-    Bruijn indices), free ones by name, so two types have the same key
-    exactly when they are alpha-equivalent.  Built once per node."""
-    if not isinstance(t, _TYPE_CLASSES):
-        raise TypeError(f"not a type: {t!r}")
-    return _canon_type(t, ())
-
-
-def _canon_term(t: Term, bound: tuple) -> str:
-    closed = not bound or fv_term(t).isdisjoint(bound)
-    if closed:
-        try:
-            return t._canon
-        except AttributeError:
-            bound = ()
-    match t:
-        case Var(name=x):
+        case Var(x):
             key = _canon_var(x, bound)
-        case Tag(label=a, alias=ty):
-            key = f"{{{a}={_canon_type(ty, bound)}}}"
-        case Lam(param=x, param_type=ty, body=b):
-            key = f"L({_canon_type(ty, bound)}){_canon_term(b, bound + (x,))}"
-        case App(fun=f, arg=a):
+        case App(f, a):
             key = f"({_canon_var(f, bound)} {_canon_var(a, bound)})"
-        case Let(bound=x, rhs=r, body=b):
-            key = f"let({_canon_term(r, bound)}){_canon_term(b, bound + (x,))}"
+        case Decl(a, lo, hi):
+            key = f"{{{a}:{_canon(lo, bound)}..{_canon(hi, bound)}}}"
+        case Tag(a, ty):
+            key = f"{{{a}={_canon(ty, bound)}}}"
+        case All(x, s, u) | Lam(x, s, u) | Let(x, s, u):
+            key = f"{_BINDER_HEADS[type(t)]}({_canon(s, bound)}){_canon(u, bound + (x,))}"
         case _:
-            raise TypeError(f"not a term: {t!r}")
+            raise TypeError(f"not a node: {t!r}")
     if closed:
         _set_canon(t, key)
     return key
 
 
-def canon_term(t: Term) -> str:
-    if not isinstance(t, _TERM_CLASSES):
-        raise TypeError(f"not a term: {t!r}")
-    return _canon_term(t, ())
+def canon(t: Type | Term) -> str:
+    """A nameless key: bound variables are rendered by binder position (de
+    Bruijn indices), free ones by name, so two nodes have the same key
+    exactly when they are alpha-equivalent.  Built once per node."""
+    return _canon(t, ())
 
 
-def alpha_eq_type(a: Type, b: Type) -> bool:
+def alpha_eq(a: Type | Term, b: Type | Term) -> bool:
     """Equality up to consistent renaming of bound variables; identical
     nodes are equal without computing a key."""
-    return (a is b and isinstance(a, _TYPE_CLASSES)) or canon_type(a) == canon_type(b)
-
-
-def alpha_eq_term(a: Term, b: Term) -> bool:
-    return (a is b and isinstance(a, _TERM_CLASSES)) or canon_term(a) == canon_term(b)
+    return (a is b and isinstance(a, _Node)) or canon(a) == canon(b)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +543,7 @@ class _Parser:
         self.fail(f"input is nested more than {MAX_NESTING} levels deep")
 
     # type ::= "Top" | "Bot" | "{" LABEL ":" type ".." type "}"
-    #        | IDENT "." LABEL | "all" "(" IDENT ":" type ")" type
+    #        | IDENT "." LABEL | "all" binder type
     # ``depth`` is the number of compound forms enclosing this one.
     def type_(self, depth: int) -> Type:
         if depth > MAX_NESTING:
@@ -643,20 +575,7 @@ class _Parser:
             self.pos = i + 1
             return Bot()
         if tok == "all":
-            if toks[i + 1] != "(":
-                self.expected("(", i + 1)
-            param = toks[i + 2]
-            if not is_ident(param):
-                self.expected("ident", i + 2)
-            if toks[i + 3] != ":":
-                self.expected(":", i + 3)
-            self.pos = i + 4
-            s = self.type_(depth + 1)
-            i = self.pos
-            if toks[i] != ")":
-                self.expected(")", i)
-            self.pos = i + 1
-            return All(param, s, self.type_(depth + 1))
+            return All(*self.binder(depth), self.type_(depth + 1))
         if is_ident(tok):
             if toks[i + 1] != ".":
                 self.expected(".", i + 1)
@@ -668,7 +587,7 @@ class _Parser:
         self.fail("expected a type")
 
     # term ::= IDENT | IDENT IDENT | "{" LABEL "=" type "}"
-    #        | "lam" "(" IDENT ":" type ")" term | "let" IDENT "=" term "in" term
+    #        | "lam" binder term | "let" IDENT "=" term "in" term
     def term(self, depth: int) -> Term:
         if depth > MAX_NESTING:
             self.too_deep()
@@ -701,20 +620,7 @@ class _Parser:
             self.pos = i + 1
             return Tag(label, ty)
         if tok == "lam":
-            if toks[i + 1] != "(":
-                self.expected("(", i + 1)
-            param = toks[i + 2]
-            if not is_ident(param):
-                self.expected("ident", i + 2)
-            if toks[i + 3] != ":":
-                self.expected(":", i + 3)
-            self.pos = i + 4
-            ty = self.type_(depth + 1)
-            i = self.pos
-            if toks[i] != ")":
-                self.expected(")", i)
-            self.pos = i + 1
-            return Lam(param, ty, self.term(depth + 1))
+            return Lam(*self.binder(depth), self.term(depth + 1))
         if is_ident(tok):
             arg = toks[i + 1]
             if is_ident(arg):  # application binds tighter than binder bodies
@@ -723,6 +629,25 @@ class _Parser:
             self.pos = i + 1
             return Var(tok)
         self.fail("expected a term")
+
+    # binder ::= "(" IDENT ":" type ")", read from the "all" or "lam" before
+    # it; the parameter and its type, which is one level deeper than the form
+    def binder(self, depth: int) -> tuple:
+        toks, i = self.toks, self.pos
+        if toks[i + 1] != "(":
+            self.expected("(", i + 1)
+        param = toks[i + 2]
+        if not is_ident(param):
+            self.expected("ident", i + 2)
+        if toks[i + 3] != ":":
+            self.expected(":", i + 3)
+        self.pos = i + 4
+        s = self.type_(depth + 1)
+        i = self.pos
+        if toks[i] != ")":
+            self.expected(")", i)
+        self.pos = i + 1
+        return param, s
 
     # env ::= (IDENT ":" type ";")*, oldest binding first
     def bindings(self) -> list:

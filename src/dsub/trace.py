@@ -26,7 +26,7 @@ fields in surface syntax); :func:`derivation_to_json` is the one tree writer.
 from __future__ import annotations
 
 from .environment import TypeEnv
-from .syntax import Term, Type, canon_term, canon_type, fv_term, fv_type, print_term, print_type
+from .syntax import Term, Type, canon, check_sort, fv, print_term, print_type
 
 # Rule names that may appear in step traces: step subtyping (S-), then one
 # line each for step typing (T-), exposure (X-), promotion (P-) and demotion
@@ -102,14 +102,16 @@ class SubJ(_Record):
     __slots__ = ("env", "lhs", "rhs")
 
     def __init__(self, env: TypeEnv, lhs: Type, rhs: Type):
-        env.check_scope("judgment", fv_type(lhs), fv_type(rhs), ValueError)
+        check_sort(lhs, Type)
+        check_sort(rhs, Type)
+        env.check_scope("judgment", fv(lhs), fv(rhs), ValueError)
         set_env, set_lhs, set_rhs = _SUBJ
         set_env(self, env)
         set_lhs(self, lhs)
         set_rhs(self, rhs)
 
     def key(self) -> str:
-        return f"sub[{self.env.key}]{canon_type(self.lhs)}<:{canon_type(self.rhs)}"
+        return f"sub[{self.env.key}]{canon(self.lhs)}<:{canon(self.rhs)}"
 
     def to_json(self) -> dict:
         return {
@@ -126,14 +128,16 @@ class TypJ(_Record):
     __slots__ = ("env", "term", "ty")
 
     def __init__(self, env: TypeEnv, term: Term, ty: Type):
-        env.check_scope("judgment", fv_term(term), fv_type(ty), ValueError)
+        check_sort(term, Term)
+        check_sort(ty, Type)
+        env.check_scope("judgment", fv(term), fv(ty), ValueError)
         set_env, set_term, set_ty = _TYPJ
         set_env(self, env)
         set_term(self, term)
         set_ty(self, ty)
 
     def key(self) -> str:
-        return f"typ[{self.env.key}]{canon_term(self.term)}:{canon_type(self.ty)}"
+        return f"typ[{self.env.key}]{canon(self.term)}:{canon(self.ty)}"
 
     def to_json(self) -> dict:
         return {

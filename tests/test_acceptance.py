@@ -59,9 +59,8 @@ from dsub.syntax import (
     Decl,
     Path,
     Top,
-    alpha_eq_term,
-    alpha_eq_type,
-    fv_type,
+    alpha_eq,
+    fv,
     parse_term,
     parse_type,
     print_term,
@@ -114,7 +113,7 @@ def test_criterion_1_soundness_elaboration():
                 gaps += 1
                 continue
             verdict = decl_verify(tree)
-            if not verdict.ok or not alpha_eq_type(tree.conclusion.ty, outcome.ty):
+            if not verdict.ok or not alpha_eq(tree.conclusion.ty, outcome.ty):
                 failures.append(print_term(term))
             typed_checked += 1
 
@@ -171,7 +170,7 @@ def test_criterion_3_termination_instrumentation(monkeypatch):
         with pytest.raises(StepInvariantError):
             step_subtype(TypeEnv.empty(), decl, decl)
     with monkeypatch.context() as m:
-        m.setattr(dsub.bounds_shift, "type_size", lambda t: 1)
+        m.setattr(dsub.bounds_shift, "size", lambda t: 1)
         with pytest.raises(ShiftInvariantError):
             promote(_env(("x", Top())), decl, "x")
 
@@ -246,13 +245,13 @@ def test_criterion_5_shift_erasure_and_direction():
                     if not isinstance(result, Derived):
                         continue
                     checked += 1
-                    if x in fv_type(result.ty):
+                    if x in fv(result.ty):
                         failures.append(f"{direction} kept {x} in {print_type(result.ty)}")
                         continue
                     tree = elaborate_step(result.trace)
                     lhs, rhs = (t, result.ty) if direction == "promote" else (result.ty, t)
                     c = tree.conclusion
-                    if not (alpha_eq_type(c.lhs, lhs) and alpha_eq_type(c.rhs, rhs)):
+                    if not (alpha_eq(c.lhs, lhs) and alpha_eq(c.rhs, rhs)):
                         failures.append(f"{direction} derivation concludes the wrong judgment")
                     elif not decl_verify(tree).ok:
                         failures.append(f"{direction} derivation rejected for {print_type(t)}")
@@ -355,11 +354,11 @@ def test_criterion_10_roundtrip_and_cli_discipline(capsys):
     failures = []
     for t in enum.types(6, ("x", "y")):
         roundtripped += 1
-        if not alpha_eq_type(parse_type(print_type(t)), t):
+        if not alpha_eq(parse_type(print_type(t)), t):
             failures.append(print_type(t))
     for t in enum.terms(4, ("x",)):
         roundtripped += 1
-        if not alpha_eq_term(parse_term(print_term(t)), t):
+        if not alpha_eq(parse_term(print_term(t)), t):
             failures.append(print_term(t))
 
     env = str(CORPUS / "bad_bounds.env")

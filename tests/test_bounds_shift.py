@@ -4,7 +4,7 @@ from dsub.bounds_shift import demote, promote
 from dsub.declarative import decl_verify, elaborate_step
 from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.lab import Enumerator, bad_bounds_env
-from dsub.syntax import All, Bot, Decl, Path, Top, alpha_eq_type, fv_type
+from dsub.syntax import All, Bot, Decl, Path, Top, alpha_eq, fv
 from dsub.trace import Derived, Failed
 
 
@@ -54,9 +54,9 @@ def test_other_variables_untouched():
 def test_function_types_shift_both_sides():
     before = All("y", Path("x", "A"), Path("x", "A"))
     promoted = promote(G1, before, "x")
-    assert alpha_eq_type(promoted.ty, All("y", Bot(), Top()))
+    assert alpha_eq(promoted.ty, All("y", Bot(), Top()))
     demoted = demote(G1, before, "x")
-    assert alpha_eq_type(demoted.ty, All("y", Top(), Bot()))
+    assert alpha_eq(demoted.ty, All("y", Top(), Bot()))
 
 
 def test_binder_matching_target_shields_body():
@@ -99,19 +99,19 @@ def test_erasure_on_enumerated_inputs():
         for op in (promote, demote):
             result = op(g, t, x)
             if isinstance(result, Derived):
-                assert x not in fv_type(result.ty)
+                assert x not in fv(result.ty)
                 checked += 1
     assert checked > 1000
 
 
 def test_identity_on_types_without_the_variable():
     for g, t, x in _cases(max_size=3):
-        if x in fv_type(t):
+        if x in fv(t):
             continue
         for op in (promote, demote):
             result = op(g, t, x)
             assert isinstance(result, Derived)
-            assert alpha_eq_type(result.ty, t)
+            assert alpha_eq(result.ty, t)
 
 
 def test_shift_directions_elaborate_and_verify():
@@ -120,16 +120,16 @@ def test_shift_directions_elaborate_and_verify():
         promoted = promote(g, t, x)
         if isinstance(promoted, Derived):
             tree = elaborate_step(promoted.trace)
-            assert alpha_eq_type(tree.conclusion.lhs, t)
-            assert alpha_eq_type(tree.conclusion.rhs, promoted.ty)
+            assert alpha_eq(tree.conclusion.lhs, t)
+            assert alpha_eq(tree.conclusion.rhs, promoted.ty)
             verdict = decl_verify(tree)
             assert verdict.ok, f"{verdict.path}: {verdict.message}"
             checked += 1
         demoted = demote(g, t, x)
         if isinstance(demoted, Derived):
             tree = elaborate_step(demoted.trace)
-            assert alpha_eq_type(tree.conclusion.lhs, demoted.ty)
-            assert alpha_eq_type(tree.conclusion.rhs, t)
+            assert alpha_eq(tree.conclusion.lhs, demoted.ty)
+            assert alpha_eq(tree.conclusion.rhs, t)
             verdict = decl_verify(tree)
             assert verdict.ok, f"{verdict.path}: {verdict.message}"
             checked += 1

@@ -8,17 +8,19 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import dsub
 import dsub.bounds_shift
+import dsub.cli
 import dsub.step
 from dsub.cli import main
 from dsub.declarative import MAX_FUEL, elaborate_step
 from dsub.dotty import MAX_N
 from dsub.environment import parse_env
-from dsub.lab import Enumerator
+from dsub.lab import MAX_SIZE, Enumerator
 from dsub.step import step_type
 from dsub.syntax import MAX_NESTING, parse_term, print_term, print_type
 from dsub.trace import TRACE_RULES, derivation_to_json
@@ -388,6 +390,8 @@ def test_decl_search_unknown(capsys):
         ["lab", "colours", "--fuel", "0"],
         ["lab", "colours", "--max-size", "-2"],
         ["lab", "tags", "--fuel", str(MAX_FUEL + 1)],
+        ["lab", "tags", "--max-size", str(MAX_SIZE + 1)],
+        ["lab", "colours", "--max-size", str(MAX_SIZE + 1)],
     ],
 )
 def test_search_limits_below_one_or_above_the_maximum_are_usage_errors(capsys, argv):
@@ -408,6 +412,23 @@ def test_decl_search_decides_at_max_fuel_and_refuses_more(capsys, tmp_path):
     code, out, err = run(capsys, *query, "--fuel", str(MAX_FUEL + 1))
     assert (code, out) == (2, "")
     assert f"fuel {MAX_FUEL + 1} is more than the maximum, {MAX_FUEL}" in err
+
+
+def test_lab_max_size_is_bounded_up_front(capsys, monkeypatch):
+    # size 7 alone is 400,305 types: one past the bound is refused before any
+    # enumeration, and the bound itself parses (the harness is not run)
+    code, out, err = run(capsys, "lab", "tags", "--max-size", str(MAX_SIZE + 1))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --max-size: size {MAX_SIZE + 1} is more than the maximum, {MAX_SIZE}\n")
+    asked = []
+
+    def harness(max_size, fuel):
+        asked.append(max_size)
+        return SimpleNamespace(ok=True, render=lambda: "stand-in")
+
+    monkeypatch.setattr(dsub.cli, "check_no_tag_switch", harness)
+    assert run(capsys, "lab", "tags", "--max-size", str(MAX_SIZE)) == (0, "stand-in\n", "")
+    assert asked == [MAX_SIZE] == [5]
 
 
 def test_decl_search_typing_goal(capsys, tmp_path):
@@ -649,7 +670,7 @@ _DECL = "{A: Bot .. Top}"
     "module, name, stub, argv, error",
     [
         (dsub.step, "weight", lambda g, t, memo: 1, ["sub", "--env", "ENV", _DECL, _DECL], "StepInvariantError"),
-        (dsub.bounds_shift, "type_size", lambda t: 1, ["promote", "--env", "ENV", "--var", "x", _DECL], "ShiftInvariantError"),
+        (dsub.bounds_shift, "size", lambda t: 1, ["promote", "--env", "ENV", "--var", "x", _DECL], "ShiftInvariantError"),
         (dsub.step, "DEPTH_LIMIT", 0, ["sub", "--env", "ENV", _DECL, _DECL], "InternalLimit"),
     ],
 )

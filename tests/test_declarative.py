@@ -40,12 +40,12 @@ from dsub.syntax import (
     Tag,
     Top,
     Var,
-    alpha_eq_type,
-    canon_type,
-    fv_type,
+    alpha_eq,
+    canon,
+    fv,
     parse_term,
-    subst_var_in_type,
-    type_size,
+    size,
+    subst_var,
 )
 from dsub.trace import TRACE_RULES, Derived, ExposeJ
 
@@ -422,9 +422,9 @@ def _reference_candidates(goal):
     seen = {}
 
     def add(t):
-        if fv_type(t) - scope:
+        if fv(t) - scope:
             return
-        seen.setdefault(canon_type(t), t)
+        seen.setdefault(canon(t), t)
 
     add(Top())
     add(Bot())
@@ -442,7 +442,7 @@ def _reference_candidates(goal):
             exposed = expose(goal.env, t)
             if exposed:
                 add(exposed.ty)
-    return tuple(sorted(seen.values(), key=lambda t: (type_size(t), canon_type(t))))
+    return tuple(sorted(seen.values(), key=lambda t: (size(t), canon(t))))
 
 
 def _all_sub_all_extension():
@@ -450,7 +450,7 @@ def _all_sub_all_extension():
     # function types over x.A, under x : {A: Bot .. {B: Top .. Top}}
     g = _env(("x", Decl("A", Bot(), Decl("B", Top(), Top()))))
     lhs, rhs = All("y", Path("x", "A"), Path("y", "B")), All("y", Path("x", "A"), Top())
-    z = g.fresh(lhs.param, (fv_type(lhs.result) - {lhs.param}) | (fv_type(rhs.result) - {rhs.param}))
+    z = g.fresh(lhs.param, (fv(lhs.result) - {lhs.param}) | (fv(rhs.result) - {rhs.param}))
     return g.extend(z, rhs.param_type)
 
 
@@ -468,7 +468,7 @@ def test_candidates_match_the_reference(env):
     enum = Enumerator(variables=scope, labels=labels)
     stored = [u for _, t in env for u in _subterms(t)]
     renamed = [
-        All(f"{u.param}1", u.param_type, subst_var_in_type(u.result, u.param, f"{u.param}1"))
+        All(f"{u.param}1", u.param_type, subst_var(u.result, u.param, f"{u.param}1"))
         for u in stored
         if isinstance(u, All)
     ]
@@ -480,7 +480,7 @@ def test_candidates_match_the_reference(env):
         own = (goal.lhs, goal.rhs) if isinstance(goal, SubJ) else (goal.ty,)
         got, want = declarative._candidates(goal.env, own, memo), _reference_candidates(goal)
         assert len(got) == len(want) and all(a is b for (_, a), b in zip(got, want)), goal
-        assert all(key == canon_type(t) for key, t in got), goal
+        assert all(key == canon(t) for key, t in got), goal
 
 
 def test_shared_searcher_answers_as_fresh_ones():
@@ -556,8 +556,8 @@ def test_elaborate_subtype_traces_on_enumerated_pairs():
             result = step_subtype(g, s, t)
             if result.holds:
                 tree = elaborate_step(result.trace)
-                assert alpha_eq_type(tree.conclusion.lhs, s)
-                assert alpha_eq_type(tree.conclusion.rhs, t)
+                assert alpha_eq(tree.conclusion.lhs, s)
+                assert alpha_eq(tree.conclusion.rhs, t)
                 verdict = decl_verify(tree)
                 assert verdict.ok, f"{verdict.path}: {verdict.message}"
                 checked += 1
@@ -577,7 +577,7 @@ def test_elaborate_typing_traces():
         outcome = step_type(g, parse_term(text))
         assert isinstance(outcome, Derived), text
         tree = elaborate_step(outcome.trace)
-        assert alpha_eq_type(tree.conclusion.ty, outcome.ty)
+        assert alpha_eq(tree.conclusion.ty, outcome.ty)
         verdict = decl_verify(tree)
         assert verdict.ok, f"{text}: {verdict.path}: {verdict.message}"
 

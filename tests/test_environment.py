@@ -117,9 +117,9 @@ def test_bindings_satisfy_wellformedness():
     for i, (x, ty) in enumerate(g.bindings):
         prefix = env_from_bindings(g.bindings[:i])
         assert x not in prefix.dom()
-        from dsub.syntax import fv_type
+        from dsub.syntax import fv
 
-        assert fv_type(ty) <= prefix.dom()
+        assert fv(ty) <= prefix.dom()
 
 
 def test_env_file_roundtrip():

@@ -5,7 +5,7 @@ from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.exposure import Stuck, expose
 from dsub.lab import Enumerator, bad_bounds_env
 from dsub.step import weight
-from dsub.syntax import All, Bot, Decl, Path, Top, alpha_eq_type
+from dsub.syntax import All, Bot, Decl, Path, Top, alpha_eq
 from dsub.trace import Derived
 
 
@@ -124,8 +124,8 @@ def test_exposure_elaborates_to_valid_subtyping():
         if isinstance(result, Derived):
             tree = elaborate_step(result.trace)
             assert isinstance(tree.conclusion, SubJ)
-            assert alpha_eq_type(tree.conclusion.lhs, t)
-            assert alpha_eq_type(tree.conclusion.rhs, result.ty)
+            assert alpha_eq(tree.conclusion.lhs, t)
+            assert alpha_eq(tree.conclusion.rhs, result.ty)
             verdict = decl_verify(tree)
             assert verdict.ok, f"{verdict.path}: {verdict.message}"
             checked += 1
@@ -144,6 +144,6 @@ def test_full_env_matches_prefix_env():
             full, strict = expose(g, stored), expose(prefix, stored)
             assert isinstance(full, Derived) == isinstance(strict, Derived), x
             if isinstance(full, Derived):
-                assert alpha_eq_type(full.ty, strict.ty), x
+                assert alpha_eq(full.ty, strict.ty), x
             checked += 1
     assert checked > 0

@@ -25,10 +25,9 @@ from dsub.syntax import (
     Decl,
     Path,
     Top,
-    alpha_eq_type,
-    canon_term,
-    canon_type,
-    fv_term,
+    alpha_eq,
+    canon,
+    fv,
     parse_type,
     print_term,
 )
@@ -43,7 +42,7 @@ def test_corpus_shapes():
     assert BAD_BOUNDS_DECL.lower == FUN_VV and BAD_BOUNDS_DECL.upper == FUN_VZ
     g = bad_bounds_env()
     assert g.lookup("e") == BAD_BOUNDS_DECL
-    assert fv_term(minimality_body()) == frozenset()
+    assert fv(minimality_body()) == frozenset()
 
 
 def test_corpus_derivations_exported():
@@ -157,7 +156,7 @@ def test_types_alpha_distinct():
     enum = Enumerator()
     seen = set()
     for t in enum.types(5, ("x",)):
-        key = canon_type(t)
+        key = canon(t)
         assert key not in seen
         seen.add(key)
 
@@ -166,10 +165,10 @@ def test_terms_alpha_distinct_and_scoped():
     enum = Enumerator()
     seen = set()
     for t in enum.terms(4, ("x",)):
-        key = canon_term(t)
+        key = canon(t)
         assert key not in seen, print_term(t)
         seen.add(key)
-        assert fv_term(t) <= {"x"}
+        assert fv(t) <= {"x"}
 
 
 def test_enumeration_is_deterministic():
@@ -234,8 +233,8 @@ def below_red_flaw(detail: str, fuel: int):
     concl = tree.conclusion
     if not (
         isinstance(concl, SubJ)
-        and alpha_eq_type(concl.lhs, lhs)
-        and alpha_eq_type(concl.rhs, rhs)
+        and alpha_eq(concl.lhs, lhs)
+        and alpha_eq(concl.rhs, rhs)
     ):
         return "re-derived tree concludes another judgment"
     if not is_red(rhs):

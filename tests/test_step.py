@@ -40,12 +40,12 @@ from dsub.syntax import (
     Tag,
     Top,
     Var,
-    alpha_eq_type,
+    alpha_eq,
     fresh_name,
-    fv_type,
+    fv,
     parse_term,
     print_type,
-    subst_var_in_type,
+    subst_var,
 )
 
 
@@ -101,8 +101,8 @@ def _reference_weight(bindings: tuple, t) -> int:
         case All(param=x, param_type=s, result=u):
             names = {y for y, _ in bindings}
             if x in names:
-                x2 = fresh_name(x, names | fv_type(u))
-                u, x = subst_var_in_type(u, x, x2), x2
+                x2 = fresh_name(x, names | fv(u))
+                u, x = subst_var(u, x, x2), x2
             return 1 + _reference_weight(bindings + ((x, s),), u)
 
 
@@ -163,10 +163,8 @@ def _count_calls(monkeypatch, run) -> int:
     with monkeypatch.context() as m:
         for module, name in (
             (dsub.step, "weight"),
-            (dsub.syntax, "_canon_type"),
-            (dsub.syntax, "_canon_term"),
-            (dsub.syntax, "subst_var_in_type"),
-            (dsub.syntax, "subst_var_in_term"),
+            (dsub.syntax, "_canon"),
+            (dsub.syntax, "subst_var"),
         ):
             m.setattr(module, name, counting(getattr(module, name)))
         run()
@@ -398,7 +396,7 @@ def test_unbound_variable_raises_rather_than_answering():
     g = _env(("x", Decl("A", Bot(), Top())))
     types = list(Enumerator().types(3, ("x", "q")))
     for s, t in itertools.product(types, types):
-        ill_scoped = "q" in fv_type(s) | fv_type(t)
+        ill_scoped = "q" in fv(s) | fv(t)
         try:
             step_subtype(g, s, t)
         except UnboundVariable:
@@ -431,7 +429,7 @@ def test_depth_valve_is_distinct(monkeypatch):
 def test_type_lambda_identity():
     out = step_type(TypeEnv.empty(), parse_term("lam(x: Top) x"))
     assert isinstance(out, Derived)
-    assert alpha_eq_type(out.ty, All("x", Top(), Top()))
+    assert alpha_eq(out.ty, All("x", Top(), Top()))
 
 
 def test_type_tag():
@@ -443,32 +441,32 @@ def test_type_tag():
 def test_type_let_promotes_bound_variable_away():
     out = step_type(TypeEnv.empty(), parse_term("let x = {A = Top} in lam(y: x.A) y"))
     assert isinstance(out, Derived)
-    assert alpha_eq_type(out.ty, All("y", Top(), Top()))
+    assert alpha_eq(out.ty, All("y", Top(), Top()))
 
 
 def test_type_minimality_body():
     out = step_type(bad_bounds_env(), minimality_body())
     assert isinstance(out, Derived)
-    assert alpha_eq_type(out.ty, DECL_V)
+    assert alpha_eq(out.ty, DECL_V)
 
 
 def test_type_minimality_term_closed():
     out = step_type(TypeEnv.empty(), minimality_term())
     assert isinstance(out, Derived)
-    assert alpha_eq_type(out.ty, All("e", Decl("E", FUN_VV, FUN_VZ), DECL_V))
+    assert alpha_eq(out.ty, All("e", Decl("E", FUN_VV, FUN_VZ), DECL_V))
 
 
 def test_type_application_of_bot():
     out = step_type(TypeEnv.empty(), parse_term("lam(x: Bot) lam(y: Top) x y"))
     assert isinstance(out, Derived)
-    assert alpha_eq_type(out.ty, All("x", Bot(), All("y", Top(), Bot())))
+    assert alpha_eq(out.ty, All("x", Bot(), All("y", Top(), Bot())))
 
 
 def test_type_application_result_substitutes_argument():
     term = parse_term("lam(f: all(z: Top) z.A) lam(y: Top) f y")
     out = step_type(TypeEnv.empty(), term)
     assert isinstance(out, Derived)
-    assert alpha_eq_type(
+    assert alpha_eq(
         out.ty, All("f", All("z", Top(), Path("z", "A")), All("y", Top(), Path("y", "A")))
     )
 
@@ -578,7 +576,7 @@ def test_step_typing_deterministic():
     first = step_type(g, minimality_body())
     second = step_type(g, minimality_body())
     assert isinstance(first, Derived) and isinstance(second, Derived)
-    assert alpha_eq_type(first.ty, second.ty)
+    assert alpha_eq(first.ty, second.ty)
     assert print_type(first.ty) == print_type(second.ty)
 
 

@@ -29,21 +29,16 @@ from dsub.syntax import (
     Tag,
     Top,
     Var,
-    alpha_eq_term,
-    alpha_eq_type,
-    canon_term,
-    canon_type,
+    alpha_eq,
+    canon,
     fresh_name,
-    fv_term,
-    fv_type,
+    fv,
     parse_term,
     parse_type,
     print_term,
     print_type,
-    subst_var_in_term,
-    subst_var_in_type,
-    term_size,
-    type_size,
+    size,
+    subst_var,
 )
 
 # ---------------------------------------------------------------------------
@@ -51,24 +46,24 @@ from dsub.syntax import (
 
 
 def test_fv_type_no_variables():
-    assert fv_type(Top()) == frozenset()
-    assert fv_type(Bot()) == frozenset()
+    assert fv(Top()) == frozenset()
+    assert fv(Bot()) == frozenset()
 
 
 def test_fv_type_path():
-    assert fv_type(Path("x", "A")) == {"x"}
+    assert fv(Path("x", "A")) == {"x"}
 
 
 def test_fv_type_binder_scopes_result_not_param():
     # the param position is outside the binder's scope, the result inside
-    assert fv_type(All("x", Path("x", "A"), Path("x", "B"))) == {"x"}
-    assert fv_type(All("x", Top(), Path("x", "B"))) == frozenset()
+    assert fv(All("x", Path("x", "A"), Path("x", "B"))) == {"x"}
+    assert fv(All("x", Top(), Path("x", "B"))) == frozenset()
 
 
 def test_fv_term():
-    assert fv_term(Var("x")) == {"x"}
-    assert fv_term(Lam("x", Top(), Var("x"))) == frozenset()
-    assert fv_term(Let("x", Var("y"), App("x", "z"))) == {"y", "z"}
+    assert fv(Var("x")) == {"x"}
+    assert fv(Lam("x", Top(), Var("x"))) == frozenset()
+    assert fv(Let("x", Var("y"), App("x", "z"))) == {"y", "z"}
 
 
 # ---------------------------------------------------------------------------
@@ -76,25 +71,25 @@ def test_fv_term():
 
 
 def test_subst_path_head():
-    assert subst_var_in_type(Path("z", "A"), "z", "y") == Path("y", "A")
+    assert subst_var(Path("z", "A"), "z", "y") == Path("y", "A")
 
 
 def test_subst_identity_on_closed():
-    assert subst_var_in_type(Top(), "z", "y") == Top()
+    assert subst_var(Top(), "z", "y") == Top()
 
 
 def test_subst_avoids_capture():
     before = All("y", Top(), Path("z", "A"))
-    after = subst_var_in_type(before, "z", "y")
+    after = subst_var(before, "z", "y")
     # the binder must be renamed before the substitution lands
     assert isinstance(after, All) and after.param != "y"
-    assert alpha_eq_type(after, All("w", Top(), Path("y", "A")))
+    assert alpha_eq(after, All("w", Top(), Path("y", "A")))
 
 
 def test_subst_term_renames_shadowing_binder():
     before = Lam("y", Top(), App("z", "y"))
-    after = subst_var_in_term(before, "z", "y")
-    assert alpha_eq_term(after, Lam("w", Top(), App("y", "w")))
+    after = subst_var(before, "z", "y")
+    assert alpha_eq(after, Lam("w", Top(), App("y", "w")))
 
 
 def test_fresh_name_least_counter():
@@ -108,24 +103,24 @@ def test_fresh_name_least_counter():
 
 
 def test_alpha_eq_renamed_binder():
-    assert alpha_eq_type(All("x", Top(), Path("x", "A")), All("y", Top(), Path("y", "A")))
+    assert alpha_eq(All("x", Top(), Path("x", "A")), All("y", Top(), Path("y", "A")))
 
 
 def test_alpha_eq_distinguishes_constructors():
-    assert not alpha_eq_type(Top(), Bot())
+    assert not alpha_eq(Top(), Bot())
 
 
 def test_alpha_eq_free_variable_fixed():
-    assert alpha_eq_type(All("x", Top(), Path("z", "A")), All("y", Top(), Path("z", "A")))
-    assert not alpha_eq_type(All("x", Top(), Path("x", "A")), All("y", Top(), Path("z", "A")))
+    assert alpha_eq(All("x", Top(), Path("z", "A")), All("y", Top(), Path("z", "A")))
+    assert not alpha_eq(All("x", Top(), Path("x", "A")), All("y", Top(), Path("z", "A")))
 
 
 def test_alpha_eq_shadowing():
     a = All("x", Top(), All("x", Top(), Path("x", "A")))
     b = All("y", Top(), All("z", Top(), Path("z", "A")))
     c = All("y", Top(), All("z", Top(), Path("y", "A")))
-    assert alpha_eq_type(a, b)
-    assert not alpha_eq_type(a, c)
+    assert alpha_eq(a, b)
+    assert not alpha_eq(a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +128,6 @@ def test_alpha_eq_shadowing():
 #
 # Candidate order in the declarative search sorts by (size, key), so a
 # changed key changes which derivation is found first.
-
-_OPS = {
-    parse_type: (canon_type, fv_type, subst_var_in_type),
-    parse_term: (canon_term, fv_term, subst_var_in_term),
-}
 
 
 @pytest.mark.parametrize(
@@ -163,7 +153,6 @@ _OPS = {
     ],
 )
 def test_canonical_keys_are_pinned(parse, text, key, free):
-    canon, fv, _ = _OPS[parse]
     t = parse(text)
     assert canon(t) == key
     assert ",".join(sorted(fv(t))) == free
@@ -177,14 +166,24 @@ def test_enumerated_keys_free_variables_and_substitutions_are_pinned():
     terms = list(enum.terms(4, ("x", "y")))
     assert (len(types), len(terms)) == (5214, 738)
     digest, renamed = hashlib.sha256(), 0
-    for nodes, parse, show in ((types, parse_type, print_type), (terms, parse_term, print_term)):
-        canon, fv, subst_var = _OPS[parse]
+    for nodes, show in ((types, print_type), (terms, print_term)):
         for t in nodes:
             to_y, to_z = show(subst_var(t, "x", "y")), show(subst_var(t, "x", "z"))
             renamed += "z1" in to_z
             digest.update(f"{canon(t)}|{','.join(sorted(fv(t)))}|{to_y}|{to_z}\n".encode())
     assert renamed == 1356
     assert digest.hexdigest() == "702c680f32b231c884baea99fb0d6167bea5e8425637190dea765abed643933e"
+
+
+@pytest.mark.parametrize(
+    "op", [fv, size, canon, lambda t: subst_var(t, "x", "y"), lambda t: alpha_eq(t, Top())]
+)
+def test_operations_take_either_sort_and_refuse_what_is_not_a_node(op):
+    op(Top())
+    op(Var("x"))
+    with pytest.raises(TypeError) as exc:
+        op("x")
+    assert str(exc.value) == "not a node: 'x'"
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +241,9 @@ def test_parse_error_on_trailing_input():
 
 
 def test_sizes():
-    assert type_size(Path("x", "A")) == 1
-    assert type_size(Decl("A", Bot(), Top())) == 3
-    assert term_size(parse_term("let x = {A = Top} in x")) == 4
+    assert size(Path("x", "A")) == 1
+    assert size(Decl("A", Bot(), Top())) == 3
+    assert size(parse_term("let x = {A = Top} in x")) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +276,7 @@ def _rename_binders(t, suffix):
     match t:
         case All(param=x, param_type=s, result=u):
             x2 = x + suffix
-            u2 = subst_var_in_type(u, x, x2)
+            u2 = subst_var(u, x, x2)
             return All(x2, _rename_binders(s, suffix), _rename_binders(u2, suffix))
         case Decl(label=a, lower=lo, upper=hi):
             return Decl(a, _rename_binders(lo, suffix), _rename_binders(hi, suffix))
@@ -287,42 +286,42 @@ def _rename_binders(t, suffix):
 
 @given(_types)
 def test_roundtrip_type(t):
-    assert alpha_eq_type(parse_type(print_type(t)), t)
+    assert alpha_eq(parse_type(print_type(t)), t)
 
 
 @given(_terms)
 def test_roundtrip_term(t):
-    assert alpha_eq_term(parse_term(print_term(t)), t)
+    assert alpha_eq(parse_term(print_term(t)), t)
 
 
 @given(_types)
 def test_subst_fv_bound(t):
-    result = subst_var_in_type(t, "z", "y")
-    assert fv_type(result) <= (fv_type(t) - {"z"}) | {"y"}
+    result = subst_var(t, "z", "y")
+    assert fv(result) <= (fv(t) - {"z"}) | {"y"}
 
 
 @given(_types)
 def test_subst_self_is_identity(t):
-    assert alpha_eq_type(subst_var_in_type(t, "z", "z"), t)
+    assert alpha_eq(subst_var(t, "z", "z"), t)
 
 
 @given(_types)
 def test_alpha_eq_reflexive(t):
-    assert alpha_eq_type(t, t)
+    assert alpha_eq(t, t)
 
 
 @given(_types, _types)
 def test_alpha_eq_symmetric(a, b):
-    assert alpha_eq_type(a, b) == alpha_eq_type(b, a)
+    assert alpha_eq(a, b) == alpha_eq(b, a)
 
 
 @given(_types)
 def test_alpha_eq_transitive_through_variants(t):
     b = _rename_binders(t, "0")
     c = _rename_binders(t, "1")
-    assert alpha_eq_type(t, b)
-    assert alpha_eq_type(b, c)
-    assert alpha_eq_type(t, c)
+    assert alpha_eq(t, b)
+    assert alpha_eq(b, c)
+    assert alpha_eq(t, c)
 
 
 def _nameless_type(t, depth=0):
@@ -331,7 +330,7 @@ def _nameless_type(t, depth=0):
     match t:
         case All(param=x, param_type=s, result=u):
             v = f"v{depth}"
-            return All(v, _nameless_type(s, depth), _nameless_type(subst_var_in_type(u, x, v), depth + 1))
+            return All(v, _nameless_type(s, depth), _nameless_type(subst_var(u, x, v), depth + 1))
         case Decl(label=a, lower=lo, upper=hi):
             return Decl(a, _nameless_type(lo, depth), _nameless_type(hi, depth))
         case _:
@@ -344,10 +343,10 @@ def _nameless_term(t, depth=0):
             return Tag(a, _nameless_type(ty, depth))
         case Lam(param=x, param_type=ty, body=b):
             v = f"v{depth}"
-            return Lam(v, _nameless_type(ty, depth), _nameless_term(subst_var_in_term(b, x, v), depth + 1))
+            return Lam(v, _nameless_type(ty, depth), _nameless_term(subst_var(b, x, v), depth + 1))
         case Let(bound=x, rhs=r, body=b):
             v = f"v{depth}"
-            return Let(v, _nameless_term(r, depth), _nameless_term(subst_var_in_term(b, x, v), depth + 1))
+            return Let(v, _nameless_term(r, depth), _nameless_term(subst_var(b, x, v), depth + 1))
         case _:
             return t
 
@@ -405,8 +404,8 @@ _term_pairs = st.one_of(
 def test_canon_separates_exactly_alpha_classes_of_types(pair):
     a, b = pair
     same = _nameless_type(a) == _nameless_type(b)
-    assert alpha_eq_type(a, b) == same
-    assert (canon_type(a) == canon_type(b)) == same
+    assert alpha_eq(a, b) == same
+    assert (canon(a) == canon(b)) == same
 
 
 @settings(max_examples=300)
@@ -414,8 +413,8 @@ def test_canon_separates_exactly_alpha_classes_of_types(pair):
 def test_canon_separates_exactly_alpha_classes_of_terms(pair):
     a, b = pair
     same = _nameless_term(a) == _nameless_term(b)
-    assert alpha_eq_term(a, b) == same
-    assert (canon_term(a) == canon_term(b)) == same
+    assert alpha_eq(a, b) == same
+    assert (canon(a) == canon(b)) == same
 
 
 @settings(max_examples=50)
@@ -433,9 +432,9 @@ def _nest(depth: int) -> str:
 
 
 def test_parse_accepts_nesting_up_to_the_bound():
-    assert type_size(parse_type(_nest(MAX_NESTING))) == 2 * MAX_NESTING + 1
+    assert size(parse_type(_nest(MAX_NESTING))) == 2 * MAX_NESTING + 1
     lams = parse_term("lam(x: Top) " * MAX_NESTING + "x")
-    assert term_size(lams) == 2 * MAX_NESTING + 1
+    assert size(lams) == 2 * MAX_NESTING + 1
 
 
 @pytest.mark.parametrize(
@@ -468,14 +467,14 @@ def _rebuild(t):
 def test_types_are_built_once(t):
     assert _rebuild(t) is t
     assert parse_type(print_type(t)) is t
-    assert subst_var_in_type(t, "z", "y") is subst_var_in_type(_rebuild(t), "z", "y")
+    assert subst_var(t, "z", "y") is subst_var(_rebuild(t), "z", "y")
 
 
 @given(_terms)
 def test_terms_are_built_once(t):
     assert _rebuild(t) is t
     assert parse_term(print_term(t)) is t
-    assert subst_var_in_term(t, "z", "y") is subst_var_in_term(_rebuild(t), "z", "y")
+    assert subst_var(t, "z", "y") is subst_var(_rebuild(t), "z", "y")
 
 
 @given(_types)

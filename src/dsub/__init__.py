@@ -22,8 +22,10 @@ The package is organized bottom-up:
   subtype check and its exponential worst case
 - ``cli``: the ``dsub`` command-line entry point
 
-What a query builds is freed by reference counting when it returns, and an
-earlier import of the package is freed once ``sys.modules`` drops it.
+What a query builds is freed by reference counting when it returns, except
+the last ``dsub.syntax.RETAIN`` syntax nodes built, which are kept for the
+next query.  An earlier import of the package is freed once ``sys.modules``
+drops it.
 """
 
 __version__ = "0.1.0"

@@ -16,8 +16,9 @@ required, by :func:`check_sort`: when a variable is bound and when a
 judgment is built.  Outputs are meaningful up to alpha-equivalence.
 
 Nodes are hash-consed: there is one live node per structure, so ``==`` on
-types and terms is identity.  The parser refuses input nested deeper than
-:data:`MAX_NESTING` levels.
+types and terms is identity.  A node lives while something refers to it or
+until :data:`RETAIN` newer nodes have been built.  The parser refuses input
+nested deeper than :data:`MAX_NESTING` levels.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from collections import deque
 
 from _weakref import _remove_dead_weakref
 
@@ -39,7 +41,9 @@ from .errors import DsubError
 # once from the children's, and per-node facts (free variables, size,
 # canonical key) are cached on the node.  The table maps each key to a weak
 # reference; when a node goes, the reference's callback removes its entry, so
-# the table holds live nodes only.
+# the table holds live nodes only.  The last RETAIN nodes built are also held
+# by a bounded queue, so what one query built, with the facts cached on it,
+# is still there for the next; a lookup does not reorder the queue.
 
 
 class _Ref(weakref.ref):
@@ -50,6 +54,11 @@ class _Ref(weakref.ref):
 
 _TABLE: dict = {}
 _TABLE_LOCK = threading.Lock()
+
+RETAIN = 2048
+"""How many of the most recently built nodes are kept alive, referred to or not."""
+
+_RECENT: deque = deque(maxlen=RETAIN)
 
 
 def _drop(ref: _Ref, table: dict = _TABLE, remove=_remove_dead_weakref) -> None:
@@ -86,6 +95,7 @@ def _build(cls, key, fields: tuple, size: int, shape: tuple, names: tuple = (), 
             ref = _Ref(node, _drop)
             ref.key = key
             _TABLE[key] = ref
+            _RECENT.append(node)
     return node
 
 
@@ -264,6 +274,17 @@ def check_sort(t, sort) -> None:
 # Free variables and sizes
 
 
+_NO_VARS = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    # a kept node holds its set for as long as it lives, so share a child's
+    # set when it is already the union
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
 def fv(t: Type | Term) -> frozenset:
     try:
         return t._fv
@@ -271,17 +292,18 @@ def fv(t: Type | Term) -> frozenset:
         pass
     match t:
         case Top() | Bot():
-            free = frozenset()
+            free = _NO_VARS
         case Path(x) | Var(x):
             free = frozenset((x,))
         case App(f, a):
             free = frozenset((f, a))
         case Decl(_, lo, hi):
-            free = fv(lo) | fv(hi)
+            free = _union(fv(lo), fv(hi))
         case Tag(_, ty):
             free = fv(ty)
         case All(x, s, u) | Lam(x, s, u) | Let(x, s, u):
-            free = fv(s) | (fv(u) - {x})
+            inner = fv(u)
+            free = _union(fv(s), inner - {x} if x in inner else inner)
         case _:
             raise TypeError(f"not a node: {t!r}")
     _set_fv(t, free)

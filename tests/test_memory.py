@@ -1,6 +1,7 @@
 """What ``dsub`` is done with is freed by reference counting: each kind of
 query leaves nothing for the cyclic collector, and importing the package
-again frees the earlier import."""
+again frees the earlier import.  The last ``RETAIN`` syntax nodes built are
+kept, so a query asked again builds none."""
 
 import contextlib
 import gc
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import dsub
+from dsub import syntax
 from dsub.cli import main
 from dsub.declarative import decl_verify, elaborate_step
 from dsub.dotty import make_pn, scala_sub
@@ -76,17 +78,38 @@ def test_every_query_kind_leaves_nothing_for_the_cyclic_collector():
     assert left == dict.fromkeys(left, 0)
 
 
+def test_a_query_asked_again_builds_no_node(monkeypatch):
+    # its nodes are among the last RETAIN built, with their cached facts
+    built = [0]
+    build = syntax._build
+
+    def counting(*args, **kwargs):
+        built[0] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(syntax, "_build", counting)
+    for query, n in ((_chain, 8), (_let, 10)):
+        query(n)
+        built[0] = 0
+        query(n)
+        assert built[0] == 0, query.__name__
+
+
 _RELOAD = """
 import contextlib, gc, io, sys, weakref
 import dsub.cli, dsub.lab
 with contextlib.redirect_stdout(io.StringIO()):
     assert dsub.cli.main(["corpus", "run", "--dir", sys.argv[1]]) == 0
-first = weakref.ref(sys.modules["dsub.syntax"].Top)
+syntax = sys.modules["dsub.syntax"]
+first = weakref.ref(syntax.Top)
+syntax.Decl("Only_in_the_first_import", syntax.Bot(), syntax.Top())
+recent = weakref.ref(syntax._RECENT[-1])  # the first import's queue alone holds it
 for name in [m for m in sys.modules if m == "dsub" or m.startswith("dsub.")]:
     del sys.modules[name]
+del syntax
 import dsub.cli, dsub.lab
 gc.collect()
-sys.exit(0 if first() is None else 1)
+sys.exit(0 if first() is None and recent() is None else 1)
 """
 
 
@@ -96,4 +119,4 @@ def test_a_second_import_frees_the_first():
     done = subprocess.run(
         [sys.executable, "-c", _RELOAD, str(CORPUS)], capture_output=True, text=True, env=env, timeout=120
     )
-    assert done.returncode == 0, done.stderr or "the first import's Top class is still alive"
+    assert done.returncode == 0, done.stderr or "the first import's Top class or a node it built is still alive"

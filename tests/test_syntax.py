@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import uuid
+import weakref
 from pathlib import Path as FsPath
 
 import pytest
@@ -64,6 +65,15 @@ def test_fv_term():
     assert fv(Var("x")) == {"x"}
     assert fv(Lam("x", Top(), Var("x"))) == frozenset()
     assert fv(Let("x", Var("y"), App("x", "z"))) == {"y", "z"}
+
+
+def test_fv_shares_a_childs_set_that_is_already_the_union():
+    # every node among the last RETAIN built keeps its set
+    p = Path("x", "A")
+    assert fv(Decl("A", p, Top())) is fv(Decl("B", Bot(), p)) is fv(p)
+    assert fv(All("y", p, Path("y", "B"))) is fv(p)
+    assert fv(Top()) is fv(Bot()) is fv(Lam("y", Top(), Var("y")))
+    assert fv(Decl("A", p, Path("z", "A"))) == {"x", "z"}
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +549,33 @@ def test_node_hashes_depend_on_structure_only():
 
 @given(st.lists(st.integers(0, 10**9), min_size=1, max_size=20))
 def test_dropped_nodes_leave_the_table(ns):
+    # a dropped node stays, with its entry, until RETAIN newer nodes are
+    # built; then it is freed and its entry leaves the table
     gc.collect()
-    before = len(syntax._TABLE)
+    before = set(syntax._TABLE)
     built = [Decl("A", Path(f"v{n}", "A"), All(f"w{n}", Top(), Path(f"w{n}", "B"))) for n in ns]
-    assert len(syntax._TABLE) > before
+    keys = set(syntax._TABLE) - before
+    refs = [weakref.ref(syntax._TABLE[key]()) for key in keys]
+    assert keys
     del built
     gc.collect()
-    assert len(syntax._TABLE) == before
+    assert all(ref() is not None for ref in refs)
+    prefix = f"f{uuid.uuid4().hex}_"
+    for i in range(syntax.RETAIN):
+        Var(f"{prefix}{i}")  # fresh, and dropped at once
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert keys.isdisjoint(syntax._TABLE)
+
+
+def test_the_table_grows_by_at_most_the_retained_nodes():
+    gc.collect()
+    before = peak = len(syntax._TABLE)
+    prefix = f"L{uuid.uuid4().hex}_"
+    for i in range(3 * syntax.RETAIN):
+        Decl(f"{prefix}{i}", Bot(), Top())  # closed, distinct and dropped
+        peak = max(peak, len(syntax._TABLE))
+    assert peak - before <= syntax.RETAIN
 
 
 def test_concurrent_construction_yields_one_node_per_structure():

@@ -473,6 +473,14 @@ def test_lab_colours_reports_genuine_findings(capsys):
     assert "3-below-red" in out
 
 
+@pytest.mark.parametrize("verb, code", [("colours", 1), ("tags", 0)])
+def test_lab_report_matches_golden(capsys, verb, code):
+    # the whole report at (3, 5), so that a faster search must find the same
+    # judgments, violations and order of listing
+    got = run(capsys, "lab", verb, "--max-size", "3", "--fuel", "5")
+    assert got == (code, (GOLDEN / f"lab_{verb}_3_5.txt").read_text(), "")
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -353,13 +353,13 @@ def _mismatch(decision: tuple, expect) -> str:
 
 def corpus_run(directory) -> int:
     root = FsPath(directory)
+    if root.exists() and not root.is_dir():
+        raise DsubError(f"corpus path {root} is not a directory")
     if not root.is_dir():
-        _diag(f"corpus directory {root} does not exist")
-        return 2
+        raise DsubError(f"corpus directory {root} does not exist")
     cases = sorted(p for p in root.iterdir() if p.suffix in (".dsub", ".sub", ".json"))
     if not cases:
-        _diag(f"corpus directory {root} contains no cases")
-        return 2
+        raise DsubError(f"corpus directory {root} contains no cases")
     failures = 0
     for path in cases:
         try:

@@ -440,7 +440,9 @@ def _env_candidates(g: TypeEnv, memo: dict) -> dict:
 def _candidates(g: TypeEnv, own: tuple, memo: dict) -> list:
     """A goal's candidates as (canonical key, type) pairs, ordered by size
     then key: Top, Bot, the subterms of the goal's types ``own`` and the
-    environment's share, the first of each alpha class met standing for it."""
+    environment's share, the first of each alpha class met standing for it.
+    A searcher builds each goal's list once per search, and each key travels
+    with its type into the premises that take the type as a midpoint."""
     scope = g.dom()
     seen: dict = {}
     for t in (Top(), Bot(), *own):
@@ -469,11 +471,14 @@ class DeclSearcher:
 
     A goal is ``(kind, env.key, left key, right key)``, from keys cached on
     the nodes, so a lookup joins no key string; candidates carry their keys,
-    so Refl and the midpoint skips compare keys in hand.  Found proofs are
-    memoized per (goal, fuel).  A failure is kept once per goal, at the
-    highest fuel searched, and answers every search of it with no more
-    fuel: each rule tries its premises in the same order at any fuel, so
-    whatever is found at some fuel is found at every higher one.
+    so Refl and the midpoint skips compare keys in hand and the Trans and
+    Sub premises get their midpoint's key with it.  A goal's candidate list
+    is built once per search, whatever fuel it is searched at, and dropped
+    when the search returns.  Found proofs are memoized per (goal, fuel).
+    A failure is kept once per goal, at the highest fuel searched, and
+    answers every search of it with no more fuel: each rule tries its
+    premises in the same order at any fuel, so whatever is found at some
+    fuel is found at every higher one.
 
     A proof is ``(rule, judgment form, env, left, right, premise proofs)``.
     Only :meth:`search` builds judgments, one per distinct proof in the tree
@@ -500,8 +505,16 @@ class DeclSearcher:
         return None if proof is None else _tree(proof, {})
 
     def _candidates(self, g: TypeEnv, own: tuple) -> list:
-        """A goal's candidates; an extended environment's share lasts one search."""
-        return _candidates(g, own, self._memo if g is self._root else self._local)
+        """A goal's candidates, built once per search: the list is kept in the
+        search's memo under ``("goal", id(g), *map(id, own))`` with ``g`` and
+        ``own``, so a goal searched again at less fuel reuses it.  An extended
+        environment's share lasts one search too."""
+        key = ("goal", id(g), *map(id, own))
+        entry = self._local.get(key)
+        if entry is None:
+            memo = self._memo if g is self._root else self._local
+            entry = self._local[key] = _candidates(g, own, memo), g, own
+        return entry[0]
 
     def _keep(self, key: tuple, failed: dict, proof: Optional[tuple]) -> Optional[tuple]:
         if proof is None:
@@ -512,8 +525,10 @@ class DeclSearcher:
 
     # -- subtyping goals
 
-    def _sub(self, g: TypeEnv, lhs: Type, rhs: Type, fuel: int) -> Optional[tuple]:
-        lk, rk = canon(lhs), canon(rhs)
+    def _sub(
+        self, g: TypeEnv, lhs: Type, rhs: Type, fuel: int, lk: Optional[str] = None, rk: Optional[str] = None
+    ) -> Optional[tuple]:
+        lk, rk = lk or canon(lhs), rk or canon(rhs)
         failed = self._failed["sub", g.key, lk]
         if failed.get(rk, 0) >= fuel:
             return None
@@ -559,18 +574,18 @@ class DeclSearcher:
         for mk, mid in candidates:
             if mk == lk or mk == rk:
                 continue
-            left = self._sub(g, lhs, mid, fuel)
+            left = self._sub(g, lhs, mid, fuel, lk, mk)
             if left is None:
                 continue
-            right = self._sub(g, mid, rhs, fuel)
+            right = self._sub(g, mid, rhs, fuel, mk, rk)
             if right is not None:
                 return ("Trans", SubJ, g, lhs, rhs, (left, right))
         return None
 
     # -- typing goals
 
-    def _typ(self, g: TypeEnv, term: Term, ty: Type, fuel: int) -> Optional[tuple]:
-        mk, tk = canon(term), canon(ty)
+    def _typ(self, g: TypeEnv, term: Term, ty: Type, fuel: int, tk: Optional[str] = None) -> Optional[tuple]:
+        mk, tk = canon(term), tk or canon(ty)
         failed = self._failed["typ", g.key, mk]
         if failed.get(tk, 0) >= fuel:
             return None
@@ -627,10 +642,10 @@ class DeclSearcher:
         for mk, mid in candidates or self._candidates(g, (ty,)):
             if mk == tk:
                 continue
-            typing = self._typ(g, term, mid, fuel)
+            typing = self._typ(g, term, mid, fuel, mk)
             if typing is None:
                 continue
-            widening = self._sub(g, mid, ty, fuel)
+            widening = self._sub(g, mid, ty, fuel, mk, tk)
             if widening is not None:
                 return ("Sub", TypJ, g, term, ty, (typing, widening))
         return None

@@ -634,14 +634,25 @@ def test_corpus_run_names_the_expected_and_the_given_answer(capsys, tmp_path, na
     assert out.splitlines() == [f"FAIL  {name}: {want}", "0/1 corpus cases passed"]
 
 
+def _corpus_refusal(capsys, path) -> str:
+    code, out, err = run(capsys, "corpus", "run", "--dir", str(path))
+    assert (code, out) == (2, "")
+    return err
+
+
 def test_corpus_run_empty_dir(capsys, tmp_path):
-    code, _, err = run(capsys, "corpus", "run", "--dir", str(tmp_path))
-    assert code == 2
+    assert _corpus_refusal(capsys, tmp_path) == f"dsub: error: corpus directory {tmp_path} contains no cases\n"
 
 
 def test_corpus_run_missing_dir(capsys, tmp_path):
-    code, _, err = run(capsys, "corpus", "run", "--dir", str(tmp_path / "nope"))
-    assert code == 2
+    path = tmp_path / "nope"
+    assert _corpus_refusal(capsys, path) == f"dsub: error: corpus directory {path} does not exist\n"
+
+
+def test_corpus_run_refuses_a_file(capsys, tmp_path):
+    path = tmp_path / "case.sub"
+    path.write_text("Top <: Top\n")
+    assert _corpus_refusal(capsys, path) == f"dsub: error: corpus path {path} is not a directory\n"
 
 
 # ---------------------------------------------------------------------------

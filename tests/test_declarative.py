@@ -530,6 +530,49 @@ def test_shared_searcher_keeps_only_its_goal_environments_memo():
     assert searcher._memo and {key[1] for key in searcher._memo} <= prefixes
 
 
+def test_each_goal_gets_its_candidates_built_once_per_search(monkeypatch):
+    # a searcher builds a goal's list once per search, whatever fuel the goal
+    # is searched at: every list a rule gets is one this search built, with
+    # the nodes a fresh build has, in its order; no (environment, own types)
+    # is built twice in a search; and no list outlives its search
+    build, rules_get = declarative._candidates, DeclSearcher._candidates
+    builds = []  # this search's (environment, own types, list), which keeps their ids unique
+
+    def counted(g, own, memo):
+        out = build(g, own, memo)
+        builds.append((g, own, out))
+        return out
+
+    def checked(self, g, own):
+        out = rules_get(self, g, own)
+        assert any(out is built for _, _, built in builds)
+        fresh = build(g, own, {})
+        assert len(out) == len(fresh) and all(a is b for (_, a), (_, b) in zip(out, fresh))
+        return out
+
+    monkeypatch.setattr(declarative, "_candidates", counted)
+    monkeypatch.setattr(DeclSearcher, "_candidates", checked)
+    searcher = DeclSearcher()
+
+    def search(goal):
+        builds.clear()
+        searcher.search(goal, 5)
+        built = [(id(g), *map(id, own)) for g, own, _ in builds]
+        assert len(set(built)) == len(built), goal
+        assert searcher._local is None and not any(key[0] == "goal" for key in searcher._memo)
+        return len(built)
+
+    env = bad_bounds_env()
+    universe = list(Enumerator(variables=("e",), labels=("E", "V", "Z")).types(3, ("e",)))
+    total = sum(search(SubJ(env, s, t)) for s in universe for t in universe)
+    g = _env(("x", Decl("A", Bot(), Top())), ("y", Decl("B", Path("x", "A"), Path("x", "A"))))
+    enum = Enumerator(variables=("x", "y"), labels=("A", "B"))
+    types, terms = list(enum.types(3, ("x", "y"))), list(enum.terms(3, ("x", "y")))
+    total += sum(search(SubJ(g, s, t)) for s in types[::3] for t in types[::5])
+    total += sum(search(TypJ(g, m, t)) for m in terms for t in types[::4])
+    assert total > 1000
+
+
 # ---------------------------------------------------------------------------
 # Elaboration
 

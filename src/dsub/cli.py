@@ -353,9 +353,9 @@ def _mismatch(decision: tuple, expect) -> str:
 
 def corpus_run(directory) -> int:
     root = FsPath(directory)
-    if root.exists() and not root.is_dir():
-        raise DsubError(f"corpus path {root} is not a directory")
     if not root.is_dir():
+        if root.exists():
+            raise DsubError(f"corpus path {root} is not a directory")
         raise DsubError(f"corpus directory {root} does not exist")
     cases = sorted(p for p in root.iterdir() if p.suffix in (".dsub", ".sub", ".json"))
     if not cases:

@@ -1,6 +1,9 @@
 import copy
+import hashlib
 import json
+import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -571,6 +574,78 @@ def test_each_goal_gets_its_candidates_built_once_per_search(monkeypatch):
     total += sum(search(SubJ(g, s, t)) for s in types[::3] for t in types[::5])
     total += sum(search(TypJ(g, m, t)) for m in terms for t in types[::4])
     assert total > 1000
+
+
+def _pinned_goals() -> tuple:
+    """The (3, 5) bad-bounds sweep, as ``dsub lab tags`` searches it, and
+    seeded subtyping and typing goals over the empty, a two-variable and
+    the bad-bounds environments at fuel 4 to 6, with every term shape."""
+    env = bad_bounds_env()
+    universe = list(Enumerator(variables=("e",), labels=("E", "V", "Z")).types(3, ("e",)))
+    sweep = [(SubJ(env, s, t), 5) for s in universe for t in universe]
+    two = _env(("x", Decl("A", Bot(), Top())), ("y", Decl("B", Path("x", "A"), Path("x", "A"))))
+    rng = random.Random(1)
+    seeded = []
+    for g, labels in ((EMPTY, ("A", "B")), (two, ("A", "B")), (env, ("E", "V", "Z"))):
+        scope = tuple(x for x, _ in g)
+        enum = Enumerator(variables=scope, labels=labels)
+        types, shapes = list(enum.types(3, scope)), {}
+        for m in enum.terms(3, scope):
+            shapes.setdefault(type(m).__name__, []).append(m)
+        for fuel in (4, 5, 6):
+            seeded += [(SubJ(g, rng.choice(types), rng.choice(types)), fuel) for _ in range(6)]
+            for shape in sorted(shapes):
+                seeded += [(TypJ(g, rng.choice(shapes[shape]), rng.choice(types)), fuel) for _ in range(3)]
+    return sweep, seeded
+
+
+def test_search_answers_and_work_are_pinned(monkeypatch):
+    # one searcher per goal (as `dsub decl search`) and one shared searcher
+    # (as the lab) find the same trees, pinned by a digest, with the same
+    # number of rule applications and candidate list builds
+    counts = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(declarative, "_candidates", counted("builds", declarative._candidates))
+    for name in ("_sub", "_typ", "_sub_rules", "_typ_rules"):
+        monkeypatch.setattr(DeclSearcher, name, counted(name, getattr(DeclSearcher, name)))
+
+    def run(goals, fresh: bool) -> tuple:
+        counts.clear()
+        searcher = DeclSearcher()
+        answers = []
+        for goal, fuel in goals:
+            tree = (DeclSearcher() if fresh else searcher).search(goal, fuel)
+            answers.append(tree and json.dumps(derivation_to_json(tree)))
+        return answers, dict(counts)
+
+    def digest(answers) -> str:
+        found = "".join(f"{i} {text}\n" for i, text in enumerate(answers) if text is not None)
+        return hashlib.sha256(found.encode()).hexdigest()
+
+    sweep, seeded = _pinned_goals()
+    assert {type(goal.term).__name__ for goal, _ in seeded if isinstance(goal, TypJ)} >= {"App", "Lam", "Let"}
+    shared, shared_work = run(sweep + seeded, fresh=False)
+    fresh, fresh_work = run(sweep[::47] + seeded, fresh=True)
+    assert fresh == shared[: len(sweep) : 47] + shared[len(sweep) :]
+    assert sum(text is not None for text in shared) == 1090
+    assert digest(shared) == "222286368017a21bfe487e68875ccf82ee1aed6c535253088fc2a597d9ef6aaa"
+    assert {k: shared_work[k] for k in ("_sub_rules", "_typ_rules", "builds")} == {
+        "_sub_rules": 46275,
+        "_typ_rules": 30593,
+        "builds": 52396,
+    }
+    assert {k: fresh_work[k] for k in ("_sub_rules", "_typ_rules", "builds")} == {
+        "_sub_rules": 61116,
+        "_typ_rules": 49954,
+        "builds": 47063,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -327,7 +327,10 @@ def _decide_case(path: FsPath) -> tuple:
     text = path.read_text()
     if path.suffix == ".json":
         data = json.loads(text)
-        return _verifying(derivation_from_json(data)), data.get("expect")
+        decision, expect = _verifying(derivation_from_json(data)), data.get("expect")
+        if expect is not None and not isinstance(expect, str):
+            raise DsubError(f'"expect" must be a string, found {json.dumps(expect)}')
+        return decision, expect
     headers = _corpus_headers(text)
     env = _load_env(path.parent / headers["env"] if "env" in headers else None)
     if path.suffix == ".dsub":

@@ -471,14 +471,20 @@ class DeclSearcher:
 
     A goal is ``(kind, env.key, left key, right key)``, from keys cached on
     the nodes, so a lookup joins no key string; candidates carry their keys,
-    so Refl and the midpoint skips compare keys in hand and the Trans and
-    Sub premises get their midpoint's key with it.  A goal's candidate list
-    is built once per search, whatever fuel it is searched at, and dropped
-    when the search returns.  Found proofs are memoized per (goal, fuel).
+    so Refl and the midpoint skips compare keys in hand and the Trans, Sub,
+    Let and All-E premises get their candidate's key with it.  A goal's
+    candidate list is built once per search, whatever fuel it is searched
+    at, and dropped when the search returns.  Found proofs are memoized per
+    (goal, fuel).
     A failure is kept once per goal, at the highest fuel searched, and
     answers every search of it with no more fuel: each rule tries its
     premises in the same order at any fuel, so whatever is found at some
-    fuel is found at every higher one.
+    fuel is found at every higher one.  The failures of the goals that
+    differ only in the right key share one row, which is never replaced.  A
+    candidate loop whose premises share a row (the Trans premises from the
+    left side and the Sub premises, which share their goal's row; the Let
+    right-side typings; the All-E function typings) fetches it once and
+    answers a recorded failure in place, with no call.
 
     A proof is ``(rule, judgment form, env, left, right, premise proofs)``.
     Only :meth:`search` builds judgments, one per distinct proof in the tree
@@ -533,9 +539,13 @@ class DeclSearcher:
         if failed.get(rk, 0) >= fuel:
             return None
         key = ("sub", g.key, lk, rk, fuel)
-        return self._found.get(key) or self._keep(key, failed, self._sub_rules(g, lhs, lk, rhs, rk, fuel))
+        return self._found.get(key) or self._keep(key, failed, self._sub_rules(g, lhs, lk, rhs, rk, fuel, failed))
 
-    def _sub_rules(self, g: TypeEnv, lhs: Type, lk: str, rhs: Type, rk: str, fuel: int) -> Optional[tuple]:
+    def _sub_rules(
+        self, g: TypeEnv, lhs: Type, lk: str, rhs: Type, rk: str, fuel: int, failed: dict
+    ) -> Optional[tuple]:
+        """``failed`` is the goal's failure row, which the Trans premises
+        from ``lhs`` share."""
         axiom = "Top" if isinstance(rhs, Top) else "Bot" if isinstance(lhs, Bot) else "Refl" if lk == rk else None
         if axiom is not None:
             return (axiom, SubJ, g, lhs, rhs, ())
@@ -572,7 +582,7 @@ class DeclSearcher:
                         return (rule, SubJ, g, lhs, rhs, (premise,))
 
         for mk, mid in candidates:
-            if mk == lk or mk == rk:
+            if mk == lk or mk == rk or failed.get(mk, 0) >= fuel:
                 continue
             left = self._sub(g, lhs, mid, fuel, lk, mk)
             if left is None:
@@ -590,9 +600,11 @@ class DeclSearcher:
         if failed.get(tk, 0) >= fuel:
             return None
         key = ("typ", g.key, mk, tk, fuel)
-        return self._found.get(key) or self._keep(key, failed, self._typ_rules(g, term, ty, tk, fuel))
+        return self._found.get(key) or self._keep(key, failed, self._typ_rules(g, term, ty, tk, fuel, failed))
 
-    def _typ_rules(self, g: TypeEnv, term: Term, ty: Type, tk: str, fuel: int) -> Optional[tuple]:
+    def _typ_rules(self, g: TypeEnv, term: Term, ty: Type, tk: str, fuel: int, failed: dict) -> Optional[tuple]:
+        """``failed`` is the goal's failure row, which the Sub premises
+        typing ``term`` share."""
         match term:
             case Var(name=x):
                 stored = g.lookup(x)
@@ -616,12 +628,14 @@ class DeclSearcher:
                         return ("All-I", TypJ, g, term, ty, (premise,))
             case App(fun=f, arg=a):
                 candidates = self._candidates(g, (ty,))
-                for _, fun_ty in candidates:
+                fun = Var(f)
+                fun_failed = self._failed["typ", g.key, canon(fun)]
+                for fk, fun_ty in candidates:
                     if not isinstance(fun_ty, All):
                         continue
-                    if canon(subst_var(fun_ty.result, fun_ty.param, a)) != tk:
+                    if canon(subst_var(fun_ty.result, fun_ty.param, a)) != tk or fun_failed.get(fk, 0) >= fuel:
                         continue
-                    fun_premise = self._typ(g, Var(f), fun_ty, fuel)
+                    fun_premise = self._typ(g, fun, fun_ty, fuel, fk)
                     if fun_premise is None:
                         continue
                     arg_premise = self._typ(g, Var(a), fun_ty.param_type, fuel)
@@ -630,8 +644,11 @@ class DeclSearcher:
             case Let(bound=x, rhs=rhs, body=body):
                 if x not in fv(ty):
                     candidates = self._candidates(g, (ty,))
-                    for _, rhs_ty in candidates:
-                        rhs_premise = self._typ(g, rhs, rhs_ty, fuel)
+                    rhs_failed = self._failed["typ", g.key, canon(rhs)]
+                    for rk, rhs_ty in candidates:
+                        if rhs_failed.get(rk, 0) >= fuel:
+                            continue
+                        rhs_premise = self._typ(g, rhs, rhs_ty, fuel, rk)
                         if rhs_premise is None:
                             continue
                         z = g.fresh(x, (fv(body) - {x}) | fv(ty))
@@ -640,7 +657,7 @@ class DeclSearcher:
                             return ("Let", TypJ, g, term, ty, (rhs_premise, body_premise))
 
         for mk, mid in candidates or self._candidates(g, (ty,)):
-            if mk == tk:
+            if mk == tk or failed.get(mk, 0) >= fuel:
                 continue
             typing = self._typ(g, term, mid, fuel, mk)
             if typing is None:

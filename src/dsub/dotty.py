@@ -204,12 +204,6 @@ def scala_sub(u: BoundsUniverse, t1: SType, t2: SType) -> SubStats:
 # Example universes
 
 
-def bad_bounds_universe() -> BoundsUniverse:
-    """One member ``E`` bounded below by ``Int -> Int`` and above by
-    ``Int -> String``."""
-    return BoundsUniverse.of({"E": Bounds(lower=Fun(INT, INT), upper=Fun(INT, STRING))})
-
-
 def make_pn(n: int):
     """The two-chain worst-case universe.
 

@@ -25,7 +25,6 @@ from .declarative import (
     SubJ,
     TypJ,
     decl_verify,
-    derivation_to_json,
 )
 from .environment import TypeEnv
 from .step import step_subtype, step_type
@@ -129,15 +128,6 @@ def body_typing_narrow() -> DerivationTree:
 
 def body_typing_wide() -> DerivationTree:
     return _body_typing(result_label_wide=True)
-
-
-def corpus_derivations() -> dict:
-    """The shipped derivation corpus, as JSON-ready dicts keyed by name."""
-    return {
-        "minimality_body_narrow": derivation_to_json(body_typing_narrow()),
-        "minimality_body_wide": derivation_to_json(body_typing_wide()),
-        "fun_bounds_bridge": derivation_to_json(fun_bounds_bridge()),
-    }
 
 
 # ---------------------------------------------------------------------------

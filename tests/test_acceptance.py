@@ -37,7 +37,7 @@ from dsub.declarative import (
     decl_verify,
     elaborate_step,
 )
-from dsub.dotty import INT, STRING, Fun, Member, bad_bounds_universe, make_pn, scala_sub
+from dsub.dotty import INT, STRING, Fun, Member, make_pn, scala_sub
 from dsub.environment import TypeEnv, env_from_bindings
 from dsub.errors import InternalLimit
 from dsub.exposure import expose
@@ -68,6 +68,7 @@ from dsub.syntax import (
 )
 from dsub.trace import Derived
 from test_cli import CORPUS
+from test_dotty import bad_bounds_universe
 from test_lab import below_red_flaw
 
 

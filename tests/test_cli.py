@@ -625,6 +625,16 @@ def test_corpus_run_fails_an_ill_scoped_case_with_the_verbs_error(capsys, tmp_pa
             "expected valid, got invalid: root: Top: right-hand side must be Top", id="got-invalid",
         ),
         pytest.param("a.sub", "Bot\nTop\n", "error: case states no expectation", id="no-expectation"),
+        pytest.param(
+            "a.json",
+            '{"expect": 5, "rule": "Top", "judgment": {"kind": "sub", "env": [], "lhs": "Bot", "rhs": "Top"}}',
+            'error: "expect" must be a string, found 5', id="number-expectation",
+        ),
+        pytest.param(
+            "a.json",
+            '{"expect": ["valid"], "rule": "Top", "judgment": {"kind": "sub", "env": [], "lhs": "Bot", "rhs": "Top"}}',
+            'error: "expect" must be a string, found ["valid"]', id="list-expectation",
+        ),
     ),
 )
 def test_corpus_run_names_the_expected_and_the_given_answer(capsys, tmp_path, name, text, want):

@@ -601,7 +601,7 @@ def _pinned_goals() -> tuple:
 
 def test_search_answers_and_work_are_pinned(monkeypatch):
     # one searcher per goal (as `dsub decl search`) and one shared searcher
-    # (as the lab) find the same trees, pinned by a digest, with the same
+    # (as the lab) find the same trees, pinned by a digest, with a pinned
     # number of rule applications and candidate list builds
     counts = Counter()
 
@@ -646,6 +646,10 @@ def test_search_answers_and_work_are_pinned(monkeypatch):
         "_typ_rules": 49954,
         "builds": 47063,
     }
+    # the rule loops skip a candidate whose premise a recorded failure
+    # answers, so most goals they ask about are never called
+    assert shared_work["_sub"] <= 117_856 and shared_work["_typ"] <= 62_261
+    assert fresh_work["_sub"] <= 101_251 and fresh_work["_typ"] <= 88_960
 
 
 # ---------------------------------------------------------------------------

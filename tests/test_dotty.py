@@ -12,7 +12,6 @@ from dsub.dotty import (
     Fun,
     Member,
     UnknownMember,
-    bad_bounds_universe,
     bench_pn,
     make_pn,
     scala_sub,
@@ -21,6 +20,12 @@ from dsub.errors import InternalLimit
 
 F_II = Fun(INT, INT)
 F_IS = Fun(INT, STRING)
+
+
+def bad_bounds_universe() -> BoundsUniverse:
+    """One member ``E`` bounded below by ``Int -> Int`` and above by
+    ``Int -> String``."""
+    return BoundsUniverse.of({"E": Bounds(lower=Fun(INT, INT), upper=Fun(INT, STRING))})
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from dsub.declarative import SubJ, decl_search, decl_verify
+from dsub.declarative import SubJ, decl_search, decl_verify, derivation_to_json
 from dsub.lab import (
     BAD_BOUNDS_DECL,
     DECL_V,
@@ -11,9 +11,11 @@ from dsub.lab import (
     FUN_VZ,
     Enumerator,
     bad_bounds_env,
+    body_typing_narrow,
+    body_typing_wide,
     check_no_tag_switch,
     check_wellbehaved,
-    corpus_derivations,
+    fun_bounds_bridge,
     is_blue,
     is_red,
     minimality_body,
@@ -43,6 +45,15 @@ def test_corpus_shapes():
     g = bad_bounds_env()
     assert g.lookup("e") == BAD_BOUNDS_DECL
     assert fv(minimality_body()) == frozenset()
+
+
+def corpus_derivations() -> dict:
+    """The shipped derivation corpus, as JSON-ready dicts keyed by name."""
+    return {
+        "minimality_body_narrow": derivation_to_json(body_typing_narrow()),
+        "minimality_body_wide": derivation_to_json(body_typing_wide()),
+        "fun_bounds_bridge": derivation_to_json(fun_bounds_bridge()),
+    }
 
 
 def test_corpus_derivations_exported():

@@ -4,6 +4,7 @@ import json
 import random
 import time
 from collections import Counter
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -32,6 +33,7 @@ from dsub.lab import (
     body_typing_narrow,
     body_typing_wide,
     fun_bounds_bridge,
+    _lab_universe,
 )
 from dsub.step import step_subtype, step_type
 from dsub.syntax import (
@@ -47,6 +49,7 @@ from dsub.syntax import (
     canon,
     fv,
     parse_term,
+    parse_type,
     size,
     subst_var,
 )
@@ -746,3 +749,104 @@ def test_judgments_are_immutable_records():
     assert twin == j and hash(twin) == hash(j) and copy.copy(j) == j
     assert ExposeJ(g, Path("x", "A"), Top()) != j
     assert DerivationTree("S-Top", j) == DerivationTree("S-Top", twin, ())
+
+
+# ---------------------------------------------------------------------------
+# Single-point mutants
+
+CORPUS = FsPath(__file__).resolve().parent.parent / "corpus"
+DECL_RULES = (
+    "Top", "Bot", "Refl", "Trans", "<:-Sel", "Sel-<:", "All-<:-All", "Typ-<:-Typ",
+    "Var", "Typ-I", "All-I", "All-E", "Let", "Sub",
+)  # fmt: skip
+
+
+def _valid_derivations() -> list:
+    """Valid derivations of every declarative rule: the lab's hand-built
+    trees, the elaborated typings of the corpus ``.dsub`` cases and of a
+    let-6 chain, two elaborated subtypings, and the trees the search finds
+    over the first 12 x 12 pairs of the lab's size-3 universe at fuel 5."""
+    trees = [fun_bounds_bridge(), body_typing_narrow(), body_typing_wide()]
+    bad = bad_bounds_env()
+    for case in sorted(CORPUS.glob("*.dsub")):
+        text = case.read_text()
+        g = bad if "//! env: bad_bounds.env" in text else EMPTY
+        typed = step_type(g, parse_term(text))
+        if typed:
+            trees.append(elaborate_step(typed.trace))
+    chain = "".join(f"let v{i} = {{A = {f'v{i - 1}.A' if i else 'Top'}}} in " for i in range(6)) + "v5"
+    trees.append(elaborate_step(step_type(EMPTY, parse_term(chain)).trace))
+    two = _env(("x", Decl("A", Bot(), Top())), ("y", Decl("B", Path("x", "A"), Path("x", "A"))))
+    narrow, wide = (parse_type(f"all(z: {{A: Bot .. Top}}) {{B: {p} .. Top}}") for p in ("y.B", "x.A"))
+    for g, lhs, rhs in ((bad, FUN_VV, Path("e", "E")), (two, narrow, wide)):
+        trees.append(elaborate_step(step_subtype(g, lhs, rhs).trace))
+    universe = _lab_universe(3)[:12]
+    searcher = DeclSearcher()
+    for lhs in universe:
+        for rhs in universe:
+            tree = searcher.search(SubJ(bad, lhs, rhs), 5)
+            if tree is not None:
+                trees.append(tree)
+    return trees
+
+
+def _positions(tree: DerivationTree, path: tuple = ()) -> list:
+    """Every place in ``tree`` (a shared node at each place it occurs), as
+    (premise indices from the root, node), in pre-order."""
+    out = [(path, tree)]
+    for i, premise in enumerate(tree.premises):
+        out += _positions(premise, path + (i,))
+    return out
+
+
+def _replace(tree: DerivationTree, path: tuple, node: DerivationTree) -> DerivationTree:
+    if not path:
+        return node
+    premises = list(tree.premises)
+    premises[path[0]] = _replace(premises[path[0]], path[1:], node)
+    return DerivationTree(tree.rule, tree.conclusion, tuple(premises))
+
+
+def _mutate(node: DerivationTree, rng: random.Random) -> DerivationTree:
+    """``node`` with one change: its rule renamed, Top or Bot put on one side
+    or in the type, its sides swapped, one premise dropped or its premises
+    reversed."""
+    rule, c, premises = node.rule, node.conclusion, node.premises
+    kinds = ["rename", "extreme"] + ["swap"] * isinstance(c, SubJ)
+    kinds += ["drop"] * (len(premises) > 0) + ["reverse"] * (len(premises) > 1)
+    kind = rng.choice(kinds)
+    if kind == "rename":
+        rule = rng.choice([r for r in DECL_RULES if r != rule])
+    elif kind == "extreme":
+        t = rng.choice((Top(), Bot()))
+        if isinstance(c, TypJ):
+            c = TypJ(c.env, c.term, t)
+        else:
+            c = SubJ(c.env, t, c.rhs) if rng.choice((True, False)) else SubJ(c.env, c.lhs, t)
+    elif kind == "swap":
+        c = SubJ(c.env, c.rhs, c.lhs)
+    elif kind == "drop":
+        i = rng.randrange(len(premises))
+        premises = premises[:i] + premises[i + 1 :]
+    else:
+        premises = premises[::-1]
+    return DerivationTree(rule, c, premises)
+
+
+def test_verify_answers_on_single_point_mutants_are_pinned():
+    # 1,000 seeded mutants of valid derivations: which are accepted, and
+    # the path of each rejection, are pinned (the messages are not)
+    trees = _valid_derivations()
+    assert all(decl_verify(tree) for tree in trees)
+    rules = {node.rule for tree in trees for _, node in _positions(tree)}
+    assert rules == set(DECL_RULES)
+    rng = random.Random(22)
+    answers = []
+    for _ in range(1000):
+        tree = rng.choice(trees)
+        path, node = rng.choice(_positions(tree))
+        verdict = decl_verify(_replace(tree, path, _mutate(node, rng)))
+        answers.append([verdict.ok, verdict.path])
+    assert (len(trees), sum(ok for ok, _ in answers)) == (56, 212)
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == "ca9f41313eef218c7f75a4a33df9b1df0cf6870123fae0a9274b3ece006774ef"

@@ -3,9 +3,17 @@ fuel-bounded proof search, and an elaborator from algorithmic traces.
 
 The checker (:func:`decl_verify`) validates that every node of a derivation
 tree instantiates its rule schema; it is the soundness oracle for the whole
-package.  The search (:func:`decl_search`) looks for derivations up to a
-depth bound, guessing transitivity/subsumption midpoints from a finite
-candidate set; failure to find one is never a refutation.  The elaborator
+package.  The schemas are data, one row of ``_RULES`` per rule: the judgment
+form it concludes, the form of each premise, the index of the premise that
+opens a binder (or None), and a checker for the rule's side conditions.
+Every premise lives in the conclusion's environment, except the binder
+premise, whose environment is the conclusion's extended by one binding.
+The checker tests each node's shape against its row, naming a failing
+premise by its index, and only then the side conditions.
+
+The search (:func:`decl_search`) looks for derivations up to a depth bound,
+guessing transitivity/subsumption midpoints from a finite candidate set;
+failure to find one is never a refutation.  The elaborator
 (:func:`elaborate_step`) replays exposure, promotion/demotion and step
 typing/subtyping traces as declarative derivations, inserting the
 transitivity and subsumption steps the algorithmic rules fuse away.
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .environment import TypeEnv, env_from_bindings
@@ -86,76 +95,73 @@ def decl_verify(tree: DerivationTree) -> VerifyResult:
     return VerifyResult(False, "root" + "".join(f".premises[{i}]" for i in reversed(trail)), message)
 
 
-def _same_env(a: TypeEnv, b: TypeEnv) -> bool:
-    return a is b or a.key == b.key
-
-
-def _extends_by_one(inner: TypeEnv, outer: TypeEnv):
-    """Return the extra (var, type) binding if ``inner`` is ``outer`` plus
-    exactly one binding, else None."""
-    if len(inner) != len(outer) + 1 or not _same_env(inner.parent, outer):
-        return None
-    return inner.last
-
-
 def _verify(node: DerivationTree, trail: list, valid: set) -> Optional[str]:
     """The first failure's message, with the premise indices leading to the
     failing node appended to ``trail`` innermost first; None if valid.
-    ``valid`` holds the ids of the nodes already found valid."""
-    if id(node) in valid:
-        return None
-    entry = _CHECKERS.get(node.rule)
-    if entry is None:
+    ``valid`` holds the ids of the nodes already found valid, which are not
+    visited again.  A node's shape is checked against its rule's row first,
+    then the rule's side conditions, then its premises in order."""
+    rule = _RULES.get(node.rule)
+    if rule is None:
         return f"unknown rule {node.rule!r}"
-    form, check = entry
-    if not isinstance(node.conclusion, form):
+    form, forms, binder, check = rule
+    c = node.conclusion
+    if not isinstance(c, form):
         return f"rule {node.rule} concludes the wrong judgment form"
-    message = check(node)
+    premises = node.premises
+    if len(premises) != len(forms):
+        return f"{node.rule}: expected {len(forms)} premise(s), found {len(premises)}"
+    env = c.env
+    judgments = []
+    for i, premise in enumerate(premises):
+        j = premise.conclusion
+        if not isinstance(j, forms[i]):
+            return f"{node.rule}: premise {i} must be a {'typing' if forms[i] is TypJ else 'subtyping'} judgment"
+        inner = j.env
+        if i == binder:
+            if len(inner) != len(env) + 1 or not (inner.parent is env or inner.parent.key == env.key):
+                return f"{node.rule}: premise {i} environment must extend the conclusion's by one binding"
+        elif not (inner is env or inner.key == env.key):
+            return f"{node.rule}: premise {i} environment differs from the conclusion's"
+        judgments.append(j)
+    message = check(c, judgments)
     if message is not None:
         return f"{node.rule}: {message}"
-    for i, premise in enumerate(node.premises):
-        message = _verify(premise, trail, valid)
-        if message is not None:
-            trail.append(i)
-            return message
+    for i, premise in enumerate(premises):
+        if id(premise) not in valid:
+            message = _verify(premise, trail, valid)
+            if message is not None:
+                trail.append(i)
+                return message
     valid.add(id(node))
     return None
 
 
-def _arity(node: DerivationTree, n: int) -> Optional[str]:
-    if len(node.premises) != n:
-        return f"expected {n} premise(s), found {len(node.premises)}"
+# The side conditions of each rule: a checker takes the conclusion and the
+# list of the premises' judgments, whose forms and environments ``_verify``
+# has checked; a binder premise's environment binds the opened variable last.
+
+
+def _check_top(c: SubJ, _: list) -> Optional[str]:
+    if not isinstance(c.rhs, Top):
+        return "right-hand side must be Top"
     return None
 
 
-def _check_top(node: DerivationTree) -> Optional[str]:
-    if not isinstance(node.conclusion.rhs, Top):
-        return "right-hand side must be Top"
-    return _arity(node, 0)
-
-
-def _check_bot(node: DerivationTree) -> Optional[str]:
-    if not isinstance(node.conclusion.lhs, Bot):
+def _check_bot(c: SubJ, _: list) -> Optional[str]:
+    if not isinstance(c.lhs, Bot):
         return "left-hand side must be Bot"
-    return _arity(node, 0)
+    return None
 
 
-def _check_refl(node: DerivationTree) -> Optional[str]:
-    if not alpha_eq(node.conclusion.lhs, node.conclusion.rhs):
+def _check_refl(c: SubJ, _: list) -> Optional[str]:
+    if not alpha_eq(c.lhs, c.rhs):
         return "sides are not alpha-equal"
-    return _arity(node, 0)
+    return None
 
 
-def _check_trans(node: DerivationTree) -> Optional[str]:
-    bad = _arity(node, 2)
-    if bad:
-        return bad
-    left, right = node.premises[0].conclusion, node.premises[1].conclusion
-    if not isinstance(left, SubJ) or not isinstance(right, SubJ):
-        return "premises must be subtyping judgments"
-    c = node.conclusion
-    if not (_same_env(left.env, c.env) and _same_env(right.env, c.env)):
-        return "premise environments differ from the conclusion's"
+def _check_trans(c: SubJ, premises: list) -> Optional[str]:
+    left, right = premises
     if not alpha_eq(left.lhs, c.lhs):
         return "first premise does not start at the conclusion's left side"
     if not alpha_eq(right.rhs, c.rhs):
@@ -165,57 +171,31 @@ def _check_trans(node: DerivationTree) -> Optional[str]:
     return None
 
 
-def _sel_typing_premise(node: DerivationTree, path_side: Type) -> Optional[str]:
-    premise = node.premises[0].conclusion
-    if not isinstance(premise, TypJ):
-        return "premise must be a typing judgment"
-    if not _same_env(premise.env, node.conclusion.env):
-        return "premise environment differs from the conclusion's"
-    if not isinstance(path_side, Path):
+def _check_sel(upper: bool, c: SubJ, premises: list) -> Optional[str]:
+    # Sel-<: (upper) concludes x.A <: T and <:-Sel concludes S <: x.A from x : {A: S..T}
+    (typing,) = premises
+    path = c.lhs if upper else c.rhs
+    if not isinstance(path, Path):
         return "conclusion does not select on a path"
-    if not isinstance(premise.term, Var) or premise.term.name != path_side.var:
+    if not isinstance(typing.term, Var) or typing.term.name != path.var:
         return "premise must type the path's head variable"
-    if not isinstance(premise.ty, Decl) or premise.ty.label != path_side.label:
+    decl = typing.ty
+    if not isinstance(decl, Decl) or decl.label != path.label:
         return "premise must assign a declaration with the path's label"
-    return None
-
-
-def _check_sel(node: DerivationTree) -> Optional[str]:
-    # Sel-<: concludes x.A <: T and <:-Sel concludes S <: x.A from x : {A: S..T}
-    bad = _arity(node, 1)
-    if bad:
-        return bad
-    c = node.conclusion
-    left = node.rule == "Sel-<:"
-    bad = _sel_typing_premise(node, c.lhs if left else c.rhs)
-    if bad:
-        return bad
-    decl = node.premises[0].conclusion.ty
-    if left and not alpha_eq(decl.upper, c.rhs):
+    if upper and not alpha_eq(decl.upper, c.rhs):
         return "declaration's upper bound differs from the conclusion's right side"
-    if not left and not alpha_eq(decl.lower, c.lhs):
+    if not upper and not alpha_eq(decl.lower, c.lhs):
         return "declaration's lower bound differs from the conclusion's left side"
     return None
 
 
-def _check_all_sub(node: DerivationTree) -> Optional[str]:
-    bad = _arity(node, 2)
-    if bad:
-        return bad
-    c = node.conclusion
+def _check_all_sub(c: SubJ, premises: list) -> Optional[str]:
+    params, bodies = premises
     if not isinstance(c.lhs, All) or not isinstance(c.rhs, All):
         return "both sides must be function types"
-    params, bodies = node.premises[0].conclusion, node.premises[1].conclusion
-    if not isinstance(params, SubJ) or not isinstance(bodies, SubJ):
-        return "premises must be subtyping judgments"
-    if not _same_env(params.env, c.env):
-        return "parameter premise environment differs from the conclusion's"
     if not (alpha_eq(params.lhs, c.rhs.param_type) and alpha_eq(params.rhs, c.lhs.param_type)):
         return "parameter premise is not the contravariant comparison"
-    extra = _extends_by_one(bodies.env, c.env)
-    if extra is None:
-        return "body premise environment must extend the conclusion's by one binding"
-    z, bound = extra
+    z, bound = bodies.env.last
     if not alpha_eq(bound, c.rhs.param_type):
         return "body premise binds the variable at the wrong type"
     if not alpha_eq(bodies.lhs, subst_var(c.lhs.result, c.lhs.param, z)):
@@ -225,18 +205,10 @@ def _check_all_sub(node: DerivationTree) -> Optional[str]:
     return None
 
 
-def _check_typ_sub(node: DerivationTree) -> Optional[str]:
-    bad = _arity(node, 2)
-    if bad:
-        return bad
-    c = node.conclusion
+def _check_typ_sub(c: SubJ, premises: list) -> Optional[str]:
+    lowers, uppers = premises
     if not isinstance(c.lhs, Decl) or not isinstance(c.rhs, Decl) or c.lhs.label != c.rhs.label:
         return "both sides must be declarations with the same label"
-    lowers, uppers = node.premises[0].conclusion, node.premises[1].conclusion
-    if not isinstance(lowers, SubJ) or not isinstance(uppers, SubJ):
-        return "premises must be subtyping judgments"
-    if not (_same_env(lowers.env, c.env) and _same_env(uppers.env, c.env)):
-        return "premise environments differ from the conclusion's"
     if not (alpha_eq(lowers.lhs, c.rhs.lower) and alpha_eq(lowers.rhs, c.lhs.lower)):
         return "lower-bound premise is not the contravariant comparison"
     if not (alpha_eq(uppers.lhs, c.lhs.upper) and alpha_eq(uppers.rhs, c.rhs.upper)):
@@ -244,8 +216,7 @@ def _check_typ_sub(node: DerivationTree) -> Optional[str]:
     return None
 
 
-def _check_var(node: DerivationTree) -> Optional[str]:
-    c = node.conclusion
+def _check_var(c: TypJ, _: list) -> Optional[str]:
     if not isinstance(c.term, Var):
         return "term must be a variable"
     stored = c.env.lookup(c.term.name)
@@ -253,11 +224,10 @@ def _check_var(node: DerivationTree) -> Optional[str]:
         return f"variable {c.term.name!r} is unbound"
     if not alpha_eq(stored, c.ty):
         return "assigned type differs from the environment's"
-    return _arity(node, 0)
+    return None
 
 
-def _check_typ_i(node: DerivationTree) -> Optional[str]:
-    c = node.conclusion
+def _check_typ_i(c: TypJ, _: list) -> Optional[str]:
     if not isinstance(c.term, Tag):
         return "term must be a type tag"
     ok = (
@@ -268,27 +238,18 @@ def _check_typ_i(node: DerivationTree) -> Optional[str]:
     )
     if not ok:
         return "assigned type must be the tag's label bounded by its alias on both sides"
-    return _arity(node, 0)
+    return None
 
 
-def _check_all_i(node: DerivationTree) -> Optional[str]:
-    bad = _arity(node, 1)
-    if bad:
-        return bad
-    c = node.conclusion
+def _check_all_i(c: TypJ, premises: list) -> Optional[str]:
+    (body,) = premises
     if not isinstance(c.term, Lam):
         return "term must be a lambda"
     if not isinstance(c.ty, All):
         return "assigned type must be a function type"
     if not alpha_eq(c.ty.param_type, c.term.param_type):
         return "function type's parameter differs from the lambda's annotation"
-    body = node.premises[0].conclusion
-    if not isinstance(body, TypJ):
-        return "premise must be a typing judgment"
-    extra = _extends_by_one(body.env, c.env)
-    if extra is None:
-        return "premise environment must extend the conclusion's by one binding"
-    z, bound = extra
+    z, bound = body.env.last
     if not alpha_eq(bound, c.term.param_type):
         return "premise binds the parameter at the wrong type"
     if not alpha_eq(body.term, subst_var(c.term.body, c.term.param, z)):
@@ -298,18 +259,10 @@ def _check_all_i(node: DerivationTree) -> Optional[str]:
     return None
 
 
-def _check_all_e(node: DerivationTree) -> Optional[str]:
-    bad = _arity(node, 2)
-    if bad:
-        return bad
-    c = node.conclusion
+def _check_all_e(c: TypJ, premises: list) -> Optional[str]:
+    fun, arg = premises
     if not isinstance(c.term, App):
         return "term must be an application"
-    fun, arg = node.premises[0].conclusion, node.premises[1].conclusion
-    if not isinstance(fun, TypJ) or not isinstance(arg, TypJ):
-        return "premises must be typing judgments"
-    if not (_same_env(fun.env, c.env) and _same_env(arg.env, c.env)):
-        return "premise environments differ from the conclusion's"
     if not isinstance(fun.term, Var) or fun.term.name != c.term.fun:
         return "first premise must type the function variable"
     if not isinstance(arg.term, Var) or arg.term.name != c.term.arg:
@@ -318,30 +271,18 @@ def _check_all_e(node: DerivationTree) -> Optional[str]:
         return "function premise must assign a function type"
     if not alpha_eq(arg.ty, fun.ty.param_type):
         return "argument type differs from the parameter type"
-    expected = subst_var(fun.ty.result, fun.ty.param, c.term.arg)
-    if not alpha_eq(c.ty, expected):
+    if not alpha_eq(c.ty, subst_var(fun.ty.result, fun.ty.param, c.term.arg)):
         return "assigned type is not the instantiated result type"
     return None
 
 
-def _check_let(node: DerivationTree) -> Optional[str]:
-    bad = _arity(node, 2)
-    if bad:
-        return bad
-    c = node.conclusion
+def _check_let(c: TypJ, premises: list) -> Optional[str]:
+    rhs, body = premises
     if not isinstance(c.term, Let):
         return "term must be a let"
-    rhs, body = node.premises[0].conclusion, node.premises[1].conclusion
-    if not isinstance(rhs, TypJ) or not isinstance(body, TypJ):
-        return "premises must be typing judgments"
-    if not _same_env(rhs.env, c.env):
-        return "right-hand-side premise environment differs from the conclusion's"
     if not alpha_eq(rhs.term, c.term.rhs):
         return "first premise does not type the bound expression"
-    extra = _extends_by_one(body.env, c.env)
-    if extra is None:
-        return "body premise environment must extend the conclusion's by one binding"
-    z, bound = extra
+    z, bound = body.env.last
     if not alpha_eq(bound, rhs.ty):
         return "body premise binds the variable at a different type"
     if not alpha_eq(body.term, subst_var(c.term.body, c.term.bound, z)):
@@ -353,16 +294,8 @@ def _check_let(node: DerivationTree) -> Optional[str]:
     return None
 
 
-def _check_sub(node: DerivationTree) -> Optional[str]:
-    bad = _arity(node, 2)
-    if bad:
-        return bad
-    c = node.conclusion
-    typing, widening = node.premises[0].conclusion, node.premises[1].conclusion
-    if not isinstance(typing, TypJ) or not isinstance(widening, SubJ):
-        return "premises must be a typing judgment then a subtyping judgment"
-    if not (_same_env(typing.env, c.env) and _same_env(widening.env, c.env)):
-        return "premise environments differ from the conclusion's"
+def _check_sub(c: TypJ, premises: list) -> Optional[str]:
+    typing, widening = premises
     if not alpha_eq(typing.term, c.term):
         return "typing premise is about a different term"
     if not alpha_eq(widening.lhs, typing.ty):
@@ -372,22 +305,23 @@ def _check_sub(node: DerivationTree) -> Optional[str]:
     return None
 
 
-# rule -> (judgment form it concludes, schema checker)
-_CHECKERS = {
-    "Top": (SubJ, _check_top),
-    "Bot": (SubJ, _check_bot),
-    "Refl": (SubJ, _check_refl),
-    "Trans": (SubJ, _check_trans),
-    "<:-Sel": (SubJ, _check_sel),
-    "Sel-<:": (SubJ, _check_sel),
-    "All-<:-All": (SubJ, _check_all_sub),
-    "Typ-<:-Typ": (SubJ, _check_typ_sub),
-    "Var": (TypJ, _check_var),
-    "Typ-I": (TypJ, _check_typ_i),
-    "All-I": (TypJ, _check_all_i),
-    "All-E": (TypJ, _check_all_e),
-    "Let": (TypJ, _check_let),
-    "Sub": (TypJ, _check_sub),
+# rule -> (the judgment form it concludes, the form of each premise, the
+# index of the premise that opens a binder or None, its side conditions)
+_RULES = {
+    "Top": (SubJ, (), None, _check_top),
+    "Bot": (SubJ, (), None, _check_bot),
+    "Refl": (SubJ, (), None, _check_refl),
+    "Trans": (SubJ, (SubJ, SubJ), None, _check_trans),
+    "<:-Sel": (SubJ, (TypJ,), None, partial(_check_sel, False)),
+    "Sel-<:": (SubJ, (TypJ,), None, partial(_check_sel, True)),
+    "All-<:-All": (SubJ, (SubJ, SubJ), 1, _check_all_sub),
+    "Typ-<:-Typ": (SubJ, (SubJ, SubJ), None, _check_typ_sub),
+    "Var": (TypJ, (), None, _check_var),
+    "Typ-I": (TypJ, (), None, _check_typ_i),
+    "All-I": (TypJ, (TypJ,), 0, _check_all_i),
+    "All-E": (TypJ, (TypJ, TypJ), None, _check_all_e),
+    "Let": (TypJ, (TypJ, TypJ), 1, _check_let),
+    "Sub": (TypJ, (TypJ, SubJ), None, _check_sub),
 }
 
 
@@ -944,7 +878,7 @@ def derivation_from_json(data: dict, where: str = "root") -> DerivationTree:
     """Read a tree written by ``derivation_to_json``; a ValueError names the
     first missing or mistyped part (paths index into ``premises``)."""
     rule = _field(data, "rule", str, where)
-    if rule not in _CHECKERS:
+    if rule not in _RULES:
         raise ValueError(f"unknown rule {rule!r}")
     judgment = judgment_from_json(_field(data, "judgment", dict, where), f"{where}.judgment")
     premises = _field(data, "premises", list, where) if "premises" in data else ()

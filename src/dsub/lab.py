@@ -75,11 +75,6 @@ def minimality_body() -> Term:
     )
 
 
-def minimality_term() -> Term:
-    """The closed lambda binding the bad-bounds variable around the body."""
-    return Lam(PIVOT_VAR, BAD_BOUNDS_DECL, minimality_body())
-
-
 def fun_bounds_bridge(env: Optional[TypeEnv] = None) -> DerivationTree:
     """Transitivity derivation of ``all(b: V)V <: all(b: V)Z`` routed through
     the member selection; valid in any environment containing the pivot

@@ -220,6 +220,24 @@ def test_every_verb_refuses_input_past_the_nesting_bound(capsys, tmp_path, verb)
     assert "Traceback" not in err
 
 
+def test_a_long_flat_chain_is_decided_or_refused_with_exit_2(capsys, tmp_path):
+    # x0 : {A: Top .. Top}, xi : {A: x(i-1).A .. x(i-1).A}: no line nests
+    # past two levels, but sub and expose walk the chain on the Python stack,
+    # and refuse it as too deep where the recursion limit falls
+    env = tmp_path / "chain.env"
+    links = "".join(f"x{i} : {{A: x{i - 1}.A .. x{i - 1}.A}} ;\n" for i in range(1, 2000))
+    env.write_text("x0 : {A: Top .. Top} ;\n" + links)
+    for argv in (["sub", "--env", str(env), "x1999.A", "x0.A"], ["expose", "--env", str(env), "x1999.A"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("dsub: error: "), argv
+        assert "Traceback" not in err
+    assert run(capsys, "promote", "--env", str(env), "--var", "x1999", "x1999.A") == (0, "x1998.A\n", "")
+    term = tmp_path / "x.dsub"
+    term.write_text("x1999\n")
+    assert run(capsys, "check", str(term), "--env", str(env)) == (0, "{A: x1998.A .. x1998.A}\n", "")
+
+
 def test_expose_positive(capsys):
     code, out, _ = run(capsys, "expose", "--env", ENV, "e.E")
     assert code == 0

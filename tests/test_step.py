@@ -17,15 +17,16 @@ from dsub.environment import TypeEnv, UnboundVariable, env_from_bindings
 from dsub.errors import InternalLimit
 from dsub.exposure import expose
 from dsub.lab import (
+    BAD_BOUNDS_DECL,
     DECL_V,
     DECL_Z,
     FUN_VV,
     FUN_VZ,
+    PIVOT_VAR,
     Enumerator,
     bad_bounds_env,
     fun_bounds_bridge,
     minimality_body,
-    minimality_term,
 )
 from dsub.step import step_subtype, step_type, weight
 from dsub.trace import Derived, Failed, derivation_to_json
@@ -451,7 +452,8 @@ def test_type_minimality_body():
 
 
 def test_type_minimality_term_closed():
-    out = step_type(TypeEnv.empty(), minimality_term())
+    # the closed lambda binding the bad-bounds variable around the body
+    out = step_type(TypeEnv.empty(), Lam(PIVOT_VAR, BAD_BOUNDS_DECL, minimality_body()))
     assert isinstance(out, Derived)
     assert alpha_eq(out.ty, All("e", Decl("E", FUN_VV, FUN_VZ), DECL_V))
 

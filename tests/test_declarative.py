@@ -1,6 +1,8 @@
 import copy
 import hashlib
+import io
 import json
+import pickle
 import random
 import time
 from collections import Counter
@@ -14,15 +16,18 @@ from dsub.declarative import (
     DerivationTree,
     SubJ,
     TypJ,
+    VerifyResult,
     decl_search,
     decl_verify,
     derivation_from_json,
     derivation_to_json,
     elaborate_step,
 )
-from dsub.environment import TypeEnv, env_from_bindings
+from dsub.bounds_shift import demote, promote
+from dsub.cli import _decide_case
+from dsub.environment import TypeEnv, env_from_bindings, parse_env
 from dsub.errors import DsubError
-from dsub.exposure import expose
+from dsub.exposure import Stuck, expose
 from dsub.lab import (
     BAD_BOUNDS_DECL,
     DECL_V,
@@ -35,7 +40,7 @@ from dsub.lab import (
     fun_bounds_bridge,
     _lab_universe,
 )
-from dsub.step import step_subtype, step_type
+from dsub.step import SubtypeResult, step_subtype, step_type
 from dsub.syntax import (
     All,
     Bot,
@@ -53,7 +58,7 @@ from dsub.syntax import (
     size,
     subst_var,
 )
-from dsub.trace import TRACE_RULES, Derived, ExposeJ
+from dsub.trace import TRACE_RULES, Derived, ExposeJ, Failed, ShiftJ
 
 EMPTY = TypeEnv.empty()
 
@@ -658,10 +663,72 @@ def test_search_answers_and_work_are_pinned(monkeypatch):
 # ---------------------------------------------------------------------------
 # Elaboration
 
+CORPUS = FsPath(__file__).resolve().parent.parent / "corpus"
+
 
 def test_every_trace_rule_has_an_elaborator():
     # a trace rule without an elaborator would raise ElaborationGap at run time
     assert TRACE_RULES == set(declarative._ELABORATORS)
+
+
+# Queries for the step rules no corpus case reaches, among them the Cap,
+# Bot and selection rules, in one environment: (relation, its arguments)
+STEP_ENV = "x : {A: Bot .. Top} ; b : Bot ; y : {B: x.A .. x.A} ;"
+STEP_QUERIES = (
+    ("expose", "x.A"),
+    ("expose", "b.A"),
+    ("promote", "all(x: Top) x.A", "x"),
+    ("demote", "all(x: Top) x.A", "x"),
+    ("promote", "all(w: x.A) {B: x.A .. y.B}", "x"),
+    ("demote", "all(w: x.A) {B: x.A .. y.B}", "x"),
+    ("promote", "{B: b.A .. b.A}", "b"),
+    ("demote", "{B: b.A .. b.A}", "b"),
+    ("promote", "all(w: Bot) Top", "x"),
+    ("demote", "all(w: Bot) Top", "x"),
+    ("sub", "Bot", "x.A"),
+    ("sub", "x.A", "x.A"),
+    ("sub", "y.B", "x.A"),
+    ("sub", "x.A", "y.B"),
+    ("sub", "b.A", "x.A"),
+    ("sub", "Top", "b.A"),
+)
+
+
+def _step_traces() -> list:
+    """The traces of the corpus's positive step typings and subtypings, as
+    ``dsub corpus run`` decides them, then of :data:`STEP_QUERIES`."""
+    traces = []
+    for case in sorted(CORPUS.glob("*.dsub")) + sorted(CORPUS.glob("*.sub")):
+        (outcome, _, _), _ = _decide_case(case)
+        if outcome:
+            traces.append(outcome.trace)
+    g = parse_env(STEP_ENV)
+    for verb, *args in STEP_QUERIES:
+        if verb in ("promote", "demote"):
+            text, var = args
+            outcome = (promote if verb == "promote" else demote)(g, parse_type(text), var)
+        else:
+            outcome = {"expose": expose, "sub": step_subtype}[verb](g, *map(parse_type, args))
+        assert outcome, (verb, args)
+        traces.append(outcome.trace)
+    return traces
+
+
+def test_step_rules_are_the_elaborators():
+    # every step rule the procedures apply has an elaborator, and each has
+    # one the queries reach; every trace elaborates to a valid derivation
+    rules = set()
+
+    def walk(node):
+        rules.add(node.rule)
+        for premise in node.premises:
+            walk(premise)
+
+    for trace in _step_traces():
+        walk(trace)
+        verdict = decl_verify(elaborate_step(trace))
+        assert verdict, f"{trace.rule}: {verdict.path}: {verdict.message}"
+    assert rules == set(declarative._ELABORATORS)
 
 
 def test_elaborate_bot_axiom():
@@ -736,25 +803,80 @@ def test_judgment_validation_rejects_unbound():
         SubJ(EMPTY, Path("x", "A"), Top())
 
 
+def _records() -> list:
+    """One instance of every record class, in each truth value the class
+    has, as (build, field names in order, truth): ``build`` makes a fresh,
+    equal record on each call."""
+    g = env_from_bindings([("x", Decl("A", Bot(), Top()))])
+    x_a = Path("x", "A")
+    j = SubJ(g, x_a, Top())
+    leaf = DerivationTree("S-Top", j)
+    return [
+        (lambda: SubJ(g, x_a, Top()), ("env", "lhs", "rhs"), True),
+        (lambda: TypJ(g, Var("x"), Decl("A", Bot(), Top())), ("env", "term", "ty"), True),
+        (lambda: ExposeJ(g, x_a, Top()), ("env", "src", "out"), True),
+        (lambda: ShiftJ(g, x_a, "x", Top(), True), ("env", "src", "var", "out", "up"), True),
+        (lambda: DerivationTree("S-<:-Sel", j, (leaf,)), ("rule", "conclusion", "premises"), True),
+        (lambda: Derived(Top(), leaf), ("ty", "trace"), True),
+        (lambda: Failed("no rule applies", "body"), ("reason", "location"), False),
+        (lambda: Stuck(x_a, Top()), ("path", "blocker"), False),
+        (lambda: SubtypeResult(True, leaf), ("holds", "trace"), True),
+        (lambda: SubtypeResult(False), ("holds", "trace"), False),
+        (lambda: VerifyResult(True), ("ok", "path", "message"), True),
+        (lambda: VerifyResult(False, "root", "unknown rule 'Guess'"), ("ok", "path", "message"), False),
+    ]
+
+
+def _pickled(obj):
+    """``obj`` after a pickle round trip that keeps environments by
+    reference: an environment holds weak references, and ``==`` on
+    environments is identity."""
+    envs = []
+
+    class Pickler(pickle.Pickler):
+        def persistent_id(self, o):
+            if isinstance(o, TypeEnv):
+                envs.append(o)
+                return len(envs) - 1
+            return None
+
+    class Unpickler(pickle.Unpickler):
+        def persistent_load(self, pid):
+            return envs[pid]
+
+    buffer = io.BytesIO()
+    Pickler(buffer).dump(obj)
+    buffer.seek(0)
+    return Unpickler(buffer).load()
+
+
 def test_judgments_are_immutable_records():
     # a judgment's scope is checked when it is built, so nothing may change
-    # its fields afterwards; records equal and hash by form and fields
+    # its fields afterwards; records equal and hash by class and fields
     g = env_from_bindings([("x", Decl("A", Bot(), Top()))])
     j = SubJ(g, Path("x", "A"), Top())
     for attempt in (lambda: setattr(j, "env", EMPTY), lambda: delattr(j, "env")):
         with pytest.raises(AttributeError, match="^SubJ records are immutable$"):
             attempt()
     assert j.env is g and not isinstance(j, tuple) and not hasattr(j, "_replace")
-    twin = SubJ(g, Path("x", "A"), Top())
-    assert twin == j and hash(twin) == hash(j) and copy.copy(j) == j
-    assert ExposeJ(g, Path("x", "A"), Top()) != j
-    assert DerivationTree("S-Top", j) == DerivationTree("S-Top", twin, ())
+    records = []
+    for build, fields, truth in _records():
+        r, twin = build(), build()
+        assert bool(r) is truth and twin is not r
+        for attempt in (lambda: setattr(r, fields[0], None), lambda: delattr(r, fields[0])):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert twin == r and hash(twin) == hash(r)
+        assert copy.copy(r) == r and _pickled(r) == r
+        assert repr(r) == f"{type(r).__name__}({', '.join(f'{f}={getattr(r, f)!r}' for f in fields)})"
+        records.append(r)
+    for a in records:
+        assert all(a != b for b in records if type(b) is not type(a))
 
 
 # ---------------------------------------------------------------------------
 # Single-point mutants
 
-CORPUS = FsPath(__file__).resolve().parent.parent / "corpus"
 DECL_RULES = (
     "Top", "Bot", "Refl", "Trans", "<:-Sel", "Sel-<:", "All-<:-All", "Typ-<:-Typ",
     "Var", "Typ-I", "All-I", "All-E", "Let", "Sub",

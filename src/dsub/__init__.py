@@ -2,13 +2,13 @@
 
 The package is organized bottom-up:
 
-- ``syntax``: type/term ASTs, parsing, printing, substitution, alpha-equality
+- ``syntax``: type/term ASTs, parsing, printing, substitution, alpha-equality,
+  and the one immutable-record base of nodes, judgments, trees and outcomes
 - ``environment``: well-formed typing environments
 - ``trace``: the derivation-tree node shared by step traces and declarative
   derivations, the judgment forms it concludes, its JSON writer, and the
-  outcomes ``Derived`` (a type and its trace: exposure, promotion/demotion
-  and step typing succeeded) and ``Failed`` (why no promotion/demotion or
-  step-typing rule applies)
+  outcomes ``Derived`` (a type and its trace) and ``Failed`` (why no
+  promotion/demotion or step-typing rule applies)
 - ``exposure``: computing a non-path supertype by climbing declaration bounds
 - ``bounds_shift``: promotion/demotion (erasing a variable while moving in
   the subtype order)

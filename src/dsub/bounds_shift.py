@@ -33,7 +33,7 @@ from .syntax import (
     size,
     subst_var,
 )
-from .trace import Derived, Failed, ShiftJ, step_node
+from .trace import DerivationTree, Derived, Failed, ShiftJ
 
 
 class ShiftInvariantError(AssertionError):
@@ -65,12 +65,12 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, memo: dict, parent: Type | Non
     direction = "promote" if up else "demote"
     match t:
         case Bot():
-            return Derived(t, step_node("P-Bot" if up else "D-Bot", ShiftJ(g, t, x, t, up)))
+            return Derived(t, DerivationTree("P-Bot" if up else "D-Bot", ShiftJ(g, t, x, t, up)))
         case Top():
-            return Derived(t, step_node("P-Top" if up else "D-Top", ShiftJ(g, t, x, t, up)))
+            return Derived(t, DerivationTree("P-Top" if up else "D-Top", ShiftJ(g, t, x, t, up)))
         case Path(var=y):
             if y != x:
-                return Derived(t, step_node("P-Var" if up else "D-Var", ShiftJ(g, t, x, t, up)))
+                return Derived(t, DerivationTree("P-Var" if up else "D-Var", ShiftJ(g, t, x, t, up)))
             head = select(g, t, memo)
             if not head:
                 why = f"head exposes to {print_type(head.blocker)}" if head.path is t else head.describe()
@@ -81,7 +81,7 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, memo: dict, parent: Type | Non
             else:
                 out = head.ty.upper if up else head.ty.lower
                 rule = "P-Up" if up else "D-Down"
-            return Derived(out, step_node(rule, ShiftJ(g, t, x, out, up), (head.trace,)))
+            return Derived(out, DerivationTree(rule, ShiftJ(g, t, x, out, up), (head.trace,)))
         case Decl(label=label, lower=lo, upper=hi):
             lo_result = _shift(g, lo, x, not up, memo, t)
             if not lo_result:
@@ -91,10 +91,10 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, memo: dict, parent: Type | Non
                 return hi_result
             out = Decl(label, lo_result.ty, hi_result.ty)
             rule = "P-Decl" if up else "D-Decl"
-            return Derived(out, step_node(rule, ShiftJ(g, t, x, out, up), (lo_result.trace, hi_result.trace)))
+            return Derived(out, DerivationTree(rule, ShiftJ(g, t, x, out, up), (lo_result.trace, hi_result.trace)))
         case All(param=y, param_type=s, result=u):
             if y == x:
-                return Derived(t, step_node("P-Cap" if up else "D-Cap", ShiftJ(g, t, x, t, up)))
+                return Derived(t, DerivationTree("P-Cap" if up else "D-Cap", ShiftJ(g, t, x, t, up)))
             s_result = _shift(g, s, x, not up, memo, t)
             if not s_result:
                 return s_result
@@ -107,5 +107,5 @@ def _shift(g: TypeEnv, t: Type, x: str, up: bool, memo: dict, parent: Type | Non
                 return u_result
             out = All(z, s_result.ty, u_result.ty)
             rule = "P-Lam" if up else "D-Lam"
-            return Derived(out, step_node(rule, ShiftJ(g, t, x, out, up), (s_result.trace, u_result.trace)))
+            return Derived(out, DerivationTree(rule, ShiftJ(g, t, x, out, up), (s_result.trace, u_result.trace)))
     raise TypeError(f"not a type: {t!r}")

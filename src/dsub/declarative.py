@@ -32,7 +32,6 @@ the bound variable escaping check), and subsumption (Sub).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -60,7 +59,7 @@ from .syntax import (
     size,
     subst_var,
 )
-from .trace import DerivationTree, ShiftJ, SubJ, TypJ, derivation_to_json
+from .trace import DerivationTree, ShiftJ, SubJ, TypJ, _Record, derivation_to_json
 
 Judgment = SubJ | TypJ
 
@@ -69,14 +68,22 @@ class ElaborationGap(DsubError):
     """A trace node had no declarative mapping (an implementation bug)."""
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    path: str = ""
-    message: str = ""
+class VerifyResult(_Record):
+    """Whether a tree is ``ok``; if not, the ``path`` to its first bad node and why."""
+
+    __slots__ = __match_args__ = ("ok", "path", "message")
+
+    def __init__(self, ok: bool, path: str = "", message: str = ""):
+        set_ok, set_path, set_message = _VERIFY_RESULT
+        set_ok(self, ok)
+        set_path(self, path)
+        set_message(self, message)
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+_VERIFY_RESULT = VerifyResult._setters
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +625,9 @@ def elaborate_step(node: DerivationTree) -> DerivationTree:
     """Turn a step trace into a declarative derivation.  A step-subtyping or
     step-typing node elaborates to a derivation of its own judgment; an
     exposure of ``src`` to ``out`` to one of ``src <: out``; a promotion to
-    one of ``src <: out`` and a demotion to one of ``out <: src``.  Raises
-    :class:`ElaborationGap` on a node this function cannot map; that never
-    happens for traces produced by this package.
+    one of ``src <: out`` and a demotion to one of ``out <: src``.  The step
+    rules are the keys of ``_ELABORATORS``; a node of any other rule raises
+    :class:`ElaborationGap`, which no trace this package produces has.
 
     Each trace node is elaborated once per call, so a node the trace shares
     elaborates to one shared derivation, and each variable is typed at its

@@ -21,7 +21,7 @@ import threading
 from weakref import ref
 
 from .errors import DsubError
-from .syntax import Type, _Parser, canon, check_sort, fresh_name, fv, is_ident, print_type
+from .syntax import Type, _Parser, canon, check_sort, fresh_name, fv, is_ident
 
 
 class DuplicateBinding(DsubError):
@@ -203,11 +203,6 @@ def env_from_bindings(pairs) -> TypeEnv:
     return g
 
 
-def print_env(g: TypeEnv) -> str:
-    """Render in the environment file format: one ``x : T ;`` line per binding."""
-    return "".join(f"{x} : {print_type(t)} ;\n" for x, t in g.bindings)
-
-
 def parse_env(text: str) -> TypeEnv:
     """Parse the environment file format (oldest binding first)."""
     return env_from_bindings(_Parser(text).bindings())
@@ -220,6 +215,5 @@ __all__ = [
     "UnboundVariable",
     "check_var_name",
     "env_from_bindings",
-    "print_env",
     "parse_env",
 ]

@@ -24,27 +24,31 @@ and ``dsub expose`` read which path is stuck and what blocks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .environment import TypeEnv, UnboundVariable
 from .syntax import Bot, Decl, Path, Type, print_type
-from .trace import Derived, ExposeJ, step_node
+from .trace import DerivationTree, Derived, ExposeJ, _Record
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(_Record):
     """No exposure rule applies to ``path``; ``blocker`` is the exposed type
     of its head variable (Top, a function type, or a mismatched-label
     declaration)."""
 
-    path: Type
-    blocker: Type
+    __slots__ = __match_args__ = ("path", "blocker")
+
+    def __init__(self, path: Type, blocker: Type):
+        set_path, set_blocker = _STUCK
+        set_path(self, path)
+        set_blocker(self, blocker)
 
     def __bool__(self) -> bool:
         return False
 
     def describe(self) -> str:
         return f"{print_type(self.path)} blocked on {print_type(self.blocker)}"
+
+
+_STUCK = Stuck._setters
 
 
 def expose(g: TypeEnv, t: Type, memo: dict | None = None) -> Derived | Stuck:
@@ -62,16 +66,16 @@ def expose(g: TypeEnv, t: Type, memo: dict | None = None) -> Derived | Stuck:
 
 def _expose(g: TypeEnv, t: Type, memo: dict) -> Derived | Stuck:
     if not isinstance(t, Path):
-        return Derived(t, step_node("X-Other", ExposeJ(g, t, t)))
+        return Derived(t, DerivationTree("X-Other", ExposeJ(g, t, t)))
     head = select(g, t, memo)
     if not head:
         return head
     if isinstance(head.ty, Bot):
-        return Derived(Bot(), step_node("X-Bot", ExposeJ(g, t, Bot()), (head.trace,)))
+        return Derived(Bot(), DerivationTree("X-Bot", ExposeJ(g, t, Bot()), (head.trace,)))
     tail = expose(g, head.ty.upper, memo)
     if not tail:
         return tail
-    return Derived(tail.ty, step_node("X-Path", ExposeJ(g, t, tail.ty), (head.trace, tail.trace)))
+    return Derived(tail.ty, DerivationTree("X-Path", ExposeJ(g, t, tail.ty), (head.trace, tail.trace)))
 
 
 def select(g: TypeEnv, path: Path, memo: dict) -> Derived | Stuck:

@@ -21,7 +21,6 @@ runaway recursion into a distinct :class:`InternalLimit` error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .bounds_shift import promote
@@ -46,7 +45,7 @@ from .syntax import (
     print_type,
     subst_var,
 )
-from .trace import DerivationTree, Derived, Failed, SubJ, TypJ, step_node
+from .trace import DerivationTree, Derived, Failed, SubJ, TypJ, _Record
 
 DEPTH_LIMIT = 10_000
 
@@ -97,13 +96,21 @@ def weight(g: TypeEnv, t: Type, memo: dict | None = None) -> int:
 # Step subtyping
 
 
-@dataclass(frozen=True)
-class SubtypeResult:
-    holds: bool
-    trace: Optional[DerivationTree] = None
+class SubtypeResult(_Record):
+    """Whether step subtyping ``holds``; when it does, ``trace`` derives it."""
+
+    __slots__ = __match_args__ = ("holds", "trace")
+
+    def __init__(self, holds: bool, trace: Optional[DerivationTree] = None):
+        set_holds, set_trace = _SUBTYPE_RESULT
+        set_holds(self, holds)
+        set_trace(self, trace)
 
     def __bool__(self) -> bool:
         return self.holds
+
+
+_SUBTYPE_RESULT = SubtypeResult._setters
 
 
 def step_subtype(g: TypeEnv, s: Type, t: Type, memo: dict | None = None) -> SubtypeResult:
@@ -149,18 +156,18 @@ def _sub_rules(
     g: TypeEnv, s: Type, t: Type, measure: int, depth: int, memo: dict
 ) -> Optional[DerivationTree]:
     if isinstance(s, Bot):
-        return step_node("S-Bot", SubJ(g, s, t))
+        return DerivationTree("S-Bot", SubJ(g, s, t))
     if isinstance(t, Top):
-        return step_node("S-Top", SubJ(g, s, t))
+        return DerivationTree("S-Top", SubJ(g, s, t))
     if isinstance(s, Path) and isinstance(t, Path) and s == t:
-        return step_node("S-Refl", SubJ(g, s, t))
+        return DerivationTree("S-Refl", SubJ(g, s, t))
 
     if isinstance(s, Decl) and isinstance(t, Decl) and s.label == t.label:
         lower = _sub(g, t.lower, s.lower, measure, depth + 1, memo)
         if lower is not None:
             upper = _sub(g, s.upper, t.upper, measure, depth + 1, memo)
             if upper is not None:
-                return step_node("S-Typ-<:-Typ", SubJ(g, s, t), (lower, upper))
+                return DerivationTree("S-Typ-<:-Typ", SubJ(g, s, t), (lower, upper))
 
     if isinstance(s, All) and isinstance(t, All) and alpha_eq(s.param_type, t.param_type):
         z = g.fresh(s.param, (fv(s.result) - {s.param}) | (fv(t.result) - {t.param}))
@@ -169,7 +176,7 @@ def _sub_rules(
         rhs_body = subst_var(t.result, t.param, z)
         inner = _sub(inner_env, lhs_body, rhs_body, measure, depth + 1, memo)
         if inner is not None:
-            return step_node("S-All-<:-All", SubJ(g, s, t), (inner,))
+            return DerivationTree("S-All-<:-All", SubJ(g, s, t), (inner,))
 
     if isinstance(s, Path):
         found = _path_attempt(g, s, t, left=True, parent=measure, depth=depth, memo=memo)
@@ -196,15 +203,15 @@ def _path_attempt(
         return None
     if isinstance(head.ty, Bot):
         rule = "S-<:-Bot" if left else "S-Bot-<:"
-        return step_node(rule, SubJ(g, s, t), (head.trace,))
+        return DerivationTree(rule, SubJ(g, s, t), (head.trace,))
     if left:
         inner = _sub(g, head.ty.upper, t, parent, depth + 1, memo)
         if inner is not None:
-            return step_node("S-<:-Sel", SubJ(g, s, t), (head.trace, inner))
+            return DerivationTree("S-<:-Sel", SubJ(g, s, t), (head.trace, inner))
     else:
         inner = _sub(g, s, head.ty.lower, parent, depth + 1, memo)
         if inner is not None:
-            return step_node("S-Sel-<:", SubJ(g, s, t), (head.trace, inner))
+            return DerivationTree("S-Sel-<:", SubJ(g, s, t), (head.trace, inner))
     return None
 
 
@@ -225,14 +232,14 @@ def _typ(g: TypeEnv, term: Term, memo: dict) -> Derived | Failed:
             stored = g.lookup(x)
             if stored is None:
                 return Failed(f"unbound variable {x!r}")
-            return Derived(stored, step_node("T-Var", TypJ(g, term, stored)))
+            return Derived(stored, DerivationTree("T-Var", TypJ(g, term, stored)))
 
         case Tag(label=a, alias=ty):
             out_of_scope = g.unbound(fv(ty))
             if out_of_scope:
                 return Failed(f"tag type mentions unbound variable(s): {', '.join(sorted(out_of_scope))}")
             result = Decl(a, ty, ty)
-            return Derived(result, step_node("T-Typ-I", TypJ(g, term, result)))
+            return Derived(result, DerivationTree("T-Typ-I", TypJ(g, term, result)))
 
         case Lam(param=x, param_type=ty, body=body):
             out_of_scope = g.unbound(fv(ty))
@@ -245,7 +252,7 @@ def _typ(g: TypeEnv, term: Term, memo: dict) -> Derived | Failed:
             if not inner:
                 return _at("body", inner)
             result = All(z, ty, inner.ty)
-            return Derived(result, step_node("T-All-I", TypJ(g, term, result), (inner.trace,)))
+            return Derived(result, DerivationTree("T-All-I", TypJ(g, term, result), (inner.trace,)))
 
         case App(fun=f, arg=a):
             fun_typed = _typ(g, Var(f), memo)
@@ -260,7 +267,7 @@ def _typ(g: TypeEnv, term: Term, memo: dict) -> Derived | Failed:
             match head.ty:
                 case Bot():
                     premises = (fun_typed.trace, head.trace, arg_typed.trace)
-                    return Derived(Bot(), step_node("T-App-Bot", TypJ(g, term, Bot()), premises))
+                    return Derived(Bot(), DerivationTree("T-App-Bot", TypJ(g, term, Bot()), premises))
                 case All(param=z, param_type=s, result=u):
                     check = step_subtype(g, arg_typed.ty, s, memo)
                     if not check.holds:
@@ -270,7 +277,7 @@ def _typ(g: TypeEnv, term: Term, memo: dict) -> Derived | Failed:
                         )
                     result = subst_var(u, z, a)
                     premises = (fun_typed.trace, head.trace, arg_typed.trace, check.trace)
-                    return Derived(result, step_node("T-All-E", TypJ(g, term, result), premises))
+                    return Derived(result, DerivationTree("T-All-E", TypJ(g, term, result), premises))
                 case other:
                     return Failed(f"function position has non-function type {print_type(other)}")
 
@@ -287,7 +294,7 @@ def _typ(g: TypeEnv, term: Term, memo: dict) -> Derived | Failed:
             if not promoted:
                 return Failed(f"let body type not promotable ({promoted.reason})")
             premises = (rhs_typed.trace, body_typed.trace, promoted.trace)
-            return Derived(promoted.ty, step_node("T-Let", TypJ(g, term, promoted.ty), premises))
+            return Derived(promoted.ty, DerivationTree("T-Let", TypJ(g, term, promoted.ty), premises))
     raise TypeError(f"not a term: {term!r}")
 
 

@@ -99,38 +99,49 @@ def _build(cls, key, fields: tuple, size: int, shape: tuple, names: tuple = (), 
     return node
 
 
-class _Node:
-    """A hash-consed syntax node; immutable, compared by identity."""
+class _Frozen:
+    """An immutable record of the fields ``__match_args__`` names: a syntax
+    node, judgment, derivation tree or outcome.  It refuses assignment and
+    deletion, and pickles and prints as a call of its class on its fields.
+    A class's ``_setters`` set its own fields, bypassing ``__setattr__``."""
 
-    # _fv and _canon are set when first computed
-    __slots__ = ("_hash", "_size", "_fv", "_canon", "__weakref__")
+    __slots__ = ()
     __match_args__: tuple = ()
 
     def __init_subclass__(cls) -> None:
-        # the slot setters of the fields, which bypass the refusing __setattr__
         cls._setters = tuple(cls.__dict__[f].__set__ for f in cls.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} records are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} records are immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Node(_Frozen):
+    """A hash-consed syntax node, compared by identity."""
+
+    # _fv and _canon are set when first computed
+    __slots__ = ("_hash", "_size", "_fv", "_canon", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __copy__(self):
         return self
 
     def __deepcopy__(self, memo):
         return self
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
 
 
 _set_size, _set_hash, _set_fv, _set_canon = (

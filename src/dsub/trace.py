@@ -6,9 +6,9 @@ it establishes and holds the derivations of its premises.  The same node
 type carries both kinds of tree:
 
 - step traces: every successful exposure, promotion/demotion,
-  step-subtyping and step-typing computation produces one, with rules from
-  :data:`TRACE_RULES`; the declarative elaborator replays them as checkable
-  declarative derivations;
+  step-subtyping and step-typing computation produces one; the step rules
+  are the keys of ``dsub.declarative._ELABORATORS``, whose elaborators
+  replay the traces as checkable declarative derivations;
 - declarative derivations, checked by ``decl_verify`` and found by
   ``decl_search``.
 
@@ -17,7 +17,8 @@ They answer :class:`Derived` (truthy: the type and its trace) when a rule
 applies; promotion/demotion and step typing answer :class:`Failed` (falsy:
 why no rule applies, and where in the term) when none does.  Exposure's
 failure is its own :class:`~dsub.exposure.Stuck`, whose fields its callers
-read.
+read.  Judgments, tree nodes and every outcome, ``step.SubtypeResult`` and
+``declarative.VerifyResult`` too, share one record base with syntax nodes.
 
 Each judgment form writes its own JSON payload (``kind``, ``env``, then its
 fields in surface syntax); :func:`derivation_to_json` is the one tree writer.
@@ -26,29 +27,7 @@ fields in surface syntax); :func:`derivation_to_json` is the one tree writer.
 from __future__ import annotations
 
 from .environment import TypeEnv
-from .syntax import Term, Type, canon, check_sort, fv, print_term, print_type
-
-# Rule names that may appear in step traces: step subtyping (S-), then one
-# line each for step typing (T-), exposure (X-), promotion (P-) and demotion
-# (D-).  ``dsub.declarative`` has one elaborator for each.
-TRACE_RULES = frozenset(
-    (
-        "S-Bot",
-        "S-Top",
-        "S-Refl",
-        "S-Typ-<:-Typ",
-        "S-All-<:-All",
-        "S-<:-Sel",
-        "S-Sel-<:",
-        "S-Bot-<:",
-        "S-<:-Bot",
-        "T-Var", "T-All-I", "T-Typ-I", "T-All-E", "T-App-Bot", "T-Let",
-        "X-Bot", "X-Path", "X-Other",
-        "P-Up", "P-Up-Bot", "P-Lam", "P-Var", "P-Bot", "P-Top", "P-Decl", "P-Cap",
-        "D-Down", "D-Down-Bot", "D-Lam", "D-Var", "D-Bot", "D-Top", "D-Decl", "D-Cap",
-    )
-)
-
+from .syntax import Term, Type, _Frozen, canon, check_sort, fv, print_term, print_type
 
 # ---------------------------------------------------------------------------
 # Judgments
@@ -58,17 +37,13 @@ def _env_json(env: TypeEnv) -> list:
     return [[x, print_type(t)] for x, t in env]
 
 
-class _Record:
-    """Judgments, tree nodes and outcomes: records of named fields.  As
-    frozen dataclasses do, they refuse assignment, equal only records of
-    their own class with equal fields, and hash as the tuple of their
-    fields.  A class's ``__init__`` sets its fields through the setters
-    :func:`_setters` gives it."""
+class _Record(_Frozen):
+    """Judgments, tree nodes and outcomes.  As frozen dataclasses do, they
+    equal only records of their own class with equal fields, and hash as
+    the tuple of their fields.  A class's ``__init__`` sets its fields
+    through its ``_setters``."""
 
     __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._fields() == other._fields()
@@ -76,30 +51,11 @@ class _Record:
     def __hash__(self) -> int:
         return hash(self._fields())
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} records are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} records are immutable")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-
-def _setters(cls) -> tuple:
-    """The slot setters of ``cls``'s fields, in order; they bypass its
-    refusing ``__setattr__``."""
-    return tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
-
 
 class SubJ(_Record):
     """``env |- lhs <: rhs``; ``env`` must bind the types' free variables."""
 
-    __slots__ = ("env", "lhs", "rhs")
+    __slots__ = __match_args__ = ("env", "lhs", "rhs")
 
     def __init__(self, env: TypeEnv, lhs: Type, rhs: Type):
         check_sort(lhs, Type)
@@ -125,7 +81,7 @@ class SubJ(_Record):
 class TypJ(_Record):
     """``env |- term : ty``; ``env`` must bind their free variables."""
 
-    __slots__ = ("env", "term", "ty")
+    __slots__ = __match_args__ = ("env", "term", "ty")
 
     def __init__(self, env: TypeEnv, term: Term, ty: Type):
         check_sort(term, Term)
@@ -151,7 +107,7 @@ class TypJ(_Record):
 class ExposeJ(_Record):
     """``env |- src`` exposes to ``out``; written as ``from``/``to``."""
 
-    __slots__ = ("env", "src", "out")
+    __slots__ = __match_args__ = ("env", "src", "out")
 
     def __init__(self, env: TypeEnv, src: Type, out: Type):
         set_env, set_src, set_out = _EXPOSEJ
@@ -172,7 +128,7 @@ class ShiftJ(_Record):
     """``env |- src`` promotes (``up``) or demotes away from ``var`` to
     ``out``; written as ``from``/``var``/``to``."""
 
-    __slots__ = ("env", "src", "var", "out", "up")
+    __slots__ = __match_args__ = ("env", "src", "var", "out", "up")
 
     def __init__(self, env: TypeEnv, src: Type, var: str, out: Type, up: bool):
         set_env, set_src, set_var, set_out, set_up = _SHIFTJ
@@ -200,7 +156,7 @@ class DerivationTree(_Record):
     """A node: the ``rule`` applied, its ``conclusion`` (a judgment), and
     the derivations of its ``premises``."""
 
-    __slots__ = ("rule", "conclusion", "premises")
+    __slots__ = __match_args__ = ("rule", "conclusion", "premises")
 
     def __init__(self, rule: str, conclusion, premises: tuple = ()):
         set_rule, set_conclusion, set_premises = _TREE
@@ -213,7 +169,7 @@ class Derived(_Record):
     """An algorithmic relation computed ``ty``; ``trace`` derives it.
     Truthy, as objects are by default; :class:`Failed` is falsy."""
 
-    __slots__ = ("ty", "trace")
+    __slots__ = __match_args__ = ("ty", "trace")
 
     def __init__(self, ty: Type, trace: DerivationTree):
         set_ty, set_trace = _DERIVED
@@ -225,7 +181,7 @@ class Failed(_Record):
     """No algorithmic rule applies, for ``reason``; ``location`` is the
     dotted path into the term at fault ("" for the root, or no term)."""
 
-    __slots__ = ("reason", "location")
+    __slots__ = __match_args__ = ("reason", "location")
 
     def __init__(self, reason: str, location: str = ""):
         set_reason, set_location = _FAILED
@@ -240,16 +196,9 @@ class Failed(_Record):
         return f"{where}: {self.reason}"
 
 
-_SUBJ, _TYPJ, _EXPOSEJ, _SHIFTJ, _TREE, _DERIVED, _FAILED = map(
-    _setters, (SubJ, TypJ, ExposeJ, ShiftJ, DerivationTree, Derived, Failed)
+_SUBJ, _TYPJ, _EXPOSEJ, _SHIFTJ, _TREE, _DERIVED, _FAILED = (
+    cls._setters for cls in (SubJ, TypJ, ExposeJ, ShiftJ, DerivationTree, Derived, Failed)
 )
-
-
-def step_node(rule: str, conclusion, premises: tuple = ()) -> DerivationTree:
-    """A step-trace node; ``rule`` must be one of :data:`TRACE_RULES`."""
-    if rule not in TRACE_RULES:
-        raise ValueError(f"unknown trace rule: {rule!r}")
-    return DerivationTree(rule, conclusion, premises)
 
 
 def derivation_to_json(tree: DerivationTree) -> dict:

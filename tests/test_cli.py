@@ -17,13 +17,13 @@ import dsub.bounds_shift
 import dsub.cli
 import dsub.step
 from dsub.cli import main
-from dsub.declarative import MAX_FUEL, elaborate_step
+from dsub.declarative import _ELABORATORS, MAX_FUEL, elaborate_step
 from dsub.dotty import MAX_N
 from dsub.environment import parse_env
 from dsub.lab import MAX_SIZE, Enumerator
 from dsub.step import step_type
 from dsub.syntax import MAX_NESTING, parse_term, print_term, print_type
-from dsub.trace import TRACE_RULES, derivation_to_json
+from dsub.trace import derivation_to_json
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -74,7 +74,7 @@ def test_check_emit_trace(tmp_path, capsys):
     data = json.loads(trace_file.read_text())
 
     def walk(node):
-        assert node["rule"] in TRACE_RULES
+        assert node["rule"] in _ELABORATORS
         assert node["judgment"]["kind"] in ("sub", "typ", "expose", "promote", "demote")
         for child in node["premises"]:
             walk(child)

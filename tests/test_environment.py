@@ -13,10 +13,9 @@ from dsub.environment import (
     UnboundVariable,
     env_from_bindings,
     parse_env,
-    print_env,
 )
 from dsub.errors import DsubError
-from dsub.syntax import Bot, Decl, Path, Top
+from dsub.syntax import Bot, Decl, Path, Top, print_type
 
 
 def test_empty():
@@ -120,6 +119,11 @@ def test_bindings_satisfy_wellformedness():
         from dsub.syntax import fv
 
         assert fv(ty) <= prefix.dom()
+
+
+def print_env(g: TypeEnv) -> str:
+    """Render in the environment file format: one ``x : T ;`` line per binding."""
+    return "".join(f"{x} : {print_type(t)} ;\n" for x, t in g.bindings)
 
 
 def test_env_file_roundtrip():

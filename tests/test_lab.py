@@ -102,12 +102,6 @@ def test_red_label_is_unconstrained():
     assert is_red(Decl("V", Bot(), Top()))
 
 
-def test_colours_reparameterizable():
-    assert is_blue(Path("a", "B"), var="a", label="B")
-    assert not is_blue(Path("e", "E"), var="a", label="B")
-    assert is_red(Decl("Q", Path("a", "B"), Top()), var="a", label="B")
-
-
 def test_colours_structurally_disjoint():
     enum = Enumerator(labels=("E", "V", "Z"))
     for t in enum.types(4, ("e",)):

@@ -583,12 +583,12 @@ def test_step_typing_deterministic():
 
 
 def test_trace_rule_names_are_canonical():
-    from dsub.trace import TRACE_RULES
+    from dsub.declarative import _ELABORATORS
 
     out = step_type(bad_bounds_env(), minimality_body())
 
     def walk(node):
-        assert node.rule in TRACE_RULES
+        assert node.rule in _ELABORATORS
         for child in node.premises:
             walk(child)
 

@@ -496,8 +496,9 @@ def test_copies_and_pickles_are_the_node(t):
 
 def test_nodes_are_immutable():
     t = Decl("A", Top(), Bot())
-    with pytest.raises(AttributeError):
-        t.label = "B"
+    for attempt in (lambda: setattr(t, "label", "B"), lambda: delattr(t, "label")):
+        with pytest.raises(AttributeError, match="^Decl records are immutable$"):
+            attempt()
     assert t.label == "A"
 
 

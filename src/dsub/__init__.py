@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
 - ``syntax``: type/term ASTs, parsing, printing, substitution, alpha-equality,
-  and the one immutable-record base of nodes, judgments, trees and outcomes
+  and the one immutable-record base of nodes and every other record
 - ``environment``: well-formed typing environments
 - ``trace``: the derivation-tree node shared by step traces and declarative
   derivations, the judgment forms it concludes, its JSON writer, and the

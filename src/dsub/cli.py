@@ -6,11 +6,11 @@ not a subtype, stuck, invalid derivation, search unknown, violations found,
 corpus mismatch), 2 for usage, parse, or I/O errors, a type argument of
 ``sub``, ``expose``, ``promote``, ``demote`` or ``decl search`` that
 mentions a variable the environment does not bind, a ``--var`` that is not
-a variable name, malformed derivation JSON and input nested too deeply to
-check, 3 for an internal error (a violated invariant such as a
-termination measure that failed to decrease, or a recursion-depth valve
-that fired, i.e. a bug).  Machine output (types, JSON, CSV) goes to stdout;
-diagnostics go to stderr.
+a variable name, malformed derivation JSON and input too deep to check
+within Python's recursion limit, 3 for an internal error (a violated
+invariant such as a termination measure that failed to decrease, or a
+recursion-depth valve that fired, i.e. a bug).  Machine output (types,
+JSON, CSV) goes to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _load_types(env: TypeEnv, *texts: str) -> tuple:
     return types
 
 
-_TOO_DEEP = "input is nested too deeply"
+_TOO_DEEP = "input is too deep for Python's recursion limit"
 
 
 def _diag(message: str) -> None:
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     except (DsubError, OSError, ValueError, json.JSONDecodeError) as exc:
         _diag(f"dsub: error: {exc}")
         return 2
-    except RecursionError:  # a backstop: the parser bounds nesting first
+    except RecursionError:  # a backstop: the parser bounds nesting, not chain length
         _diag(f"dsub: error: {_TOO_DEEP}")
         return 2
     except Exception as exc:  # a bug, never an answer: no traceback, no exit 1

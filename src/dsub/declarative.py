@@ -73,17 +73,8 @@ class VerifyResult(_Record):
 
     __slots__ = __match_args__ = ("ok", "path", "message")
 
-    def __init__(self, ok: bool, path: str = "", message: str = ""):
-        set_ok, set_path, set_message = _VERIFY_RESULT
-        set_ok(self, ok)
-        set_path(self, path)
-        set_message(self, message)
-
     def __bool__(self) -> bool:
         return self.ok
-
-
-_VERIFY_RESULT = VerifyResult._setters
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +89,7 @@ def decl_verify(tree: DerivationTree) -> VerifyResult:
     trail: list = []
     message = _verify(tree, trail, set())
     if message is None:
-        return VerifyResult(True)
+        return VerifyResult(True, "", "")
     return VerifyResult(False, "root" + "".join(f".premises[{i}]" for i in reversed(trail)), message)
 
 

@@ -19,10 +19,10 @@ any reported number.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import DsubError, InternalLimit
+from .trace import _Record
 
 DEPTH_LIMIT = 10_000
 
@@ -37,26 +37,22 @@ class UnknownMember(DsubError):
     pass
 
 
-@dataclass(frozen=True)
-class Base:
+class Base(_Record):
     """A named base type; base types relate only to themselves."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Fun:
+class Fun(_Record):
     """Function type, contravariant in ``param`` and covariant in ``result``."""
 
-    param: "SType"
-    result: "SType"
+    __slots__ = __match_args__ = ("param", "result")
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(_Record):
     """Reference to an abstract type member declared in a universe."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
 SType = Base | Fun | Member
@@ -65,29 +61,27 @@ INT = Base("Int")
 STRING = Base("String")
 
 
-@dataclass(frozen=True)
-class Bounds:
-    lower: Optional[SType] = None
-    upper: Optional[SType] = None
+class Bounds(_Record):
+    __slots__ = __match_args__ = ("lower", "upper")
+
+    def __init__(self, lower: Optional[SType] = None, upper: Optional[SType] = None):
+        super().__init__(lower, upper)
 
 
-@dataclass(frozen=True)
-class BoundsUniverse:
+class BoundsUniverse(_Record):
     """Finite map from member names to their (optional) bounds."""
 
-    members: tuple = field(default=())  # of (name, Bounds)
-    # name -> Bounds, the first entry of each name; built once
-    index: dict = field(init=False, repr=False, compare=False)
+    __match_args__ = ("members",)  # of (name, Bounds)
+    __slots__ = __match_args__ + ("_index",)
 
-    def __post_init__(self) -> None:
-        index: dict = {}
-        for name, b in self.members:
-            index.setdefault(name, b)
-        object.__setattr__(self, "index", index)
+    def __init__(self, members: tuple):
+        super().__init__(members)
+        # name -> Bounds, the first entry of each name; built once
+        _set_index(self, dict(reversed(members)))
 
     def bounds(self, name: str) -> Bounds:
         try:
-            return self.index[name]
+            return self._index[name]
         except KeyError:
             raise UnknownMember(f"unknown type member {name!r}") from None
 
@@ -96,11 +90,11 @@ class BoundsUniverse:
         return BoundsUniverse(tuple(entries.items()))
 
 
-@dataclass(frozen=True)
-class SubStats:
-    result: bool
-    calls: int
-    max_depth: int
+_set_index = BoundsUniverse.__dict__["_index"].__set__
+
+
+class SubStats(_Record):
+    __slots__ = __match_args__ = ("result", "calls", "max_depth")
 
 
 def scala_sub(u: BoundsUniverse, t1: SType, t2: SType) -> SubStats:
@@ -118,7 +112,8 @@ def scala_sub(u: BoundsUniverse, t1: SType, t2: SType) -> SubStats:
 
     def number(t: SType) -> int:
         """``t``'s number, the same for equal types; found by identity, so
-        a query's key is hashed in C rather than by the dataclasses."""
+        a query's key is hashed in C rather than by the records'
+        ``__hash__``."""
         n = numbers.get(id(t))
         if n is None:
             match t:

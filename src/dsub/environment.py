@@ -176,6 +176,10 @@ class TypeEnv:
         """The names in ``names`` this environment does not bind."""
         return frozenset(x for x in names if self._entry(x) is None)
 
+    def __reduce__(self):
+        # loading checks every binding again; the copy is a new environment
+        return env_from_bindings, (self.bindings,)
+
     def __repr__(self) -> str:
         return f"TypeEnv(bindings={self.bindings!r})"
 

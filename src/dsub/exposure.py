@@ -36,19 +36,11 @@ class Stuck(_Record):
 
     __slots__ = __match_args__ = ("path", "blocker")
 
-    def __init__(self, path: Type, blocker: Type):
-        set_path, set_blocker = _STUCK
-        set_path(self, path)
-        set_blocker(self, blocker)
-
     def __bool__(self) -> bool:
         return False
 
     def describe(self) -> str:
         return f"{print_type(self.path)} blocked on {print_type(self.blocker)}"
-
-
-_STUCK = Stuck._setters
 
 
 def expose(g: TypeEnv, t: Type, memo: dict | None = None) -> Derived | Stuck:

@@ -16,7 +16,6 @@ never suppressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .declarative import (
@@ -44,6 +43,7 @@ from .syntax import (
     alpha_eq,
     print_type,
 )
+from .trace import _Record
 
 # ---------------------------------------------------------------------------
 # Corpus constants
@@ -259,18 +259,15 @@ class Enumerator:
 # Harness reports
 
 
-@dataclass
-class Finding:
-    check: str
-    detail: str
+class Finding(_Record):
+    __slots__ = __match_args__ = ("check", "detail")
 
 
-@dataclass
-class HarnessReport:
-    title: str
-    bounds: str
-    derivable_count: int = 0
-    violations: list = field(default_factory=list)
+class HarnessReport(_Record):
+    """A harness's count of derivable judgments and its ``violations``, a
+    tuple of :class:`Finding` sorted by check and detail."""
+
+    __slots__ = __match_args__ = ("title", "bounds", "derivable_count", "violations")
 
     @property
     def ok(self) -> bool:
@@ -290,6 +287,11 @@ class HarnessReport:
         if len(self.violations) > 20:
             lines.append(f"  ... and {len(self.violations) - 20} more")
         return "\n".join(lines)
+
+
+def _report(title: str, max_size: int, fuel: int, derivable: int, violations: list) -> HarnessReport:
+    violations.sort(key=Finding._fields)
+    return HarnessReport(title, f"max_size={max_size}, fuel={fuel}", derivable, tuple(violations))
 
 
 def _lab_universe(max_size: int) -> list:
@@ -320,22 +322,20 @@ def check_wellbehaved(max_size: int = 4, fuel: int = 6) -> HarnessReport:
     6. only Bot is derivably below Bot
     7. only Top is derivably above Top
     """
-    report = HarnessReport("well-behavedness suite", f"max_size={max_size}, fuel={fuel}")
     env = bad_bounds_env()
     universe = _lab_universe(max_size)
     searcher = DeclSearcher()
+    violations = []
+
+    def blame(check: str, detail: str) -> None:
+        violations.append(Finding(check, detail))
 
     for t in universe:
         if is_red(t) and is_blue(t):
-            report.violations.append(
-                Finding("colour-disjointness", f"{print_type(t)} is both red and blue")
-            )
+            blame("colour-disjointness", f"{print_type(t)} is both red and blue")
 
     derivable = _derivable_pairs(env, universe, fuel, searcher)
-    report.derivable_count = len(derivable)
-
-    def blame(check: str, detail: str) -> None:
-        report.violations.append(Finding(check, detail))
+    derivable_count = len(derivable)
 
     for i, j in sorted(derivable):
         lhs, rhs = universe[i], universe[j]
@@ -354,21 +354,21 @@ def check_wellbehaved(max_size: int = 4, fuel: int = 6) -> HarnessReport:
 
     for t in universe:
         if searcher.search(TypJ(env, Var(PIVOT_VAR), t), fuel) is not None:
-            report.derivable_count += 1
+            derivable_count += 1
             if not (isinstance(t, Top) or is_red(t)):
                 blame("1-pivot-types-red", f"{PIVOT_VAR} : {print_type(t)}")
 
-    report.violations.sort(key=lambda v: (v.check, v.detail))
-    return report
+    return _report("well-behavedness suite", max_size, fuel, derivable_count, violations)
 
 
 def check_no_tag_switch(max_size: int = 4, fuel: int = 6) -> HarnessReport:
     """Check that below a declaration only Bot and same-label declarations
     are derivable in the bad-bounds environment."""
-    report = HarnessReport("no-tag-switch suite", f"max_size={max_size}, fuel={fuel}")
     env = bad_bounds_env()
     universe = _lab_universe(max_size)
     searcher = DeclSearcher()
+    derivable_count = 0
+    violations = []
 
     decl_indices = [j for j, t in enumerate(universe) if isinstance(t, Decl)]
     for j in decl_indices:
@@ -376,39 +376,32 @@ def check_no_tag_switch(max_size: int = 4, fuel: int = 6) -> HarnessReport:
         for i, lhs in enumerate(universe):
             if searcher.search(SubJ(env, lhs, rhs), fuel) is None:
                 continue
-            report.derivable_count += 1
+            derivable_count += 1
             compliant = isinstance(lhs, Bot) or (isinstance(lhs, Decl) and lhs.label == rhs.label)
             if not compliant:
-                report.violations.append(
-                    Finding("tag-switch", f"{print_type(lhs)} <: {print_type(rhs)}")
-                )
+                violations.append(Finding("tag-switch", f"{print_type(lhs)} <: {print_type(rhs)}"))
 
-    report.violations.sort(key=lambda v: (v.check, v.detail))
-    return report
+    return _report("no-tag-switch suite", max_size, fuel, derivable_count, violations)
 
 
 # ---------------------------------------------------------------------------
 # Minimality counterexample
 
 
-@dataclass
-class MinimalityReport:
-    step_result: str = ""
-    step_result_ok: bool = False
-    narrow_tree_ok: bool = False
-    wide_tree_ok: bool = False
-    bridge_ok: bool = False
-    not_subtype_ok: bool = False
+class MinimalityReport(_Record):
+    __slots__ = __match_args__ = (
+        "step_result",
+        "step_result_ok",
+        "narrow_tree_ok",
+        "wide_tree_ok",
+        "bridge_ok",
+        "not_subtype_ok",
+    )
 
     @property
     def ok(self) -> bool:
-        return (
-            self.step_result_ok
-            and self.narrow_tree_ok
-            and self.wide_tree_ok
-            and self.bridge_ok
-            and self.not_subtype_ok
-        )
+        """Every check passed: each field after ``step_result``."""
+        return all(self._fields()[1:])
 
     def render(self) -> str:
         def mark(flag: bool) -> str:
@@ -433,22 +426,17 @@ def run_minimality_counterexample() -> MinimalityReport:
     """Reproduce the minimal-typing counterexample: the body step-types to
     exactly one of its two declaratively valid types, and those two types are
     unrelated by step subtyping."""
-    report = MinimalityReport()
     env = bad_bounds_env()
-    body = minimality_body()
-
-    outcome = step_type(env, body)
+    outcome = step_type(env, minimality_body())
     if outcome:
-        report.step_result = print_type(outcome.ty)
-        report.step_result_ok = alpha_eq(outcome.ty, DECL_V)
+        step_result, step_result_ok = print_type(outcome.ty), alpha_eq(outcome.ty, DECL_V)
     else:
-        report.step_result = outcome.describe()
-
-    report.narrow_tree_ok = bool(decl_verify(body_typing_narrow()))
-    report.wide_tree_ok = bool(decl_verify(body_typing_wide()))
-    report.bridge_ok = bool(decl_verify(fun_bounds_bridge()))
-    report.not_subtype_ok = (
-        not step_subtype(env, DECL_V, DECL_Z).holds
-        and not step_subtype(env, DECL_Z, DECL_V).holds
+        step_result, step_result_ok = outcome.describe(), False
+    return MinimalityReport(
+        step_result,
+        step_result_ok,
+        bool(decl_verify(body_typing_narrow())),
+        bool(decl_verify(body_typing_wide())),
+        bool(decl_verify(fun_bounds_bridge())),
+        not step_subtype(env, DECL_V, DECL_Z) and not step_subtype(env, DECL_Z, DECL_V),
     )
-    return report

@@ -101,16 +101,8 @@ class SubtypeResult(_Record):
 
     __slots__ = __match_args__ = ("holds", "trace")
 
-    def __init__(self, holds: bool, trace: Optional[DerivationTree] = None):
-        set_holds, set_trace = _SUBTYPE_RESULT
-        set_holds(self, holds)
-        set_trace(self, trace)
-
     def __bool__(self) -> bool:
         return self.holds
-
-
-_SUBTYPE_RESULT = SubtypeResult._setters
 
 
 def step_subtype(g: TypeEnv, s: Type, t: Type, memo: dict | None = None) -> SubtypeResult:

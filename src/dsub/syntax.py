@@ -101,9 +101,10 @@ def _build(cls, key, fields: tuple, size: int, shape: tuple, names: tuple = (), 
 
 class _Frozen:
     """An immutable record of the fields ``__match_args__`` names: a syntax
-    node, judgment, derivation tree or outcome.  It refuses assignment and
-    deletion, and pickles and prints as a call of its class on its fields.
-    A class's ``_setters`` set its own fields, bypassing ``__setattr__``."""
+    node, or a :class:`dsub.trace._Record` (every other record).  It
+    refuses assignment and deletion, and pickles and prints as a call of
+    its class on its fields.  A class's ``_setters`` set its own fields,
+    bypassing ``__setattr__``."""
 
     __slots__ = ()
     __match_args__: tuple = ()

@@ -18,7 +18,8 @@ applies; promotion/demotion and step typing answer :class:`Failed` (falsy:
 why no rule applies, and where in the term) when none does.  Exposure's
 failure is its own :class:`~dsub.exposure.Stuck`, whose fields its callers
 read.  Judgments, tree nodes and every outcome, ``step.SubtypeResult`` and
-``declarative.VerifyResult`` too, share one record base with syntax nodes.
+``declarative.VerifyResult`` too, share one record base with syntax nodes,
+as do the lab's reports and the compiler model's types.
 
 Each judgment form writes its own JSON payload (``kind``, ``env``, then its
 fields in surface syntax); :func:`derivation_to_json` is the one tree writer.
@@ -38,12 +39,21 @@ def _env_json(env: TypeEnv) -> list:
 
 
 class _Record(_Frozen):
-    """Judgments, tree nodes and outcomes.  As frozen dataclasses do, they
-    equal only records of their own class with equal fields, and hash as
-    the tuple of their fields.  A class's ``__init__`` sets its fields
-    through its ``_setters``."""
+    """Judgments, tree nodes, outcomes, the lab's reports and the compiler
+    model's types.  They equal only records of their own class with equal
+    fields, and hash as the tuple of their fields.  They are built from
+    every field, in order; a class that checks its fields, gives defaults or
+    is built on a hot path has its own ``__init__``, which sets them through
+    its ``_setters``."""
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        setters = self._setters
+        if len(fields) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} fields, not {len(fields)}")
+        for set_field, value in zip(setters, fields):
+            set_field(self, value)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._fields() == other._fields()

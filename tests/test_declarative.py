@@ -1,8 +1,9 @@
 import copy
 import hashlib
-import io
+import importlib
 import json
 import pickle
+import pkgutil
 import random
 import time
 from collections import Counter
@@ -10,6 +11,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
+import dsub
 from dsub import declarative
 from dsub.declarative import (
     DeclSearcher,
@@ -26,6 +28,7 @@ from dsub.declarative import (
 from dsub.bounds_shift import demote, promote
 from dsub.cli import _decide_case
 from dsub.environment import TypeEnv, env_from_bindings, parse_env
+from dsub.dotty import INT, STRING, Base, Bounds, BoundsUniverse, Fun, Member, SubStats
 from dsub.errors import DsubError
 from dsub.exposure import Stuck, expose
 from dsub.lab import (
@@ -34,6 +37,9 @@ from dsub.lab import (
     FUN_VV,
     FUN_VZ,
     Enumerator,
+    Finding,
+    HarnessReport,
+    MinimalityReport,
     bad_bounds_env,
     body_typing_narrow,
     body_typing_wide,
@@ -58,7 +64,7 @@ from dsub.syntax import (
     size,
     subst_var,
 )
-from dsub.trace import Derived, ExposeJ, Failed, ShiftJ
+from dsub.trace import Derived, ExposeJ, Failed, ShiftJ, _Record
 
 EMPTY = TypeEnv.empty()
 
@@ -816,33 +822,39 @@ def _records() -> list:
         (lambda: Failed("no rule applies", "body"), ("reason", "location"), False),
         (lambda: Stuck(x_a, Top()), ("path", "blocker"), False),
         (lambda: SubtypeResult(True, leaf), ("holds", "trace"), True),
-        (lambda: SubtypeResult(False), ("holds", "trace"), False),
-        (lambda: VerifyResult(True), ("ok", "path", "message"), True),
+        (lambda: SubtypeResult(False, None), ("holds", "trace"), False),
+        (lambda: VerifyResult(True, "", ""), ("ok", "path", "message"), True),
         (lambda: VerifyResult(False, "root", "unknown rule 'Guess'"), ("ok", "path", "message"), False),
+        (lambda: Finding("tag-switch", "x.A <: {A: Top .. Top}"), ("check", "detail"), True),
+        (
+            lambda: HarnessReport("tags", "max_size=3, fuel=5", 507, (Finding("tag-switch", "x.A <: Top"),)),
+            ("title", "bounds", "derivable_count", "violations"),
+            True,
+        ),
+        (
+            lambda: MinimalityReport("{V: Top .. Top}", True, True, True, True, False),
+            ("step_result", "step_result_ok", "narrow_tree_ok", "wide_tree_ok", "bridge_ok", "not_subtype_ok"),
+            True,
+        ),
+        (lambda: Base("Int"), ("name",), True),
+        (lambda: Fun(INT, Member("E")), ("param", "result"), True),
+        (lambda: Member("E"), ("name",), True),
+        (lambda: Bounds(lower=Fun(INT, INT), upper=Fun(INT, STRING)), ("lower", "upper"), True),
+        (lambda: BoundsUniverse.of({"E": Bounds(upper=INT), "F": Bounds()}), ("members",), True),
+        (lambda: SubStats(False, 19, 5), ("result", "calls", "max_depth"), True),
     ]
 
 
-def _pickled(obj):
-    """``obj`` after a pickle round trip that keeps environments by
-    reference: an environment holds weak references, and ``==`` on
-    environments is identity."""
-    envs = []
-
-    class Pickler(pickle.Pickler):
-        def persistent_id(self, o):
-            if isinstance(o, TypeEnv):
-                envs.append(o)
-                return len(envs) - 1
-            return None
-
-    class Unpickler(pickle.Unpickler):
-        def persistent_load(self, pid):
-            return envs[pid]
-
-    buffer = io.BytesIO()
-    Pickler(buffer).dump(obj)
-    buffer.seek(0)
-    return Unpickler(buffer).load()
+def _same(a, b) -> bool:
+    """``a == b``, but environments compared by ``key``: one that has been
+    round-tripped is a new object, and ``==`` on environments is identity."""
+    if isinstance(a, TypeEnv):
+        return type(b) is TypeEnv and a.key == b.key
+    if isinstance(a, _Record):
+        return type(b) is type(a) and _same(a._fields(), b._fields())
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def test_judgments_are_immutable_records():
@@ -862,11 +874,28 @@ def test_judgments_are_immutable_records():
             with pytest.raises(AttributeError, match=f"^{type(r).__name__} records are immutable$"):
                 attempt()
         assert twin == r and hash(twin) == hash(r)
-        assert copy.copy(r) == r and _pickled(r) == r
+        with pytest.raises(TypeError):  # a record is built from its fields, no more
+            type(r)(*r._fields(), None)
+        assert copy.copy(r) == r and _same(pickle.loads(pickle.dumps(r)), r)
         assert repr(r) == f"{type(r).__name__}({', '.join(f'{f}={getattr(r, f)!r}' for f in fields)})"
         records.append(r)
     for a in records:
         assert all(a != b for b in records if type(b) is not type(a))
+    g = env_from_bindings([("x", Decl("A", Bot(), Top())), ("y", Path("x", "A"))])
+    back = pickle.loads(pickle.dumps(g))
+    assert back is not g and back.key == g.key and back.bindings == g.bindings
+
+
+def test_every_record_class_is_in_the_record_contract():
+    for module in pkgutil.iter_modules(dsub.__path__):
+        importlib.import_module(f"dsub.{module.name}")
+    classes, todo = set(), [_Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("dsub."):
+                classes.add(cls)
+    assert classes == {type(build()) for build, _, _ in _records()}
 
 
 # ---------------------------------------------------------------------------
